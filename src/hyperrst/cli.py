@@ -10,52 +10,29 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict
 
 from . import dsf, experiments, render, rst, sampler
 from .hgeom import GeometryError
 from .sampler import CloudConfig, HalfWindow
 
-CONFIG_KEYS = {
-    "d": int,
-    "lambda": float,
-    "R": float,
-    "seed": int,
-    "replicas": int,
-    "r0_grid": list,
-    "p": float,
-    "A": float,
-    "delta": float,
-    "theta": float,
-    "a": float,
-    "h_grid": list,
-    "half_width": float,
-    "y_min": float,
-    "y_max": float,
-    "edge_style": str,
-    "colors": bool,
-    "disc_px": float,
-}
+_EXPERIMENT = asdict(experiments.default_config())
+_CLOUD = _EXPERIMENT.pop("base")
+_SCENE = render.SvgScene()
 
+# Every config key with its default; a user value must have the default's type.
 DEFAULTS = {
-    "d": 1,
-    "lambda": 30.0,
-    "R": 5.0,
-    "seed": experiments.DEFAULT_SEED,
-    "replicas": 100,
-    "r0_grid": [1.5, 2.0, 2.5, 3.0, 3.5],
-    "p": 2.0,
-    "A": 3.0,
-    "delta": 0.3,
-    "theta": 0.5,
-    "a": 1.0,
-    "h_grid": [2.0, 4.0, 6.0, 8.0, 10.0],
+    "d": _CLOUD["d"],
+    "lambda": _CLOUD["lam"],
+    "R": _CLOUD["R"],
+    "seed": _CLOUD["seed"],
+    **{k: list(v) if isinstance(v, tuple) else v for k, v in _EXPERIMENT.items()},
     "half_width": 4.0,
     "y_min": 0.05,
     "y_max": 4.0,
-    "edge_style": "geodesic-arc",
-    "colors": True,
-    "disc_px": 800.0,
+    "edge_style": _SCENE.edge_style,
+    "colors": _SCENE.colors,
+    "disc_px": _SCENE.disc_px,
 }
 
 
@@ -63,12 +40,14 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str
-    out_dir: str
-    seed_override: int | None
+def _has_default_type(value, default) -> bool:
+    """A float takes any number (never a bool), a list a non-empty list of
+    numbers; every other type must match exactly."""
+    if isinstance(default, list):
+        return type(value) is list and bool(value) and all(_has_default_type(v, 0.0) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def load_config(path: str, seed_override: int | None) -> dict:
@@ -84,9 +63,12 @@ def load_config(path: str, seed_override: int | None) -> dict:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(user) - set(CONFIG_KEYS)
+        unknown = set(user) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        wrong = sorted(k for k, v in user.items() if not _has_default_type(v, DEFAULTS[k]))
+        if wrong:
+            raise ConfigError(f"config values of the wrong type: {wrong}")
         cfg.update(user)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -98,18 +80,11 @@ def cloud_config(cfg: dict) -> CloudConfig:
 
 
 def experiment_config(cfg: dict) -> experiments.ExperimentConfig:
-    return experiments.ExperimentConfig(
-        base=cloud_config(cfg),
-        replicas=int(cfg["replicas"]),
-        r0_grid=tuple(float(r) for r in cfg["r0_grid"]),
-        p=float(cfg["p"]),
-        A=float(cfg["A"]),
-        delta=float(cfg["delta"]),
-        theta=float(cfg["theta"]),
-        a=float(cfg["a"]),
-        h_grid=tuple(float(h) for h in cfg["h_grid"]),
-        output_path=".",
-    )
+    def typed(k):
+        default = DEFAULTS[k]
+        return tuple(float(v) for v in cfg[k]) if isinstance(default, list) else type(default)(cfg[k])
+
+    return experiments.ExperimentConfig(base=cloud_config(cfg), **{k: typed(k) for k in _EXPERIMENT})
 
 
 def _echo_config(cfg: dict):

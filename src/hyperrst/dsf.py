@@ -62,8 +62,11 @@ class HalfForest:
 
 
 def _half_dist_block(x, y):
-    def dist_block(i, js):
-        s = (np.sum((x[js] - x[i]) ** 2, axis=1) + (y[js] - y[i]) ** 2) / (2.0 * y[js] * y[i])
+    cols = np.ascontiguousarray(x.T)
+
+    def dist_block(iq, lo, hi):
+        yq = y[iq, None]
+        s = (search.sq_dist_block(cols, iq, lo, hi) + (y[lo:hi] - yq) ** 2) / (2.0 * y[lo:hi] * yq)
         return hgeom.stable_arccosh1p(s)
 
     return dist_block
@@ -196,16 +199,6 @@ def cyl_box(spec: RegionSpec):
 
 # ---------------------------------------------------------------------------
 # coupling
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    """Per-h agreement fractions between RST(h) and DSF parents on K."""
-
-    h_values: tuple
-    agreement_fraction: tuple
-    K_spec: RegionSpec
-    counts: tuple
 
 
 def coupling_fraction(points, window: HalfWindow, K: RegionSpec, h: float,

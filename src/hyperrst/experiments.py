@@ -25,6 +25,7 @@ GOOD_PROBES = 8
 BOOT_SAMPLES = 800
 BPLUS_SAMPLES = 40_000
 COUPLING_MARGIN = 1.5
+CONFINEMENT_SCALES = (0.5, 1.0, 2.0, 4.0)
 TREE_CACHE_MAX = 128
 
 DEFAULT_SEED = 20240811
@@ -41,7 +42,6 @@ class ExperimentConfig:
     theta: float = 0.5
     a: float = 1.0
     h_grid: tuple = (2.0, 4.0, 6.0, 8.0, 10.0)
-    output_path: str = "."
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -122,11 +122,17 @@ def probe_directions(d: int, k: int, seed: int) -> np.ndarray:
 
 
 def _num_workers() -> int:
+    """Worker processes for replicas: HYPERRST_THREADS, or 1 when it is unset."""
     env = os.environ.get("HYPERRST_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
+    if not env:
         return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise GeometryError(f"HYPERRST_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 def _replica_values(worker, cfg: ExperimentConfig) -> np.ndarray:
@@ -152,6 +158,20 @@ def _mean_cells(values: np.ndarray, param_name: str, grid) -> list:
         Cell(params={param_name: float(g)}, estimate=float(means[k]), stderr=float(ses[k]), n=values.shape[0])
         for k, g in enumerate(grid)
     ]
+
+
+def _report(name: str, cfg: ExperimentConfig, values: np.ndarray, param: str, grid, fit: bool,
+            extra: dict) -> StatReport:
+    """Per-cell means of the replica values, plus a bootstrap log-slope over
+    the grid when `fit` is set."""
+    return StatReport(
+        experiment=name,
+        seed=cfg.base.seed,
+        replicas=cfg.replicas,
+        cells=_mean_cells(values, param, grid),
+        fit=bootstrap_fit(values, grid, cfg.base.seed) if fit else None,
+        extra=extra,
+    )
 
 
 def ols_loglinear(xs: np.ndarray, means: np.ndarray) -> tuple:
@@ -226,16 +246,7 @@ def exp_straightness(cfg: ExperimentConfig) -> StatReport:
     picture predicts log-slope near -1."""
     _check_interior_grid(cfg)
     values = _replica_values(_rep_straightness, cfg)
-    cells = _mean_cells(values, "r0", cfg.r0_grid)
-    fit = bootstrap_fit(values, cfg.r0_grid, cfg.base.seed)
-    return StatReport(
-        experiment="straightness",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=fit,
-        extra={"r_prime": r_prime(cfg)},
-    )
+    return _report("straightness", cfg, values, "r0", cfg.r0_grid, True, {"r_prime": r_prime(cfg)})
 
 
 def _rep_mbd_moment(args):
@@ -255,16 +266,8 @@ def exp_mbd_moment(cfg: ExperimentConfig) -> StatReport:
     fluctuation bound predicts log-slope near -p."""
     _check_interior_grid(cfg)
     values = _replica_values(_rep_mbd_moment, cfg)
-    cells = _mean_cells(values, "r0", cfg.r0_grid)
-    fit = bootstrap_fit(values, cfg.r0_grid, cfg.base.seed)
-    return StatReport(
-        experiment="mbd_moment",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=fit,
-        extra={"p": cfg.p, "A": cfg.A, "r_prime": r_prime(cfg)},
-    )
+    extra = {"p": cfg.p, "A": cfg.A, "r_prime": r_prime(cfg)}
+    return _report("mbd_moment", cfg, values, "r0", cfg.r0_grid, True, extra)
 
 
 def _rep_annulus(args):
@@ -285,16 +288,8 @@ def exp_annulus(cfg: ExperimentConfig) -> StatReport:
     if not cfg.delta > 0:
         raise GeometryError("delta must be > 0")
     values = _replica_values(_rep_annulus, cfg)
-    cells = _mean_cells(values, "r", cfg.r0_grid)
-    fit = bootstrap_fit(values, cfg.r0_grid, cfg.base.seed)
-    return StatReport(
-        experiment="annulus",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=fit,
-        extra={"p": cfg.p, "delta": cfg.delta, "theta": cfg.theta},
-    )
+    extra = {"p": cfg.p, "delta": cfg.delta, "theta": cfg.theta}
+    return _report("annulus", cfg, values, "r", cfg.r0_grid, True, extra)
 
 
 def good_point_grid(cfg: ExperimentConfig) -> list:
@@ -342,35 +337,15 @@ def exp_good_points(cfg: ExperimentConfig) -> StatReport:
     r0 = float(np.median(cfg.r0_grid))
     grid = good_point_grid(cfg)
     values = _replica_values(_rep_good_points, cfg)
-    means = values.mean(axis=0)
-    emp_se = (
-        values.std(axis=0, ddof=1) / math.sqrt(cfg.replicas)
-        if cfg.replicas > 1
-        else np.zeros(len(grid))
-    )
-    cells = []
-    zs = []
-    for k, (a_, d_) in enumerate(grid):
+    report = _report("good_points", cfg, values, "A", [a_ for a_, _ in grid], False, {"r0": r0})
+    for k, (cell, (a_, d_)) in enumerate(zip(report.cells, grid)):
         bench = good_point_benchmark(cfg, r0, a_, d_)
-        se = max(float(emp_se[k]), math.sqrt(bench * (1.0 - bench) / cfg.replicas))
-        z = abs(float(means[k]) - bench) / se if se > 0 else (0.0 if means[k] == bench else math.inf)
-        zs.append(z)
-        cells.append(
-            Cell(
-                params={"A": a_, "delta": d_, "benchmark": bench, "z": z},
-                estimate=float(means[k]),
-                stderr=float(se),
-                n=cfg.replicas,
-            )
-        )
-    return StatReport(
-        experiment="good_points",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=None,
-        extra={"r0": r0, "max_z": max(zs)},
-    )
+        se = max(cell.stderr, math.sqrt(bench * (1.0 - bench) / cfg.replicas))
+        z = abs(cell.estimate - bench) / se if se > 0 else (0.0 if cell.estimate == bench else math.inf)
+        params = {"A": a_, "delta": d_, "benchmark": bench, "z": z}
+        report.cells[k] = replace(cell, params=params, stderr=se)
+    report.extra["max_z"] = max(cell.params["z"] for cell in report.cells)
+    return report
 
 
 def _rep_level_counts(args):
@@ -393,18 +368,10 @@ def _rep_level_counts(args):
 def exp_level_counts(cfg: ExperimentConfig) -> StatReport:
     """E[#(L_r in an e^{-r}-ball)^p]; the count moments stay bounded in r."""
     values = _replica_values(_rep_level_counts, cfg)
-    cells = _mean_cells(values, "r0", cfg.r0_grid)
-    fit = bootstrap_fit(values, cfg.r0_grid, cfg.base.seed)
     means = values.mean(axis=0)
     ratio = float(means.max() / means.min()) if np.all(means > 0) else math.inf
-    return StatReport(
-        experiment="level_counts",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=fit,
-        extra={"p": cfg.p, "max_over_min": ratio},
-    )
+    extra = {"p": cfg.p, "max_over_min": ratio}
+    return _report("level_counts", cfg, values, "r0", cfg.r0_grid, True, extra)
 
 
 def bplus_grid(cfg: ExperimentConfig) -> list:
@@ -494,26 +461,18 @@ def exp_coupling(cfg: ExperimentConfig) -> StatReport:
     if not cfg.h_grid:
         raise GeometryError("h_grid must be nonempty")
     values = _replica_values(_rep_coupling, cfg)
-    cells = _mean_cells(values, "h", cfg.h_grid)
     means = values.mean(axis=0)
     first_above = next((float(h) for h, mean in zip(cfg.h_grid, means) if mean > 0.99), None)
     diffs = values[:, -1] - values[:, 0]
     se = diffs.std(ddof=1) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
     tstat = float(diffs.mean() / se) if se > 0 else math.inf
-    report = StatReport(
-        experiment="coupling",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=None,
-        extra={
-            "K": {"kind": "Cyl'", "A": cfg.A, "a": cfg.a},
-            "first_h_above_0.99": first_above,
-            "monotone_means": bool(np.all(np.diff(means) > 0)),
-            "increase_tstat": tstat,
-        },
-    )
-    return report
+    extra = {
+        "K": {"kind": "Cyl'", "A": cfg.A, "a": cfg.a},
+        "first_h_above_0.99": first_above,
+        "monotone_means": bool(np.all(np.diff(means) > 0)),
+        "increase_tstat": tstat,
+    }
+    return _report("coupling", cfg, values, "h", cfg.h_grid, False, extra)
 
 
 def _rep_confinement(args):
@@ -524,7 +483,7 @@ def _rep_confinement(args):
     sweep = rst.deviation_sweep(tree, h, rp)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
-    for scale in (0.5, 1.0, 2.0, 4.0):
+    for scale in CONFINEMENT_SCALES:
         A = cfg.A * scale
         cosap = math.cos(min(2.0 * A * math.exp(-h), math.pi))
         bound = A * math.exp(-h)
@@ -542,22 +501,13 @@ def exp_confinement(cfg: ExperimentConfig) -> StatReport:
     """P[every crossing within angle 2A e^{-h} keeps MBD <= A e^{-h}] against
     A; the cylinder confinement drives it to 1 for large A."""
     values = _replica_values(_rep_confinement, cfg)
-    scales = (0.5, 1.0, 2.0, 4.0)
-    grid = [cfg.A * s for s in scales]
-    cells = _mean_cells(values, "A", grid)
-    means = values.mean(axis=0)
-    return StatReport(
-        experiment="confinement",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=None,
-        extra={
-            "h": float(np.median(cfg.r0_grid)),
-            "r_prime": r_prime(cfg),
-            "nondecreasing": bool(np.all(np.diff(means) >= 0)),
-        },
-    )
+    extra = {
+        "h": float(np.median(cfg.r0_grid)),
+        "r_prime": r_prime(cfg),
+        "nondecreasing": bool(np.all(np.diff(values.mean(axis=0)) >= 0)),
+    }
+    grid = [cfg.A * s for s in CONFINEMENT_SCALES]
+    return _report("confinement", cfg, values, "A", grid, False, extra)
 
 
 def _rep_direction(args):
@@ -586,16 +536,9 @@ def exp_direction_convergence(cfg: ExperimentConfig) -> StatReport:
     """Tail angular variation of the deepest backward path beyond radius r;
     shrinking tails are the Cauchy surrogate of an asymptotic direction."""
     values = _replica_values(_rep_direction, cfg)
-    cells = _mean_cells(values, "r", cfg.r0_grid)
     shrink = float(np.mean(values[:, -1] < values[:, 0]))
-    return StatReport(
-        experiment="direction_convergence",
-        seed=cfg.base.seed,
-        replicas=cfg.replicas,
-        cells=cells,
-        fit=None,
-        extra={"fraction_tail_shrinks": shrink, "r_lo": cfg.r0_grid[0], "r_hi": cfg.r0_grid[-1]},
-    )
+    extra = {"fraction_tail_shrinks": shrink, "r_lo": cfg.r0_grid[0], "r_hi": cfg.r0_grid[-1]}
+    return _report("direction_convergence", cfg, values, "r", cfg.r0_grid, False, extra)
 
 
 EXPERIMENTS = {

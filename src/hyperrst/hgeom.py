@@ -217,11 +217,6 @@ def dist_ball(b1: BallPoint, b2: BallPoint) -> float:
     return float(stable_arccosh1p(ball_cosh_excess(b1.coords, b2.coords)))
 
 
-def angle_at_origin(z1: PolarPoint, z2: PolarPoint) -> float:
-    """Angle z1 0 z2, i.e. the sphere angle between the two directions."""
-    return z1.u.angle_to(z2.u)
-
-
 def apex_angle_arrays(h: float, xnorm, y):
     """Angle at O(h) = (0, e^h) between a half-space point and the ideal point (0,0).
 
@@ -269,20 +264,19 @@ def polar_to_ball(z: PolarPoint) -> BallPoint:
 
 
 def ball_to_polar(b: BallPoint) -> PolarPoint:
-    rho = float(np.linalg.norm(b.coords))
-    if rho == 0.0:
+    # scale by the largest coordinate first: squared tiny coordinates, and the
+    # norm of subnormal ones, lose the digits that fix the direction
+    m = float(np.max(np.abs(b.coords)))
+    if m == 0.0:
         return origin_point(b.coords.shape[0])
-    return PolarPoint(2.0 * math.atanh(rho), Direction(b.coords / rho))
+    s = b.coords / m
+    n = math.hypot(*s)
+    return PolarPoint(2.0 * math.atanh(m * n), Direction(s / n))
 
 
 def half_to_polar(z: HalfPoint, h: float = 0.0) -> PolarPoint:
     """Polar coordinates around O(h) through the ball model."""
     return ball_to_polar(half_to_ball(z, h))
-
-
-def polar_to_klein(r, u):
-    """Klein (projective) coordinates: Euclidean radius tanh(r); geodesics are chords."""
-    return np.tanh(np.asarray(r))[..., None] * np.asarray(u)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ class RadialTree:
     _children: np.ndarray | None = field(default=None, repr=False)
     _children_start: np.ndarray | None = field(default=None, repr=False)
     _edge_theta: np.ndarray | None = field(default=None, repr=False)
-    _sweep_cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.cloud)
@@ -92,16 +91,6 @@ class LevelCrossing:
     point: PolarPoint
 
 
-@dataclass(frozen=True, eq=False)
-class DeviationRecord:
-    """CFD/MBD values attached to a level crossing at radius crossing.level."""
-
-    level_r: float
-    crossing: LevelCrossing
-    cfd: float
-    mbd: float
-
-
 @dataclass(eq=False)
 class ValidationReport:
     violations: list
@@ -117,10 +106,13 @@ class ValidationReport:
 
 
 def _polar_dist_block(radii, dirs, sh):
-    def dist_block(i, js):
+    cols = np.ascontiguousarray(dirs.T)
+
+    def dist_block(iq, lo, hi):
         # direction term from the difference vector: 2 - 2<u,u'> cancels badly
-        du2 = np.sum((dirs[js] - dirs[i]) ** 2, axis=1)
-        s = 2.0 * np.sinh((radii[i] - radii[js]) / 2.0) ** 2 + 0.5 * du2 * sh[i] * sh[js]
+        du2 = search.sq_dist_block(cols, iq, lo, hi)
+        ri, shi = radii[iq, None], sh[iq, None]
+        s = 2.0 * np.sinh((ri - radii[lo:hi]) / 2.0) ** 2 + 0.5 * du2 * shi * sh[lo:hi]
         return hgeom.stable_arccosh1p(s)
 
     return dist_block
@@ -168,7 +160,8 @@ def brute_force_parents(cloud: PointCloud) -> np.ndarray:
 def _crossing_geometry(tree: RadialTree, children: np.ndarray, r: float):
     """Per straddling edge: (t, psi at the crossing, crossing directions)."""
     radii, dirs = tree.radii, tree.dirs
-    rp = tree.parent_radii()[children]
+    parents = tree.parent[children]
+    rp = np.where(parents >= 0, radii[np.maximum(parents, 0)], 0.0)
     rc = radii[children]
     t = (r - rc) / (rp - rc)
     theta = tree.edge_thetas()[children]
@@ -236,12 +229,14 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
         raise GeometryError("ancestor level must be > 0")
     if r == c.level:
         return c
-    v = c.edge_child
-    while True:
-        rp = tree.parent_radius(v)
-        if rp <= r:
-            return _crossing_on_edge(tree, v, r)
+    return _crossing_on_edge(tree, _edge_at_level(tree, c.edge_child, r), r)
+
+
+def _edge_at_level(tree: RadialTree, v: int, r: float) -> int:
+    """Edge on the trajectory from edge v that straddles S(r), for 0 < r below v's child."""
+    while tree.parent_radius(v) > r:
         v = int(tree.parent[v])
+    return v
 
 
 def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> list[LevelCrossing]:
@@ -285,16 +280,18 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
     """
     if r > c.level:
         raise GeometryError("cfd requires r <= crossing level")
-    anc = ancestor_at_level(tree, c, r)
-    if anc.edge_child == c.edge_child:
+    if not r > 0:
+        raise GeometryError("ancestor level must be > 0")
+    anc_edge = _edge_at_level(tree, c.edge_child, r)
+    if anc_edge == c.edge_child:
         return abs(_psi_at(tree, c.edge_child, c.level) - _psi_at(tree, c.edge_child, r))
     theta = tree.edge_thetas()
     total = abs(float(theta[c.edge_child]) - _psi_at(tree, c.edge_child, c.level))
     w = int(tree.parent[c.edge_child])
-    while w != anc.edge_child:
+    while w != anc_edge:
         total += float(theta[w])
         w = int(tree.parent[w])
-    total += _psi_at(tree, anc.edge_child, r)
+    total += _psi_at(tree, anc_edge, r)
     return total
 
 
@@ -337,9 +334,6 @@ class LevelSweep:
     psi0: np.ndarray
     cross_dirs: np.ndarray    # (m, d+1) crossing directions
     mbd: np.ndarray           # per-crossing MBD over [r0, r1]
-    r1_children: np.ndarray   # edges straddling r1
-    r1_cfd: np.ndarray        # CFD_{r0}^{r1} of each r1 crossing
-    r1_anc: np.ndarray        # index into `children` of the r0 ancestor
 
 
 def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
@@ -351,10 +345,6 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     """
     if not 0 < r0 <= r1:
         raise GeometryError("need 0 < r0 <= r1")
-    key = (float(r0), float(r1))
-    cached = tree._sweep_cache.get(key)
-    if cached is not None:
-        return cached
     radii = tree.radii
     n = len(tree)
     theta = tree.edge_thetas()
@@ -413,13 +403,9 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
         if np.any(other):
             par = parent[cut[other]]
             cfd1[other] = cum[par] + np.abs(th[other] - psi1[other])
-        cid_cut = crossid[cut]
-        np.maximum.at(mbd_arr, cid_cut, cfd1)
-        sweep_r1 = (cut, cfd1, cid_cut)
-    else:
-        sweep_r1 = (cut, np.empty(0), np.empty(0, dtype=np.int64))
+        np.maximum.at(mbd_arr, crossid[cut], cfd1)
 
-    out = LevelSweep(
+    return LevelSweep(
         r0=r0,
         r1=r1,
         children=children,
@@ -427,50 +413,14 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
         psi0=psi0,
         cross_dirs=cross_dirs,
         mbd=mbd_arr,
-        r1_children=sweep_r1[0],
-        r1_cfd=sweep_r1[1],
-        r1_anc=sweep_r1[2],
     )
-    if len(tree._sweep_cache) > 64:
-        tree._sweep_cache.clear()
-    tree._sweep_cache[key] = out
-    return out
-
-
-def deviation_records(tree: RadialTree, r0: float, r1: float) -> list[DeviationRecord]:
-    """One record per crossing at r1: its CFD back to r0, and the MBD of its
-    r0 ancestor over [r0, r1]."""
-    sweep = deviation_sweep(tree, r0, r1)
-    records = []
-    for k, child in enumerate(sweep.r1_children):
-        cross = _crossing_on_edge(tree, int(child), r1)
-        anc = int(sweep.r1_anc[k])
-        records.append(
-            DeviationRecord(
-                level_r=r0,
-                crossing=cross,
-                cfd=float(sweep.r1_cfd[k]),
-                mbd=float(sweep.mbd[anc]),
-            )
-        )
-    return records
-
-
-def records_to_csv(records: list[DeviationRecord]) -> str:
-    lines = ["r0,rprime,crossing_id,cfd,mbd"]
-    for rec in records:
-        lines.append(
-            f"{rec.level_r!r},{rec.crossing.level!r},{rec.crossing.edge_child},"
-            f"{rec.cfd!r},{rec.mbd!r}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # validation and planarity
 
 
-def validate(tree: RadialTree, recheck_block: int = 512) -> ValidationReport:
+def validate(tree: RadialTree) -> ValidationReport:
     """Check radial monotonicity, connectivity, acyclicity, the defining
     empty-B+ property of every parent link, and finite degrees."""
     violations = []
@@ -503,7 +453,7 @@ def validate(tree: RadialTree, recheck_block: int = 512) -> ValidationReport:
     true_dist = np.where(parent >= 0, 0.0, radii)
     has_parent = np.nonzero(parent >= 0)[0]
     for i in has_parent:
-        true_dist[i] = float(dist_block(int(i), np.array([parent[i]]))[0])
+        true_dist[i] = float(dist_block(np.array([i]), parent[i], parent[i] + 1)[0, 0])
     check_parent, check_dist = search.nearest_lower(radii, dist_block, root_dist=radii)
     worse = np.nonzero(check_dist < true_dist - 1e-12)[0]
     for i in worse[:20]:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import hgeom
-from .hgeom import GeometryError, HalfPoint, PolarPoint
+from .hgeom import GeometryError, PolarPoint
 
 RADIAL_KNOTS = 4096
 
@@ -220,11 +220,6 @@ def sample_half_arrays(lam: float, d: int, w: HalfWindow, seed: int, replica: in
     x = rng.uniform(-w.half_width, w.half_width, size=(n, d))
     order = np.lexsort(tuple(x[:, k] for k in range(d - 1, -1, -1)) + (y,))
     return x[order], y[order]
-
-
-def sample_half(lam: float, d: int, w: HalfWindow, seed: int, replica: int = 0) -> list[HalfPoint]:
-    x, y = sample_half_arrays(lam, d, w, seed, replica)
-    return [HalfPoint(x[i], float(y[i])) for i in range(len(y))]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperrst import hgeom
@@ -378,7 +378,9 @@ def test_star_radius_affine_property(r1, r2, ang, t):
     assert star_eval(p, t).r == pytest.approx((1 - t) * r1 + t * r2, abs=1e-12)
 
 
-@given(st.floats(0.0, 0.999), st.floats(0.0, 2 * math.pi))
+@given(rho=st.floats(0.0, 0.999), ang=st.floats(0.0, 2 * math.pi))
+@example(rho=1.702455159998947e-161, ang=0.0)  # squared coordinates fall into subnormals
+@example(rho=1e-320, ang=0.5)  # subnormal coordinates
 @settings(max_examples=200, deadline=None)
 def test_ball_polar_inverse_property(rho, ang):
     b = BallPoint(rho * np.array([math.cos(ang), math.sin(ang)]))

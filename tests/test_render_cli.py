@@ -163,10 +163,34 @@ class TestCli:
     def test_missing_config_exit_2(self, tmp_path):
         assert cli.main(["analyze", "straightness", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_unknown_keys_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "user",
+        [
+            pytest.param({"lambda": 2.0, "bogus": 1}, id="unknown_key"),
+            pytest.param({"replicas": 2.7}, id="float_for_int"),
+            pytest.param({"seed": 1.9}, id="float_seed"),
+            pytest.param({"replicas": True}, id="bool_for_int"),
+            pytest.param({"A": True}, id="bool_for_float"),
+            pytest.param({"colors": "false"}, id="str_for_bool"),
+            pytest.param({"edge_style": 3}, id="int_for_str"),
+            pytest.param({"d": "abc"}, id="str_for_int"),
+            pytest.param({"r0_grid": 5}, id="number_for_grid"),
+            pytest.param({"r0_grid": []}, id="empty_grid"),
+            pytest.param({"h_grid": [2.0, "4"]}, id="str_in_grid"),
+        ],
+    )
+    def test_unknown_keys_exit_2(self, tmp_path, user):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"lambda": 2.0, "bogus": 1}))
+        p.write_text(json.dumps(user))
         assert cli.main(["sample", "--config", str(p)]) == 2
+
+    def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 4.0, "R": 3.0, "replicas": 2, "r0_grid": [1.4, 2.0]}))
+        for value in ("abc", "0", "-1"):
+            monkeypatch.setenv("HYPERRST_THREADS", value)
+            argv = ["analyze", "direction_convergence", "--config", str(p), "--out", str(tmp_path)]
+            assert cli.main(argv) == 2
 
     def test_unknown_experiment_exit_2(self, tmp_path):
         assert cli.main(["analyze", "wat", "--out", str(tmp_path)]) == 2
