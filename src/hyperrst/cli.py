@@ -114,15 +114,17 @@ def _cmd_rst(cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_dsf(cfg: dict, out_dir: str) -> int:
-    w = HalfWindow(half_width=cfg["half_width"], y_min=cfg["y_min"], y_max=cfg["y_max"])
-    x, y = sampler.sample_half_arrays(cfg["lambda"], int(cfg["d"]), w, int(cfg["seed"]))
+    # floats, so that 4 and 4.0 in a config write the same bytes
+    w = HalfWindow(*(float(cfg[k]) for k in ("half_width", "y_min", "y_max")))
+    lam = float(cfg["lambda"])
+    x, y = sampler.sample_half_arrays(lam, int(cfg["d"]), w, int(cfg["seed"]))
     forest = dsf.build_dsf((x, y))
     parents = forest.parent_in_input_order()
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"dsf_{cfg['seed']}.json")
     payload = {
         "window": {"half_width": w.half_width, "y_min": w.y_min, "y_max": w.y_max},
-        "lambda": cfg["lambda"],
+        "lambda": lam,
         "d": int(cfg["d"]),
         "seed": int(cfg["seed"]),
         "frontier": int(dsf.FRONTIER),
@@ -180,6 +182,7 @@ def main(argv=None) -> int:
     _echo_config(cfg)
 
     try:
+        experiments.num_workers()
         if args.command == "sample":
             return _cmd_sample(cfg, args.out)
         if args.command == "rst":

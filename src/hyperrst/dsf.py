@@ -61,21 +61,36 @@ class HalfForest:
         return np.where(pp < 0, pp, self.order[np.maximum(pp, 0)])
 
 
-def _half_dist_block(x, y):
-    cols = np.ascontiguousarray(x.T)
+def _pair_dist(x, y):
+    """pair_dist(i, j): distances between points i and j, index arrays broadcast.
 
-    def dist_block(iq, lo, hi):
-        yq = y[iq, None]
-        s = (search.sq_dist_block(cols, iq, lo, hi) + (y[lo:hi] - yq) ** 2) / (2.0 * y[lo:hi] * yq)
-        return hgeom.stable_arccosh1p(s)
+    Columns are summed one at a time, in order, so that a pair gets the same
+    bits in the k-d search and in the block scan.
+    """
+    cols = np.ascontiguousarray(np.column_stack([x, y]).T)
 
-    return dist_block
+    def pair_dist(i, j):
+        sq = sum((c[j] - c[i]) ** 2 for c in cols)
+        return hgeom.stable_arccosh1p(sq / (2.0 * y[j] * y[i]))
+
+    return pair_dist
+
+
+def _nearest_lower(x, y, keys, root_dist):
+    """search.nearest_lower in the chart (x, y), where B(z, rho) is the
+    Euclidean ball with centre (x, y cosh rho) and radius y sinh rho."""
+
+    def cover(rows, rho):
+        yr = y[rows]
+        return np.column_stack([x[rows], yr * np.cosh(rho)]), yr * np.sinh(rho)
+
+    return search.nearest_lower(keys, np.column_stack([x, y]), _pair_dist(x, y), cover, root_dist)
 
 
 def build_dsf(points) -> HalfForest:
     """Parent = nearest point of strictly larger ordinate, else FRONTIER.
 
-    Ordinate-sorted scan pruned by d(z, z') >= |ln(y'/y)|.
+    The search key is -ln y, so smaller keys are larger ordinates.
     """
     x, y = _as_arrays(points)
     if y.shape[0] == 0:
@@ -83,7 +98,7 @@ def build_dsf(points) -> HalfForest:
     order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (-y,))
     xs, ys = x[order], y[order]
     keys = -np.log(ys)
-    parent, pdist = search.nearest_lower(keys, _half_dist_block(xs, ys), root_dist=None)
+    parent, pdist = _nearest_lower(xs, ys, keys, root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
 
 
@@ -118,7 +133,7 @@ def build_rst_h(points, h: float) -> HalfForest:
     c = origin_distances(h, x, y)
     order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (y, c))
     xs, ys, cs = x[order], y[order], c[order]
-    parent, pdist = search.nearest_lower(cs, _half_dist_block(xs, ys), root_dist=cs)
+    parent, pdist = _nearest_lower(xs, ys, cs, root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
 

@@ -121,7 +121,7 @@ def probe_directions(d: int, k: int, seed: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def _num_workers() -> int:
+def num_workers() -> int:
     """Worker processes for replicas: HYPERRST_THREADS, or 1 when it is unset."""
     env = os.environ.get("HYPERRST_THREADS", "")
     if not env:
@@ -137,7 +137,7 @@ def _num_workers() -> int:
 
 def _replica_values(worker, cfg: ExperimentConfig) -> np.ndarray:
     """(replicas, cells) matrix of per-replica values, computed in order."""
-    workers = _num_workers()
+    workers = num_workers()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

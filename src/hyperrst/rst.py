@@ -105,30 +105,41 @@ class ValidationReport:
 # construction
 
 
-def _polar_dist_block(radii, dirs, sh):
-    cols = np.ascontiguousarray(dirs.T)
+def _pair_dist(radii, dirs):
+    """pair_dist(i, j): distances between points i and j, index arrays broadcast.
 
-    def dist_block(iq, lo, hi):
+    Columns are summed one at a time, in order, so that a pair gets the same
+    bits in the k-d search and in the block scan.
+    """
+    cols = np.ascontiguousarray(dirs.T)
+    sh = np.sinh(radii)
+
+    def pair_dist(i, j):
         # direction term from the difference vector: 2 - 2<u,u'> cancels badly
-        du2 = search.sq_dist_block(cols, iq, lo, hi)
-        ri, shi = radii[iq, None], sh[iq, None]
-        s = 2.0 * np.sinh((ri - radii[lo:hi]) / 2.0) ** 2 + 0.5 * du2 * shi * sh[lo:hi]
+        du2 = sum((c[j] - c[i]) ** 2 for c in cols)
+        s = 2.0 * np.sinh((radii[i] - radii[j]) / 2.0) ** 2 + 0.5 * du2 * sh[i] * sh[j]
         return hgeom.stable_arccosh1p(s)
 
-    return dist_block
+    return pair_dist
 
 
 def build(cloud: PointCloud) -> RadialTree:
-    """Radius-sorted pruned construction; identical to the O(n^2) oracle.
+    """Exact k-d search in the Poincare chart tanh(r/2) u; identical to the O(n^2) oracle.
 
-    The scan over candidates of smaller radius stops once |r - r'| exceeds
-    the best distance found, valid since d(z, z') >= |r - r'|.
+    In the chart |x - y|^2 = (cosh d - 1)(1 - |x|^2)(1 - |y|^2) / 2, where
+    1 - |x|^2 = sech^2(r/2). A point within rho of z has r' >= r - rho, so
+    B(z, rho) lies in the chart ball around z of radius
+    sinh(rho/2) sech(r/2) sech(max(r - rho, 0)/2).
     """
     radii, dirs = cloud.radii, cloud.dirs
-    sh = np.sinh(radii)
-    parent, pdist = search.nearest_lower(
-        radii, _polar_dist_block(radii, dirs, sh), root_dist=radii
-    )
+    half = radii / 2.0
+    chart = np.tanh(half)[:, None] * dirs
+
+    def cover(rows, rho):
+        far = np.maximum(radii[rows] - rho, 0.0) / 2.0
+        return chart[rows], np.sinh(rho / 2.0) / (np.cosh(half[rows]) * np.cosh(far))
+
+    parent, pdist = search.nearest_lower(radii, chart, _pair_dist(radii, dirs), cover, root_dist=radii)
     return RadialTree(cloud, parent, pdist)
 
 
@@ -448,13 +459,12 @@ def validate(tree: RadialTree) -> ValidationReport:
         for w in path:
             state[w] = 1
     # defining property: no cloud point strictly closer than the parent
-    sh = np.sinh(radii)
-    dist_block = _polar_dist_block(radii, dirs, sh)
-    true_dist = np.where(parent >= 0, 0.0, radii)
-    has_parent = np.nonzero(parent >= 0)[0]
-    for i in has_parent:
-        true_dist[i] = float(dist_block(np.array([i]), parent[i], parent[i] + 1)[0, 0])
-    check_parent, check_dist = search.nearest_lower(radii, dist_block, root_dist=radii)
+    pair_dist = _pair_dist(radii, dirs)
+    true_dist = np.array(radii, dtype=float)
+    has_parent = np.flatnonzero(parent >= 0)
+    true_dist[has_parent] = pair_dist(has_parent, parent[has_parent])
+    # the block scan, not the k-d search that built the tree
+    check_parent, check_dist = search.nearest_lower_scan(radii, pair_dist, root_dist=radii)
     worse = np.nonzero(check_dist < true_dist - 1e-12)[0]
     for i in worse[:20]:
         violations.append(
@@ -507,16 +517,16 @@ def planarity_check(tree: RadialTree) -> int:
     idx_ext = np.concatenate([order, order])
     lo = np.searchsorted(s_ext, start, side="left")
     hi = np.searchsorted(s_ext, start + width, side="right")
-    counts = hi - lo
-    edge_i = np.repeat(np.arange(n), counts)
-    ragged = np.concatenate([np.arange(a_, b_) for a_, b_ in zip(lo, hi)]) if counts.sum() else np.empty(0, dtype=int)
-    edge_j = idx_ext[ragged]
-    keep = edge_i != edge_j
-    pi_ = np.minimum(edge_i[keep], edge_j[keep])
-    pj_ = np.maximum(edge_i[keep], edge_j[keep])
-    pairs = np.unique(pi_ * n + pj_)
-    pi_ = pairs // n
-    pj_ = pairs % n
+    pi_ = np.repeat(np.arange(n), hi - lo)
+    pj_ = idx_ext[search.concat_ranges(lo, hi)]
+    # a pair found from both edges (each start lies in the other's interval)
+    # is kept from the lower index only
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    mine = rank[pi_]
+    back = ((lo[pj_] <= mine) & (mine < hi[pj_])) | ((lo[pj_] <= mine + n) & (mine + n < hi[pj_]))
+    keep = (pi_ != pj_) & (~back | (pi_ < pj_))
+    pi_, pj_ = pi_[keep], pj_[keep]
     # drop pairs sharing a vertex (adjacent edges meet at endpoints by design)
     share = (
         (parent[pi_] == pj_)

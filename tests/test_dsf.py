@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperrst import dsf, hgeom, rst, sampler
+from hyperrst import dsf, hgeom, rst, sampler, search
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
 from hyperrst.hgeom import GeometryError, HalfPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
@@ -15,6 +15,26 @@ WINDOW = HalfWindow(half_width=4.0, y_min=0.05, y_max=4.0)
 
 def half_cloud(seed, lam=5.0, d=1, w=WINDOW, replica=0):
     return sampler.sample_half_arrays(lam, d, w, seed=seed, replica=replica)
+
+
+def scan_parents(forest, keys, root_dist=None):
+    """Parents and parent distances from the block scan, in the forest's order."""
+    pair_dist = dsf._pair_dist(forest.x, forest.y)
+    return search.nearest_lower_scan(keys, pair_dist, root_dist)
+
+
+def capped_clusters(seed=0):
+    """Ten points high up, each capping a cluster of 100 lower points within
+    0.3 of it: no cap has a higher point among its 64 nearest neighbours."""
+    rng = np.random.default_rng(seed)
+    caps_x = np.linspace(-3.5, 3.5, 10)
+    caps_y = rng.uniform(3.0, 3.9, 10)
+    x = [caps_x[:, None]]
+    y = [caps_y]
+    for cx, cy in zip(caps_x, caps_y):
+        x.append(cx + rng.uniform(-0.2, 0.2, (100, 1)))
+        y.append(cy - rng.uniform(0.01, 0.2, 100))
+    return np.concatenate(x), np.concatenate(y)
 
 
 class TestBuildDsf:
@@ -31,13 +51,31 @@ class TestBuildDsf:
         parents = forest.parent_in_input_order()
         assert parents[0] == 1
         assert parents[1] == FRONTIER
+        assert dsf.build_dsf(pts[:1]).parent_in_input_order()[0] == FRONTIER
+        for h in (0.0, 2.0):
+            for k in (1, 2):
+                a = dsf.build_rst_h(pts[:k], h)
+                b = dsf.build_rst_h_brute(pts[:k], h)
+                assert np.array_equal(a.parent, b.parent)
+                assert np.array_equal(a.parent_dist, b.parent_dist)
+        with pytest.raises(GeometryError):
+            dsf.build_dsf([])
 
     def test_matches_brute(self):
-        for seed in range(5):
-            x, y = half_cloud(seed, lam=6.0)
+        clouds = [half_cloud(seed, lam=6.0) for seed in range(5)] + [capped_clusters()]
+        for x, y in clouds:
             a = dsf.build_dsf((x, y))
             b = dsf.build_dsf_brute((x, y))
             assert np.array_equal(a.parent, b.parent)
+            parent, pdist = scan_parents(a, -np.log(a.y))
+            assert np.array_equal(a.parent, parent)
+            assert np.array_equal(a.parent_dist, pdist)
+        # the highest cap is the frontier; every other cap has its parent
+        # outside its own cluster
+        caps = a.parent_in_input_order()[:10]
+        assert np.count_nonzero(caps == FRONTIER) == 1
+        own = (caps - 10) // 100 == np.arange(10)
+        assert not np.any(own & (caps >= 10))
 
     def test_matches_brute_d2(self):
         w = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
@@ -86,11 +124,15 @@ class TestBuildRstH:
         assert tree.parent[int(np.argmin(c))] == rst.ROOT
 
     def test_matches_brute(self):
-        for seed, h in ((6, 0.0), (7, 1.0), (8, 3.0)):
+        for seed, h in ((6, 0.0), (7, 1.0), (8, 3.0), (9, 10.0)):
             x, y = half_cloud(seed)
             a = dsf.build_rst_h((x, y), h)
             b = dsf.build_rst_h_brute((x, y), h)
             assert np.array_equal(a.parent, b.parent)
+            c = dsf.origin_distances(h, a.x, a.y)
+            parent, pdist = scan_parents(a, c, root_dist=c)
+            assert np.array_equal(a.parent, parent)
+            assert np.array_equal(a.parent_dist, pdist)
 
     def test_isometry_cross_check(self):
         # parents via half-space arithmetic == parents via the ball-model

@@ -187,10 +187,31 @@ class TestCli:
     def test_bad_thread_count_exit_2(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"lambda": 4.0, "R": 3.0, "replicas": 2, "r0_grid": [1.4, 2.0]}))
+        commands = (
+            ["analyze", "direction_convergence"],
+            ["analyze", "bplus_volume"],
+            ["sample"],
+            ["rst"],
+            ["dsf"],
+            ["render"],
+        )
         for value in ("abc", "0", "-1"):
             monkeypatch.setenv("HYPERRST_THREADS", value)
-            argv = ["analyze", "direction_convergence", "--config", str(p), "--out", str(tmp_path)]
-            assert cli.main(argv) == 2
+            for command in commands:
+                argv = command + ["--config", str(p), "--out", str(tmp_path)]
+                assert cli.main(argv) == 2, (value, command)
+        assert not any(tmp_path.glob("*_*.*"))
+
+    def test_dsf_bytes_independent_of_number_type(self, tmp_path):
+        written = []
+        for number in (int, float):
+            user = {k: number(v) for k, v in {"lambda": 4, "half_width": 2, "y_min": 1, "y_max": 2}.items()}
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({**user, "seed": 13}))
+            out = tmp_path / number.__name__
+            assert cli.main(["dsf", "--config", str(p), "--out", str(out)]) == 0
+            written.append((out / "dsf_13.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_unknown_experiment_exit_2(self, tmp_path):
         assert cli.main(["analyze", "wat", "--out", str(tmp_path)]) == 2

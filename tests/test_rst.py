@@ -27,6 +27,23 @@ def sample_tree(seed, lam=10.0, R=3.5, d=1):
     return rst.build(cloud)
 
 
+def scan_parents(cloud):
+    """Parents and parent distances from the block scan that rst.validate uses."""
+    pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+    return search.nearest_lower_scan(cloud.radii, pair_dist, root_dist=cloud.radii)
+
+
+def mirror_cloud(pairs=40, seed=0):
+    """Points on the axis just outside mirror-image pairs (r, +-theta): each
+    axis point is at exactly equal distance from the two points of a pair."""
+    rng = np.random.default_rng(seed)
+    r = np.cumsum(rng.uniform(0.05, 0.15, pairs)) + 0.3
+    theta = rng.uniform(0.005, 0.05, pairs)
+    radii = np.concatenate([r, r, r + 0.02])
+    angles = np.concatenate([theta, -theta, np.zeros(pairs)])
+    return make_cloud(radii, angles)
+
+
 class TestBuild:
     def test_single_point(self):
         cloud = make_cloud([1.0], [0.3])
@@ -44,17 +61,31 @@ class TestBuild:
             assert (tree.parent[1] == 0) == expect_inner
 
     def test_matches_brute_force(self):
-        for seed in range(6):
-            cloud = sampler.sample_ball(CloudConfig(d=1, lam=12.0, R=3.0, seed=seed))
+        # R = 20 at low intensity: Poincare chart coordinates keep only about
+        # e^-R of their relative precision there
+        configs = [(12.0, 3.0, seed) for seed in range(6)] + [(1e-6, 20.0, seed) for seed in range(2)]
+        clouds = [sampler.sample_ball(CloudConfig(d=1, lam=lam, R=R, seed=seed)) for lam, R, seed in configs]
+        clouds.append(mirror_cloud())
+        for cloud in clouds:
             tree = rst.build(cloud)
             assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+            parent, pdist = scan_parents(cloud)
+            assert np.array_equal(tree.parent, parent)
+            assert np.array_equal(tree.parent_dist, pdist)
+        # ties do occur: many axis points of the mirror cloud take a pair point
+        dirs = clouds[-1].dirs
+        par = tree.parent[dirs[:, 1] == 0.0]
+        assert np.count_nonzero(dirs[par[par >= 0], 1] != 0.0) >= 10
 
     def test_matches_brute_force_d2(self):
-        for d, lam, R in ((2, 1.5, 2.5), (3, 0.3, 2.6)):
+        for d, lam, R in ((2, 1.5, 2.5), (3, 0.3, 2.6), (2, 1e-5, 9.0)):
             for seed in range(3):
                 cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=seed))
                 tree = rst.build(cloud)
                 assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+                parent, pdist = scan_parents(cloud)
+                assert np.array_equal(tree.parent, parent)
+                assert np.array_equal(tree.parent_dist, pdist)
 
     def test_search_tie_rule_across_blocks(self):
         # distances 1, 2, 3 repeat along the index, so ties span many blocks;
@@ -64,10 +95,46 @@ class TestBuild:
         j = np.arange(n)
         dist = 1.0 + (j[:, None] + j[None, :]) % 3
         for root_dist in (None, np.ones(n)):
-            parent, pdist = search.nearest_lower(keys, lambda iq, lo, hi: dist[iq, lo:hi], root_dist)
+            parent, pdist = search.nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
             want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
+
+        # a computed distance one ulp under the computed key gap: candidate 170
+        # sits just under keys[-1] - 0.5, in a block below the one holding the
+        # first best (0.5, candidate 250), and wins at nextafter(0.5, 0)
+        n = 300
+        keys = np.concatenate([np.linspace(0.0, np.nextafter(0.5, 0.0), 171), np.linspace(0.5, 1.0, 129)])
+        dist = np.full((n, n), 10.0)
+        dist[-1, 250] = 0.5
+        dist[-1, 170] = np.nextafter(keys[-1] - keys[170], 0.0)
+        for root_dist in (None, np.ones(n)):
+            parent, pdist = search.nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
+            want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
+            assert want_parent[-1] == 170
+            assert np.array_equal(parent, want_parent)
+            assert np.array_equal(pdist, want_dist)
+
+        # the k-d search with the L1 metric on an integer grid, keyed by a + b:
+        # the lower neighbours (a-1, b) and (a, b-1) tie, and both tie with a
+        # root at distance 1
+        grid = np.array([(a, b) for a in range(15) for b in range(15)], dtype=float)
+        grid = grid[np.argsort(grid.sum(axis=1), kind="stable")]
+        keys = grid.sum(axis=1)
+        n = len(grid)
+
+        def l1(i, j):
+            return np.abs(grid[i] - grid[j]).sum(axis=-1)
+
+        dist = l1(np.arange(n)[:, None], np.arange(n))
+        for root_dist in (None, np.ones(n), keys + 0.5):
+            parent, pdist = search.nearest_lower(keys, grid, l1, lambda rows, rho: (grid[rows], rho), root_dist)
+            want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
+            assert np.array_equal(parent, want_parent)
+            assert np.array_equal(pdist, want_dist)
+            scan_parent, scan_dist = search.nearest_lower_scan(keys, l1, root_dist)
+            assert np.array_equal(parent, scan_parent)
+            assert np.array_equal(pdist, scan_dist)
 
     def test_empty_cloud(self):
         cloud = PointCloud(CloudConfig(d=1, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 2)))
@@ -371,6 +438,12 @@ class TestPlanarity:
         # hand-made non-RST parents: two chords that cross
         cloud = make_cloud([2.0, 2.1, 2.2, 2.3], [0.0, 1.2, 0.6, 1.8])
         parent = np.array([ROOT, ROOT, 1, 0])  # 2->1 and 3->0 cross
+        tree = rst.RadialTree(cloud, parent, np.ones(4))
+        assert rst.planarity_check(tree) == 1
+        # 2->1 and 3->0 cross and start at the same angle, so each start lies
+        # in the other's interval and the pair is found from both edges
+        cloud = make_cloud([1.0, 1.9, 2.0, 2.5], [0.3, 1.0, 0.0, 0.0])
+        parent = np.array([ROOT, ROOT, 1, 0])
         tree = rst.RadialTree(cloud, parent, np.ones(4))
         assert rst.planarity_check(tree) == 1
 
