@@ -41,12 +41,13 @@ class ConfigError(ValueError):
 
 
 def _has_default_type(value, default) -> bool:
-    """A float takes any number (never a bool), a list a non-empty list of
-    numbers; every other type must match exactly."""
+    """A float takes any finite number (never a bool), a list a non-empty list
+    of them; every other type must match exactly."""
     if isinstance(default, list):
         return type(value) is list and bool(value) and all(_has_default_type(v, 0.0) for v in value)
     if isinstance(default, float):
-        return type(value) in (int, float)
+        # a bound, not math.isfinite, which overflows on a huge int
+        return type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
     return type(value) is type(default)
 
 
@@ -68,7 +69,7 @@ def load_config(path: str, seed_override: int | None) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         wrong = sorted(k for k, v in user.items() if not _has_default_type(v, DEFAULTS[k]))
         if wrong:
-            raise ConfigError(f"config values of the wrong type: {wrong}")
+            raise ConfigError(f"config values of the wrong type or not finite: {wrong}")
         cfg.update(user)
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
@@ -137,15 +138,16 @@ def _cmd_dsf(cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_analyze(experiment: str, cfg: dict, out_dir: str) -> int:
-    if experiment not in experiments.EXPERIMENTS:
+    if experiment != "all" and experiment not in experiments.EXPERIMENTS:
         print(
-            f"unknown experiment {experiment!r}; choose from {sorted(experiments.EXPERIMENTS)}",
+            f"unknown experiment {experiment!r}; choose 'all' or one of {sorted(experiments.EXPERIMENTS)}",
             file=sys.stderr,
         )
         return 2
-    report = experiments.EXPERIMENTS[experiment](experiment_config(cfg))
-    json_path, csv_path = experiments.write_report(report, out_dir)
-    print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
+    names = list(experiments.EXPERIMENTS) if experiment == "all" else [experiment]
+    for report in experiments.analyze(experiment_config(cfg), names).values():
+        json_path, csv_path = experiments.write_report(report, out_dir)
+        print(f"wrote {json_path} and {csv_path}", file=sys.stderr)
     return 0
 
 
@@ -168,11 +170,14 @@ def main(argv=None) -> int:
         description="Radial spanning trees of hyperbolic Poisson processes.",
     )
     parser.add_argument("command", choices=["sample", "rst", "dsf", "analyze", "render"])
-    parser.add_argument("experiment", nargs="?", help="experiment name for `analyze`")
+    parser.add_argument("experiment", nargs="?", help="experiment name or 'all', for `analyze` only")
     parser.add_argument("--config", default="defaults", help="JSON config path or 'defaults'")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     parser.add_argument("--out", default=".", help="output directory")
     args = parser.parse_args(argv)
+    if args.experiment is not None and args.command != "analyze":
+        print(f"`{args.command}` takes no experiment name, got {args.experiment!r}", file=sys.stderr)
+        return 2
 
     try:
         cfg = load_config(args.config, args.seed)
@@ -193,7 +198,7 @@ def main(argv=None) -> int:
             return _cmd_render(cfg, args.out)
         if args.command == "analyze":
             if not args.experiment:
-                print("analyze requires an experiment name", file=sys.stderr)
+                print("analyze requires an experiment name or 'all'", file=sys.stderr)
                 return 2
             return _cmd_analyze(args.experiment, cfg, args.out)
     except (GeometryError, ConfigError) as exc:

@@ -4,11 +4,13 @@ Each experiment is a deterministic function of its configuration: replica
 clouds come from counter-based streams keyed by (seed, replica), probe
 directions and bootstrap resampling from fixed side streams. Reports carry
 per-cell estimates with standard errors and, where an exponent is probed,
-an OLS log-slope with a replica-bootstrap confidence interval.
+an OLS log-slope with a replica-bootstrap confidence interval. `analyze`
+runs any set of experiments in one pass over the replicas.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -26,7 +28,6 @@ BOOT_SAMPLES = 800
 BPLUS_SAMPLES = 40_000
 COUPLING_MARGIN = 1.5
 CONFINEMENT_SCALES = (0.5, 1.0, 2.0, 4.0)
-TREE_CACHE_MAX = 128
 
 DEFAULT_SEED = 20240811
 
@@ -91,24 +92,11 @@ class StatReport:
 # shared machinery
 
 
-_TREE_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=128)
 def tree_for(base: CloudConfig, replica: int) -> rst.RadialTree:
-    """Build-once cache keyed by (config, replica); experiments sharing a base
-    configuration reuse the same trees."""
-    key = (base.d, base.lam, base.R, base.seed, replica)
-    tree = _TREE_CACHE.get(key)
-    if tree is None:
-        tree = rst.build(sampler.sample_ball(base, replica))
-        while len(_TREE_CACHE) >= TREE_CACHE_MAX:
-            _TREE_CACHE.pop(next(iter(_TREE_CACHE)))
-        _TREE_CACHE[key] = tree
-    return tree
-
-
-def clear_tree_cache():
-    _TREE_CACHE.clear()
+    """The RST of one replica cloud. `analyze` needs only the last tree; the
+    last 128 are kept so that separate `exp_*` calls on one config share them."""
+    return rst.build(sampler.sample_ball(base, replica))
 
 
 def probe_directions(d: int, k: int, seed: int) -> np.ndarray:
@@ -133,19 +121,6 @@ def num_workers() -> int:
     if workers < 1:
         raise GeometryError(f"HYPERRST_THREADS must be an integer >= 1, got {env!r}")
     return workers
-
-
-def _replica_values(worker, cfg: ExperimentConfig) -> np.ndarray:
-    """(replicas, cells) matrix of per-replica values, computed in order."""
-    workers = num_workers()
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, [(cfg, r) for r in range(cfg.replicas)]))
-    else:
-        rows = [worker((cfg, r)) for r in range(cfg.replicas)]
-    return np.asarray(rows, dtype=float)
 
 
 def _mean_cells(values: np.ndarray, param_name: str, grid) -> list:
@@ -212,11 +187,6 @@ def r_prime(cfg: ExperimentConfig) -> float:
     return cfg.base.R - 0.5
 
 
-def _check_interior_grid(cfg: ExperimentConfig):
-    if any(not 1.0 < r < cfg.base.R - 1.0 for r in cfg.r0_grid):
-        raise GeometryError("r0_grid must stay inside (1, R-1), away from the window boundary")
-
-
 def _ball_sums(sweep: rst.LevelSweep, probes: np.ndarray, aperture: float, p: float) -> float:
     """Mean over probes of sum of MBD^p over crossings within the angular ball."""
     if sweep.children.size == 0:
@@ -230,8 +200,7 @@ def _ball_sums(sweep: rst.LevelSweep, probes: np.ndarray, aperture: float, p: fl
 # experiments
 
 
-def _rep_straightness(args):
-    cfg, replica = args
+def _rep_straightness(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     rp = r_prime(cfg)
     out = []
@@ -241,16 +210,11 @@ def _rep_straightness(args):
     return np.array(out)
 
 
-def exp_straightness(cfg: ExperimentConfig) -> StatReport:
-    """E[max MBD_{r0}^{R'} over the level] against r0; the straightness
-    picture predicts log-slope near -1."""
-    _check_interior_grid(cfg)
-    values = _replica_values(_rep_straightness, cfg)
+def _summary_straightness(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     return _report("straightness", cfg, values, "r0", cfg.r0_grid, True, {"r_prime": r_prime(cfg)})
 
 
-def _rep_mbd_moment(args):
-    cfg, replica = args
+def _rep_mbd_moment(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     rp = r_prime(cfg)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
@@ -261,17 +225,12 @@ def _rep_mbd_moment(args):
     return np.array(out)
 
 
-def exp_mbd_moment(cfg: ExperimentConfig) -> StatReport:
-    """E[sum MBD^p over crossings within angle A e^{-r0}]; the global
-    fluctuation bound predicts log-slope near -p."""
-    _check_interior_grid(cfg)
-    values = _replica_values(_rep_mbd_moment, cfg)
+def _summary_mbd_moment(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     extra = {"p": cfg.p, "A": cfg.A, "r_prime": r_prime(cfg)}
     return _report("mbd_moment", cfg, values, "r0", cfg.r0_grid, True, extra)
 
 
-def _rep_annulus(args):
-    cfg, replica = args
+def _rep_annulus(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
@@ -281,13 +240,7 @@ def _rep_annulus(args):
     return np.array(out)
 
 
-def exp_annulus(cfg: ExperimentConfig) -> StatReport:
-    """E[sum MBD_r^{r+delta}^p over a fixed-aperture ball] against r; the
-    annulus bound predicts log-slope near d - p."""
-    _check_interior_grid(cfg)
-    if not cfg.delta > 0:
-        raise GeometryError("delta must be > 0")
-    values = _replica_values(_rep_annulus, cfg)
+def _summary_annulus(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     extra = {"p": cfg.p, "delta": cfg.delta, "theta": cfg.theta}
     return _report("annulus", cfg, values, "r", cfg.r0_grid, True, extra)
 
@@ -311,8 +264,7 @@ def good_point_benchmark(cfg: ExperimentConfig, r0: float, a_: float, d_: float)
     return math.exp(-lam * v1) * (1.0 - math.exp(-lam * v2))
 
 
-def _rep_good_points(args):
-    cfg, replica = args
+def _rep_good_points(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     cloud = sampler.sample_ball(cfg.base, replica)
     r0 = float(np.median(cfg.r0_grid))
     probes = probe_directions(cfg.base.d, GOOD_PROBES, cfg.base.seed)
@@ -331,12 +283,9 @@ def _rep_good_points(args):
     return np.array(out)
 
 
-def exp_good_points(cfg: ExperimentConfig) -> StatReport:
-    """Empirical good-point frequency against the analytic Poisson void
-    benchmark; disagreement beyond noise indicates a geometry or sampling bug."""
+def _summary_good_points(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     r0 = float(np.median(cfg.r0_grid))
     grid = good_point_grid(cfg)
-    values = _replica_values(_rep_good_points, cfg)
     report = _report("good_points", cfg, values, "A", [a_ for a_, _ in grid], False, {"r0": r0})
     for k, (cell, (a_, d_)) in enumerate(zip(report.cells, grid)):
         bench = good_point_benchmark(cfg, r0, a_, d_)
@@ -348,8 +297,7 @@ def exp_good_points(cfg: ExperimentConfig) -> StatReport:
     return report
 
 
-def _rep_level_counts(args):
-    cfg, replica = args
+def _rep_level_counts(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
@@ -365,9 +313,7 @@ def _rep_level_counts(args):
     return np.array(out)
 
 
-def exp_level_counts(cfg: ExperimentConfig) -> StatReport:
-    """E[#(L_r in an e^{-r}-ball)^p]; the count moments stay bounded in r."""
-    values = _replica_values(_rep_level_counts, cfg)
+def _summary_level_counts(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     means = values.mean(axis=0)
     ratio = float(means.max() / means.min()) if np.all(means > 0) else math.inf
     extra = {"p": cfg.p, "max_over_min": ratio}
@@ -404,9 +350,7 @@ def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     return frac * total, se
 
 
-def exp_bplus_volume(cfg: ExperimentConfig) -> StatReport:
-    """Vol(B+(z, rho)) over a grid of (r, rho); the volume bound predicts the
-    log-volume to grow at rate at least d/2 in (rho ^ r)."""
+def _summary_bplus_volume(cfg: ExperimentConfig, values: None) -> StatReport:
     grid = bplus_grid(cfg)
     cells = []
     xs = []
@@ -442,8 +386,7 @@ def coupling_window(cfg: ExperimentConfig) -> HalfWindow:
     )
 
 
-def _rep_coupling(args):
-    cfg, replica = args
+def _rep_coupling(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     w = coupling_window(cfg)
     x, y = sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, cfg.base.seed, replica)
     forest = dsf.build_dsf((x, y))
@@ -455,12 +398,7 @@ def _rep_coupling(args):
     return np.array(out)
 
 
-def exp_coupling(cfg: ExperimentConfig) -> StatReport:
-    """Agreement fraction between RST(h) and DSF parents on Cyl'(A, a),
-    across h; the coupling sends it to 1 as h grows."""
-    if not cfg.h_grid:
-        raise GeometryError("h_grid must be nonempty")
-    values = _replica_values(_rep_coupling, cfg)
+def _summary_coupling(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     means = values.mean(axis=0)
     first_above = next((float(h) for h, mean in zip(cfg.h_grid, means) if mean > 0.99), None)
     diffs = values[:, -1] - values[:, 0]
@@ -475,8 +413,7 @@ def exp_coupling(cfg: ExperimentConfig) -> StatReport:
     return _report("coupling", cfg, values, "h", cfg.h_grid, False, extra)
 
 
-def _rep_confinement(args):
-    cfg, replica = args
+def _rep_confinement(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     h = float(np.median(cfg.r0_grid))
     rp = r_prime(cfg)
@@ -497,10 +434,7 @@ def _rep_confinement(args):
     return np.array(out)
 
 
-def exp_confinement(cfg: ExperimentConfig) -> StatReport:
-    """P[every crossing within angle 2A e^{-h} keeps MBD <= A e^{-h}] against
-    A; the cylinder confinement drives it to 1 for large A."""
-    values = _replica_values(_rep_confinement, cfg)
+def _summary_confinement(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     extra = {
         "h": float(np.median(cfg.r0_grid)),
         "r_prime": r_prime(cfg),
@@ -510,8 +444,7 @@ def exp_confinement(cfg: ExperimentConfig) -> StatReport:
     return _report("confinement", cfg, values, "A", grid, False, extra)
 
 
-def _rep_direction(args):
-    cfg, replica = args
+def _rep_direction(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     n = len(tree)
     if n == 0:
@@ -532,26 +465,112 @@ def _rep_direction(args):
     return np.array(out)
 
 
-def exp_direction_convergence(cfg: ExperimentConfig) -> StatReport:
-    """Tail angular variation of the deepest backward path beyond radius r;
-    shrinking tails are the Cauchy surrogate of an asymptotic direction."""
-    values = _replica_values(_rep_direction, cfg)
+def _summary_direction_convergence(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
     shrink = float(np.mean(values[:, -1] < values[:, 0]))
     extra = {"fraction_tail_shrinks": shrink, "r_lo": cfg.r0_grid[0], "r_hi": cfg.r0_grid[-1]}
     return _report("direction_convergence", cfg, values, "r", cfg.r0_grid, False, extra)
 
 
+# name -> (kernel(cfg, replica) -> one replica's row, or None; summary(cfg, values) -> report)
 EXPERIMENTS = {
-    "straightness": exp_straightness,
-    "mbd_moment": exp_mbd_moment,
-    "annulus": exp_annulus,
-    "good_points": exp_good_points,
-    "level_counts": exp_level_counts,
-    "bplus_volume": exp_bplus_volume,
-    "coupling": exp_coupling,
-    "confinement": exp_confinement,
-    "direction_convergence": exp_direction_convergence,
+    "straightness": (_rep_straightness, _summary_straightness),
+    "mbd_moment": (_rep_mbd_moment, _summary_mbd_moment),
+    "annulus": (_rep_annulus, _summary_annulus),
+    "good_points": (_rep_good_points, _summary_good_points),
+    "level_counts": (_rep_level_counts, _summary_level_counts),
+    "bplus_volume": (None, _summary_bplus_volume),
+    "coupling": (_rep_coupling, _summary_coupling),
+    "confinement": (_rep_confinement, _summary_confinement),
+    "direction_convergence": (_rep_direction, _summary_direction_convergence),
 }
+
+
+def _check(cfg: ExperimentConfig, names):
+    """Fail before any replica runs if one of the experiments cannot run on cfg."""
+    near_edge = any(not 1.0 < r < cfg.base.R - 1.0 for r in cfg.r0_grid)
+    if near_edge and {"straightness", "mbd_moment", "annulus"} & set(names):
+        raise GeometryError("r0_grid must stay inside (1, R-1), away from the window boundary")
+    if "annulus" in names and not cfg.delta > 0:
+        raise GeometryError("delta must be > 0")
+    if "coupling" in names and not cfg.h_grid:
+        raise GeometryError("h_grid must be nonempty")
+
+
+def _replica_rows(cfg: ExperimentConfig, kernels: tuple, replica: int) -> list:
+    return [EXPERIMENTS[name][0](cfg, replica) for name in kernels]
+
+
+def analyze(cfg: ExperimentConfig, names) -> dict:
+    """{name: StatReport} for the named experiments, from one pass over the
+    replicas: every kernel runs on replica r before any runs on r + 1, so each
+    tree is built once. Under HYPERRST_THREADS one pool of at most `replicas`
+    workers runs one task per replica."""
+    _check(cfg, names)
+    kernels = tuple(name for name in names if EXPERIMENTS[name][0] is not None)
+    task = functools.partial(_replica_rows, cfg, kernels)
+    workers = min(num_workers(), cfg.replicas)
+    if kernels and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(task, range(cfg.replicas)))
+    else:
+        rows = [task(r) for r in range(cfg.replicas)]
+    values = {name: np.asarray([row[k] for row in rows], dtype=float) for k, name in enumerate(kernels)}
+    return {name: EXPERIMENTS[name][1](cfg, values.get(name)) for name in names}
+
+
+def exp_straightness(cfg: ExperimentConfig) -> StatReport:
+    """E[max MBD_{r0}^{R'} over the level] against r0; the straightness
+    picture predicts log-slope near -1."""
+    return analyze(cfg, ["straightness"])["straightness"]
+
+
+def exp_mbd_moment(cfg: ExperimentConfig) -> StatReport:
+    """E[sum MBD^p over crossings within angle A e^{-r0}]; the global
+    fluctuation bound predicts log-slope near -p."""
+    return analyze(cfg, ["mbd_moment"])["mbd_moment"]
+
+
+def exp_annulus(cfg: ExperimentConfig) -> StatReport:
+    """E[sum MBD_r^{r+delta}^p over a fixed-aperture ball] against r; the
+    annulus bound predicts log-slope near d - p."""
+    return analyze(cfg, ["annulus"])["annulus"]
+
+
+def exp_good_points(cfg: ExperimentConfig) -> StatReport:
+    """Empirical good-point frequency against the analytic Poisson void
+    benchmark; disagreement beyond noise indicates a geometry or sampling bug."""
+    return analyze(cfg, ["good_points"])["good_points"]
+
+
+def exp_level_counts(cfg: ExperimentConfig) -> StatReport:
+    """E[#(L_r in an e^{-r}-ball)^p]; the count moments stay bounded in r."""
+    return analyze(cfg, ["level_counts"])["level_counts"]
+
+
+def exp_bplus_volume(cfg: ExperimentConfig) -> StatReport:
+    """Vol(B+(z, rho)) over a grid of (r, rho); the volume bound predicts the
+    log-volume to grow at rate at least d/2 in (rho ^ r)."""
+    return analyze(cfg, ["bplus_volume"])["bplus_volume"]
+
+
+def exp_coupling(cfg: ExperimentConfig) -> StatReport:
+    """Agreement fraction between RST(h) and DSF parents on Cyl'(A, a),
+    across h; the coupling sends it to 1 as h grows."""
+    return analyze(cfg, ["coupling"])["coupling"]
+
+
+def exp_confinement(cfg: ExperimentConfig) -> StatReport:
+    """P[every crossing within angle 2A e^{-h} keeps MBD <= A e^{-h}] against
+    A; the cylinder confinement drives it to 1 for large A."""
+    return analyze(cfg, ["confinement"])["confinement"]
+
+
+def exp_direction_convergence(cfg: ExperimentConfig) -> StatReport:
+    """Tail angular variation of the deepest backward path beyond radius r;
+    shrinking tails are the Cauchy surrogate of an asymptotic direction."""
+    return analyze(cfg, ["direction_convergence"])["direction_convergence"]
 
 
 # ---------------------------------------------------------------------------

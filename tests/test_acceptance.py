@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
 Criteria run at their stated scales and tolerances, so this module is the
-slow part of the suite (tens of minutes in total). Replica clouds are shared
-through the experiments-level tree cache wherever configurations coincide.
+slow part of the suite (tens of minutes in total). Replica trees are shared
+through `experiments.tree_for`'s cache wherever configurations coincide.
 """
 
 import math

@@ -4,13 +4,14 @@ Small configurations keep this file fast; the full-scale envelope checks
 live in test_acceptance.py.
 """
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hyperrst import experiments, hgeom, sampler
+from hyperrst import experiments, hgeom, rst, sampler
 from hyperrst.experiments import ExperimentConfig, default_config
 from hyperrst.hgeom import GeometryError
 from hyperrst.sampler import CloudConfig
@@ -35,7 +36,7 @@ def test_default_config_values():
 
 
 def test_straightness_report_and_determinism():
-    experiments.clear_tree_cache()
+    experiments.tree_for.cache_clear()
     rep1 = experiments.exp_straightness(SMALL)
     rep2 = experiments.exp_straightness(SMALL)
     assert experiments.report_to_json(rep1) == experiments.report_to_json(rep2)
@@ -181,22 +182,77 @@ def test_direction_convergence():
     assert means[-1] <= means[0]
 
 
-def test_direction_single_edge_path_zero_tail():
+def test_direction_single_edge_path_zero_tail(monkeypatch):
     # a one-point cloud has a single-edge path with no increments
     cloud = sampler.PointCloud(
         CloudConfig(d=1, lam=1.0, R=2.0, seed=0),
         np.array([1.0]),
         np.array([[1.0, 0.0]]),
     )
-    from hyperrst import rst
-
     tree = rst.build(cloud)
-    experiments._TREE_CACHE.clear()
-    experiments._TREE_CACHE[(1, 1.0, 2.0, 0, 0)] = tree
+    monkeypatch.setattr(experiments, "tree_for", lambda base, replica: tree)
     cfg = ExperimentConfig(base=CloudConfig(d=1, lam=1.0, R=2.0, seed=0), replicas=1, r0_grid=(0.5,))
     rep = experiments.exp_direction_convergence(cfg)
     assert rep.cells[0].estimate == 0.0
-    experiments.clear_tree_cache()
+
+
+def _report_bytes(report):
+    return experiments.report_to_json(report), experiments.report_to_csv(report)
+
+
+def test_analyze_matches_single_experiments(monkeypatch):
+    names = list(experiments.EXPERIMENTS)
+    singles = {name: _report_bytes(getattr(experiments, "exp_" + name)(SMALL)) for name in names}
+    builds = []
+    build = rst.build
+
+    def counting_build(cloud):
+        builds.append(len(cloud))
+        return build(cloud)
+
+    monkeypatch.setattr(rst, "build", counting_build)
+    # one pass: with a one-tree slot, each replica's tree is built once for all the experiments
+    monkeypatch.setattr(experiments, "tree_for", functools.lru_cache(maxsize=1)(experiments.tree_for.__wrapped__))
+    reports = experiments.analyze(SMALL, names)
+    assert list(reports) == names
+    assert {name: _report_bytes(rep) for name, rep in reports.items()} == singles
+    assert len(builds) == SMALL.replicas
+    monkeypatch.setattr(rst, "build", build)
+    monkeypatch.setenv("HYPERRST_THREADS", "2")
+    reports = experiments.analyze(SMALL, names)
+    assert {name: _report_bytes(rep) for name, rep in reports.items()} == singles
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, replicas, size", [("4", 2, [2]), ("2", 3, [2]), ("4", 1, [])])
+def test_pool_sized_to_replicas(monkeypatch, threads, replicas, size):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setenv("HYPERRST_THREADS", threads)
+    cfg = ExperimentConfig(base=SMALL.base, replicas=replicas, r0_grid=SMALL.r0_grid)
+    pooled = experiments.exp_level_counts(cfg)
+    assert _RecordingPool.sizes == size
+    monkeypatch.delenv("HYPERRST_THREADS")
+    assert _report_bytes(pooled) == _report_bytes(experiments.exp_level_counts(cfg))
 
 
 def test_coupling_small():

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hyperrst import cli, render, rst, sampler
+from hyperrst import cli, experiments, render, rst, sampler
 from hyperrst.hgeom import GeometryError
 from hyperrst.render import SvgScene, geodesic_arc
 from hyperrst.sampler import CloudConfig
@@ -177,6 +177,9 @@ class TestCli:
             pytest.param({"r0_grid": 5}, id="number_for_grid"),
             pytest.param({"r0_grid": []}, id="empty_grid"),
             pytest.param({"h_grid": [2.0, "4"]}, id="str_in_grid"),
+            pytest.param({"A": math.nan}, id="nan"),
+            pytest.param({"R": math.inf}, id="infinity"),
+            pytest.param({"r0_grid": [1.5, -math.inf]}, id="infinity_in_grid"),
         ],
     )
     def test_unknown_keys_exit_2(self, tmp_path, user):
@@ -215,6 +218,24 @@ class TestCli:
 
     def test_unknown_experiment_exit_2(self, tmp_path):
         assert cli.main(["analyze", "wat", "--out", str(tmp_path)]) == 2
+
+    def test_stray_experiment_argument_exit_2(self, tmp_path):
+        for command in ("sample", "rst", "dsf", "render"):
+            assert cli.main([command, "straightness", "--out", str(tmp_path)]) == 2, command
+        assert not any(tmp_path.iterdir())
+
+    def test_analyze_all_matches_single_runs(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        user = {"lambda": 6.0, "R": 3.5, "replicas": 2, "r0_grid": [1.3, 2.3], "A": 2.0, "a": 0.7, "h_grid": [2.0, 5.0]}
+        p.write_text(json.dumps({**user, "seed": 21}))
+        for name in experiments.EXPERIMENTS:
+            assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path / "one")]) == 0
+        assert cli.main(["analyze", "all", "--config", str(p), "--out", str(tmp_path / "all")]) == 0
+        files = sorted(f.name for f in (tmp_path / "one").iterdir())
+        assert len(files) == 18
+        assert sorted(f.name for f in (tmp_path / "all").iterdir()) == files
+        for name in files:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:
