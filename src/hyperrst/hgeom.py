@@ -31,7 +31,8 @@ def _as_unit(components) -> np.ndarray:
     v = np.asarray(components, dtype=float)
     if v.ndim != 1:
         raise GeometryError("direction must be a 1-d vector")
-    n = np.linalg.norm(v)
+    # the bits of np.linalg.norm, which is sqrt(dot(v, v)) for a 1-d float vector
+    n = math.sqrt(float(v @ v))
     if abs(n - 1.0) > 1e-9:
         raise GeometryError(f"direction norm {n} is not 1")
     # renormalize the last few ulps so stored directions are unit to 1e-12
@@ -304,6 +305,15 @@ def star_psi_arrays(r1, r2, theta, t):
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(sr > 0, num / np.where(sr > 0, sr, 1.0), 1.0)
     return np.arccos(np.clip(a, -1.0, 1.0))
+
+
+def star_psi(r1: float, r2: float, theta: float, t: float) -> float:
+    """star_psi_arrays for one point, in math: same formula, clamp and sinh(rho) > 0 guard."""
+    sr = math.sinh((1.0 - t) * r1 + t * r2)
+    if not sr > 0:
+        return 0.0
+    a = ((1.0 - t) * math.sinh(r1) + t * math.cos(theta) * math.sinh(r2)) / sr
+    return math.acos(min(max(a, -1.0), 1.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import hgeom, search
-from .hgeom import Direction, GeometryError, PolarPoint, star_psi_arrays
+from .hgeom import Direction, GeometryError, PolarPoint
 from .sampler import PointCloud
 from .search import ROOT
+
+
+class TreeLists(NamedTuple):
+    """Per-node tree columns as Python lists, for the scalar level API."""
+
+    parent: list
+    radii: list
+    parent_radii: list
+    theta: list
 
 
 @dataclass(eq=False)
@@ -31,6 +41,7 @@ class RadialTree:
     _children: np.ndarray | None = field(default=None, repr=False)
     _children_start: np.ndarray | None = field(default=None, repr=False)
     _edge_theta: np.ndarray | None = field(default=None, repr=False)
+    _lists: TreeLists | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.cloud)
@@ -42,10 +53,6 @@ class RadialTree:
     @property
     def dirs(self) -> np.ndarray:
         return self.cloud.dirs
-
-    def parent_radius(self, i: int) -> float:
-        p = self.parent[i]
-        return 0.0 if p == ROOT else float(self.radii[p])
 
     def parent_radii(self) -> np.ndarray:
         rp = np.where(self.parent >= 0, self.radii[np.maximum(self.parent, 0)], 0.0)
@@ -80,6 +87,18 @@ class RadialTree:
             self._edge_theta = theta
         return self._edge_theta
 
+    def lists(self) -> TreeLists:
+        """parent, radii, parent radii and edge thetas as lists: per-node reads
+        of Python floats cost a fraction of 0-d numpy indexing."""
+        if self._lists is None:
+            self._lists = TreeLists(
+                self.parent.tolist(),
+                self.radii.tolist(),
+                self.parent_radii().tolist(),
+                self.edge_thetas().tolist(),
+            )
+        return self._lists
+
 
 @dataclass(frozen=True, eq=False)
 class LevelCrossing:
@@ -93,8 +112,12 @@ class LevelCrossing:
 
 @dataclass(eq=False)
 class ValidationReport:
+    """Violation messages, the radius and bplus ones capped at the first 20,
+    and the full number of violations per class: radius, frontier, cycle, bplus."""
+
     violations: list
     max_degree: int
+    counts: dict
 
     @property
     def ok(self) -> bool:
@@ -180,7 +203,7 @@ def _crossing_geometry(tree: RadialTree, children: np.ndarray, r: float):
     pos = theta > 1e-14
     if np.any(pos):
         idx = children[pos]
-        psi[pos] = star_psi_arrays(radii[idx], rp[pos], theta[pos], t[pos])
+        psi[pos] = hgeom.star_psi_arrays(radii[idx], rp[pos], theta[pos], t[pos])
     u1 = dirs[children]
     out = u1.copy()
     if np.any(pos):
@@ -227,9 +250,15 @@ def trajectory(tree: RadialTree, i: int) -> list[int]:
 
 
 def _crossing_on_edge(tree: RadialTree, child: int, r: float) -> LevelCrossing:
-    arr = np.array([child])
-    t, _, out = _crossing_geometry(tree, arr, r)
-    return LevelCrossing(int(child), float(t[0]), r, PolarPoint(r, Direction(out[0])))
+    """The crossing of edge child with S(r): _crossing_geometry for one edge, in math."""
+    lists = tree.lists()
+    rc, rp, theta = lists.radii[child], lists.parent_radii[child], lists.theta[child]
+    t = float((r - rc) / (rp - rc))
+    u = tree.dirs[child]
+    if theta > 1e-14:
+        frac = hgeom.star_psi(rc, rp, theta, t) / theta
+        u = hgeom.slerp(u, tree.dirs[lists.parent[child]], theta, frac)
+    return LevelCrossing(int(child), t, r, PolarPoint(r, Direction(u)))
 
 
 def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCrossing:
@@ -245,8 +274,9 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
 
 def _edge_at_level(tree: RadialTree, v: int, r: float) -> int:
     """Edge on the trajectory from edge v that straddles S(r), for 0 < r below v's child."""
-    while tree.parent_radius(v) > r:
-        v = int(tree.parent[v])
+    lists = tree.lists()
+    while lists.parent_radii[v] > r:
+        v = lists.parent[v]
     return v
 
 
@@ -254,7 +284,7 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
     """All crossings at S(r_prime) whose trajectory passes through c."""
     if r_prime < c.level:
         raise GeometryError("descendant level below crossing level")
-    radii = tree.radii
+    radii = tree.lists().radii
     out = []
     stack = [c.edge_child]
     while stack:
@@ -262,7 +292,7 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
         if radii[w] > r_prime:
             out.append(w)
         else:
-            stack.extend(int(x) for x in tree.children_of(w))
+            stack.extend(tree.children_of(w).tolist())
     out.sort()
     return [_crossing_on_edge(tree, w, r_prime) for w in out]
 
@@ -273,13 +303,12 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
 
 def _psi_at(tree: RadialTree, child: int, r: float) -> float:
     """Angle from the child direction of the star-path point at radius r."""
-    rp = tree.parent_radius(child)
-    rc = float(tree.radii[child])
-    theta = float(tree.edge_thetas()[child])
+    lists = tree.lists()
+    theta = lists.theta[child]
     if theta < 1e-14:
         return 0.0
-    t = (r - rc) / (rp - rc)
-    return float(star_psi_arrays(rc, rp, theta, t))
+    rc, rp = lists.radii[child], lists.parent_radii[child]
+    return hgeom.star_psi(rc, rp, theta, (r - rc) / (rp - rc))
 
 
 def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
@@ -296,12 +325,13 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
     anc_edge = _edge_at_level(tree, c.edge_child, r)
     if anc_edge == c.edge_child:
         return abs(_psi_at(tree, c.edge_child, c.level) - _psi_at(tree, c.edge_child, r))
-    theta = tree.edge_thetas()
-    total = abs(float(theta[c.edge_child]) - _psi_at(tree, c.edge_child, c.level))
-    w = int(tree.parent[c.edge_child])
+    lists = tree.lists()
+    parent, theta = lists.parent, lists.theta
+    total = abs(theta[c.edge_child] - _psi_at(tree, c.edge_child, c.level))
+    w = parent[c.edge_child]
     while w != anc_edge:
-        total += float(theta[w])
-        w = int(tree.parent[w])
+        total += theta[w]
+        w = parent[w]
     total += _psi_at(tree, anc_edge, r)
     return total
 
@@ -316,8 +346,8 @@ def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
     """
     if r_prime < c.level:
         raise GeometryError("mbd requires r_prime >= crossing level")
-    radii = tree.radii
-    theta = tree.edge_thetas()
+    lists = tree.lists()
+    radii, theta = lists.radii, lists.theta
     best = 0.0
     # vertex terms accumulate edge angles from the crossing outward; the CFD
     # at the crossing's own child is the on-edge angle psi
@@ -327,8 +357,8 @@ def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
         if radii[w] > r_prime:
             continue
         best = max(best, acc)
-        for x in tree.children_of(w):
-            stack.append((int(x), acc + float(theta[x])))
+        for x in tree.children_of(w).tolist():
+            stack.append((x, acc + theta[x]))
     for cross in descendants_at_level(tree, c, r_prime):
         best = max(best, cfd(tree, c.level, cross))
     return best
@@ -404,7 +434,7 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
         psi1 = np.zeros(cut.shape[0])
         pos = th > 1e-14
         if np.any(pos):
-            psi1[pos] = star_psi_arrays(rc[pos], rp[pos], th[pos], t1[pos])
+            psi1[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], th[pos], t1[pos])
         same_edge = rp <= r0
         cfd1 = np.empty(cut.shape[0])
         if np.any(same_edge):
@@ -442,10 +472,12 @@ def validate(tree: RadialTree) -> ValidationReport:
     bad = np.nonzero((parent >= 0) & (rp >= radii))[0]
     for i in bad[:20]:
         violations.append(f"node {i}: parent radius {rp[i]} >= radius {radii[i]}")
-    if np.any(parent == search.FRONTIER):
+    frontier = int(np.count_nonzero(parent == search.FRONTIER))
+    if frontier:
         violations.append("tree contains frontier markers")
     # connectivity to the root without cycles
     state = np.zeros(n, dtype=np.int8)  # 0 unknown, 1 reaches root
+    cycles = 0
     for i in range(n):
         path = []
         v = i
@@ -455,6 +487,7 @@ def validate(tree: RadialTree) -> ValidationReport:
             v = int(parent[v])
             if v != ROOT and state[v] == 2:
                 violations.append(f"cycle through node {v}")
+                cycles += 1
                 break
         for w in path:
             state[w] = 1
@@ -474,7 +507,8 @@ def validate(tree: RadialTree) -> ValidationReport:
     tree._ensure_children()
     degrees = np.diff(tree._children_start)
     max_degree = int(degrees.max()) if n else 0
-    return ValidationReport(violations=violations, max_degree=max_degree)
+    counts = {"radius": len(bad), "frontier": frontier, "cycle": cycles, "bplus": len(worse)}
+    return ValidationReport(violations=violations, max_degree=max_degree, counts=counts)
 
 
 def _edge_angular_intervals(tree: RadialTree):

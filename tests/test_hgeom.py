@@ -393,6 +393,14 @@ def test_direction_norm_enforced():
         Direction(np.array([1.0, 1.0]))
 
 
+def test_direction_keeps_linalg_norm_bits():
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        g = rng.normal(size=int(rng.integers(2, 5)))
+        v = g / np.linalg.norm(g) * (1.0 + rng.uniform(-1e-10, 1e-10))
+        assert np.array_equal(Direction(v).components, v / np.linalg.norm(v))
+
+
 def test_invalid_inputs():
     with pytest.raises(GeometryError):
         PolarPoint(-0.5, Direction(np.array([1.0, 0.0])))

@@ -390,11 +390,65 @@ class TestMbd:
         assert vals[2] < vals[0]
 
 
+class TestScalarPath:
+    """The scalar level API (math on the tree's lists) against the array path."""
+
+    @pytest.mark.parametrize(
+        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
+    )
+    def test_crossing_on_edge_matches_level_crossings(self, d, lam, R):
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        for r in (1.0, 1.7, R - 0.6):
+            crossings = rst.level_crossings(tree, r)
+            assert crossings
+            for c in crossings:
+                got = rst._crossing_on_edge(tree, c.edge_child, r)
+                assert got.t == c.t
+                assert np.max(np.abs(got.point.u.components - c.point.u.components)) <= 1e-12
+
+    def test_star_psi_matches_arrays(self):
+        rng = np.random.default_rng(22)
+        n = 2000
+        r1 = rng.uniform(0.01, 8.0, n)
+        r2 = r1 * rng.uniform(0.0, 1.0, n)
+        theta = rng.uniform(0.0, math.pi, n)
+        t = rng.uniform(0.0, 1.0, n)
+        want = hgeom.star_psi_arrays(r1, r2, theta, t)
+        for k, args in enumerate(zip(r1.tolist(), r2.tolist(), theta.tolist(), t.tolist())):
+            assert abs(hgeom.star_psi(*args) - want[k]) <= 1e-12
+        # arccos turns one ulp of an argument near +-1 into ~1e-8, so the
+        # edge cases sit where the argument is exact or the clamp cuts it
+        edges = [
+            ((2.0, 1.5, 0.4, 0.0), 0.0),  # t = 0
+            ((2.0, 1.5, 0.4, 1.0), None),  # t = 1
+            ((2.5, 0.0, 0.7, 0.3), 0.0),  # root edge, clamped at 1
+            ((2.5, 0.0, 0.7, 1.0), 0.0),  # root edge at the origin: sinh(rho) = 0
+            ((3.0, 1.0, 1e-15, 0.5), 0.0),  # theta < 1e-14, clamped at 1
+            ((2.0, 1.9, math.pi - 1e-6, 0.25), None),  # theta near pi
+            ((2.0, 1.5, math.pi - 1e-9, 1.0), math.pi),  # clamped at -1
+            ((0.1, 8.0, math.pi - 1e-3, 0.5), math.pi),  # clamped at -1
+        ]
+        for args, exact in edges:
+            got = hgeom.star_psi(*args)
+            assert abs(got - float(hgeom.star_psi_arrays(*args))) <= 1e-12
+            if exact is not None:
+                assert got == exact
+
+    def test_scalar_results_are_python_floats(self):
+        # np.float64 subclasses float, so isinstance would let 0-d numpy back in
+        tree = sample_tree(10)
+        for c in rst.level_crossings(tree, 2.0):
+            assert type(rst.cfd(tree, 1.2, c)) is float
+            assert type(rst.mbd(tree, c, 3.0)) is float
+            assert type(rst._crossing_on_edge(tree, c.edge_child, 2.0).t) is float
+
+
 class TestValidate:
     def test_built_tree_clean(self):
         tree = sample_tree(15)
         report = rst.validate(tree)
         assert report.ok
+        assert report.counts == {"radius": 0, "frontier": 0, "cycle": 0, "bplus": 0}
         assert report.max_degree >= 1
 
     def test_corrupted_parent_detected(self):
@@ -412,6 +466,16 @@ class TestValidate:
         bad.parent[0] = len(tree) - 1
         report = rst.validate(bad)
         assert any("radius" in v for v in report.violations)
+
+    def test_counts_past_the_message_cap(self):
+        tree = sample_tree(15)
+        bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
+        bad.parent[:25] = len(tree) - 1
+        report = rst.validate(bad)
+        assert report.counts["radius"] == 25
+        assert sum("parent radius" in v for v in report.violations) == 20
+        assert report.counts["bplus"] > 20
+        assert sum("inside B+" in v for v in report.violations) == 20
 
     def test_bplus_empty_brute_scan(self):
         cloud = sampler.sample_ball(CloudConfig(d=1, lam=14.0, R=3.5, seed=16))
