@@ -76,6 +76,21 @@ def _pair_dist(x, y):
     return pair_dist
 
 
+def _ordered(x, y, *keys):
+    """(order, x, y) with the points sorted by keys, the last one primary as in
+    np.lexsort, then by the columns of x in turn."""
+    order = np.lexsort(tuple(x[:, ::-1].T) + keys)
+    return order, x[order], y[order]
+
+
+def _dist_matrix(x, y):
+    """All pairwise distances, for the O(n^2) oracles."""
+    s = (
+        np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2) + (y[:, None] - y[None, :]) ** 2
+    ) / (2.0 * np.outer(y, y))
+    return hgeom.stable_arccosh1p(s)
+
+
 def _nearest_lower(x, y, keys, root_dist):
     """search.nearest_lower in the chart (x, y), where B(z, rho) is the
     Euclidean ball with centre (x, y cosh rho) and radius y sinh rho."""
@@ -95,8 +110,7 @@ def build_dsf(points) -> HalfForest:
     x, y = _as_arrays(points)
     if y.shape[0] == 0:
         raise GeometryError("empty point list")
-    order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (-y,))
-    xs, ys = x[order], y[order]
+    order, xs, ys = _ordered(x, y, -y)
     keys = -np.log(ys)
     parent, pdist = _nearest_lower(xs, ys, keys, root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
@@ -105,13 +119,8 @@ def build_dsf(points) -> HalfForest:
 def build_dsf_brute(points) -> HalfForest:
     """O(n^2) oracle built directly from the definition."""
     x, y = _as_arrays(points)
-    order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (-y,))
-    xs, ys = x[order], y[order]
-    s = (
-        np.sum((xs[:, None, :] - xs[None, :, :]) ** 2, axis=2) + (ys[:, None] - ys[None, :]) ** 2
-    ) / (2.0 * np.outer(ys, ys))
-    dist = hgeom.stable_arccosh1p(s)
-    parent, pdist = search.nearest_lower_brute(-np.log(ys), dist, root_dist=None)
+    order, xs, ys = _ordered(x, y, -y)
+    parent, pdist = search.nearest_lower_brute(-np.log(ys), _dist_matrix(xs, ys), root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
 
 
@@ -131,8 +140,8 @@ def build_rst_h(points, h: float) -> HalfForest:
     if y.shape[0] == 0:
         raise GeometryError("empty point list")
     c = origin_distances(h, x, y)
-    order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (y, c))
-    xs, ys, cs = x[order], y[order], c[order]
+    order, xs, ys = _ordered(x, y, y, c)
+    cs = c[order]
     parent, pdist = _nearest_lower(xs, ys, cs, root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
@@ -140,13 +149,9 @@ def build_rst_h(points, h: float) -> HalfForest:
 def build_rst_h_brute(points, h: float) -> HalfForest:
     x, y = _as_arrays(points)
     c = origin_distances(h, x, y)
-    order = np.lexsort(tuple(x[:, k] for k in range(x.shape[1] - 1, -1, -1)) + (y, c))
-    xs, ys, cs = x[order], y[order], c[order]
-    s = (
-        np.sum((xs[:, None, :] - xs[None, :, :]) ** 2, axis=2) + (ys[:, None] - ys[None, :]) ** 2
-    ) / (2.0 * np.outer(ys, ys))
-    dist = hgeom.stable_arccosh1p(s)
-    parent, pdist = search.nearest_lower_brute(cs, dist, root_dist=cs)
+    order, xs, ys = _ordered(x, y, y, c)
+    cs = c[order]
+    parent, pdist = search.nearest_lower_brute(cs, _dist_matrix(xs, ys), root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
 

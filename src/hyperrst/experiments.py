@@ -302,11 +302,7 @@ def _rep_level_counts(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for r0 in cfg.r0_grid:
-        children = rst._straddling_children(tree, r0)
-        if children.size == 0:
-            out.append(0.0)
-            continue
-        _, _, cross_dirs = rst._crossing_geometry(tree, children, r0)
+        cross_dirs = rst.level_geometry(tree, r0)[3]
         cosap = math.cos(min(math.exp(-r0), math.pi))
         counts = np.sum(cross_dirs @ probes.T >= cosap, axis=0)
         out.append(float(np.mean(counts.astype(float) ** cfg.p)))
@@ -446,15 +442,9 @@ def _summary_confinement(cfg: ExperimentConfig, values: np.ndarray) -> StatRepor
 
 def _rep_direction(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
-    n = len(tree)
-    if n == 0:
+    if len(tree) == 0:
         return np.zeros(len(cfg.r0_grid))
-    parent = tree.parent
-    depth = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        p = parent[i]
-        depth[i] = 1 if p == rst.ROOT else depth[p] + 1
-    best = int(np.nonzero(depth == depth.max())[0][-1])
+    best = int(tree.layers()[-1][-1])  # the highest-index deepest node
     path = rst.trajectory(tree, best)[:-1]  # drop the root sentinel
     path.reverse()  # root-side first, radii increasing
     radii = tree.radii[path]

@@ -92,11 +92,9 @@ def _arc_path(arc: GeodesicArc) -> str:
 
 def _component_hues(tree: rst.RadialTree) -> tuple:
     """Root-child subtree id per node and golden-angle hue per subtree."""
-    n = len(tree)
-    comp = np.full(n, -1, dtype=np.int64)
-    parent = tree.parent
-    for i in range(n):
-        comp[i] = i if parent[i] == rst.ROOT else comp[parent[i]]
+    comp = np.arange(len(tree))
+    for layer in tree.layers()[1:]:
+        comp[layer] = comp[tree.parent[layer]]
     roots = tree.root_children()
     hue = {int(r): (k * 137.508) % 360.0 for k, r in enumerate(roots)}
     return comp, hue

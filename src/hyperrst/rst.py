@@ -40,8 +40,10 @@ class RadialTree:
     parent_dist: np.ndarray
     _children: np.ndarray | None = field(default=None, repr=False)
     _children_start: np.ndarray | None = field(default=None, repr=False)
+    _parent_radii: np.ndarray | None = field(default=None, repr=False)
     _edge_theta: np.ndarray | None = field(default=None, repr=False)
     _lists: TreeLists | None = field(default=None, repr=False)
+    _layers: list | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.cloud)
@@ -55,8 +57,10 @@ class RadialTree:
         return self.cloud.dirs
 
     def parent_radii(self) -> np.ndarray:
-        rp = np.where(self.parent >= 0, self.radii[np.maximum(self.parent, 0)], 0.0)
-        return rp
+        """Radius of each node's parent (0 for root edges)."""
+        if self._parent_radii is None:
+            self._parent_radii = np.where(self.parent >= 0, self.radii[np.maximum(self.parent, 0)], 0.0)
+        return self._parent_radii
 
     def children_of(self, i: int) -> np.ndarray:
         self._ensure_children()
@@ -99,6 +103,20 @@ class RadialTree:
             )
         return self._lists
 
+    def layers(self) -> list:
+        """Nodes by depth as int64 arrays, each ascending; layer 0 is the root
+        children. Root-to-leaf carries run one layer at a time."""
+        if self._layers is None:
+            self._ensure_children()
+            start = self._children_start
+            layers = []
+            layer = self.root_children()
+            while layer.size:
+                layers.append(layer)
+                layer = np.sort(self._children[search.concat_ranges(start[layer], start[layer + 1])])
+            self._layers = layers
+        return self._layers
+
 
 @dataclass(frozen=True, eq=False)
 class LevelCrossing:
@@ -112,8 +130,9 @@ class LevelCrossing:
 
 @dataclass(eq=False)
 class ValidationReport:
-    """Violation messages, the radius and bplus ones capped at the first 20,
-    and the full number of violations per class: radius, frontier, cycle, bplus."""
+    """Violation messages, the radius, cycle and bplus ones capped at the first
+    20 of each, and the full number of violations per class: radius, frontier,
+    cycle, bplus."""
 
     violations: list
     max_degree: int
@@ -191,49 +210,46 @@ def brute_force_parents(cloud: PointCloud) -> np.ndarray:
 # levels and trajectories
 
 
-def _crossing_geometry(tree: RadialTree, children: np.ndarray, r: float):
-    """Per straddling edge: (t, psi at the crossing, crossing directions)."""
-    radii, dirs = tree.radii, tree.dirs
-    parents = tree.parent[children]
-    rp = np.where(parents >= 0, radii[np.maximum(parents, 0)], 0.0)
-    rc = radii[children]
+def _straddling(tree: RadialTree, r: float):
+    """Edges with parent radius <= r < child radius, by ascending child index,
+    with the crossing parameter t and the angle psi of the crossing from the
+    child direction."""
+    radii = tree.radii
+    rp_all = tree.parent_radii()
+    above = np.arange(int(np.searchsorted(radii, r, side="right")), len(tree))
+    children = above[rp_all[above] <= r]
+    rc, rp = radii[children], rp_all[children]
     t = (r - rc) / (rp - rc)
     theta = tree.edge_thetas()[children]
     psi = np.zeros(children.shape[0])
     pos = theta > 1e-14
-    if np.any(pos):
-        idx = children[pos]
-        psi[pos] = hgeom.star_psi_arrays(radii[idx], rp[pos], theta[pos], t[pos])
-    u1 = dirs[children]
-    out = u1.copy()
-    if np.any(pos):
-        th = theta[pos]
-        frac = psi[pos] / th
-        u2 = dirs[tree.parent[children[pos]]]
-        st = np.sin(th)
-        out[pos] = (
-            np.sin((1.0 - frac) * th)[:, None] * u1[pos] + np.sin(frac * th)[:, None] * u2
-        ) / st[:, None]
-    return t, psi, out
+    psi[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], theta[pos], t[pos])
+    return children, t, psi
 
 
-def _straddling_children(tree: RadialTree, r: float) -> np.ndarray:
-    """Edges with parent radius <= r < child radius, by ascending child index."""
-    radii = tree.radii
-    k0 = int(np.searchsorted(radii, r, side="right"))
-    above = np.arange(k0, len(tree))
-    rp = tree.parent_radii()[above]
-    return above[rp <= r]
+def level_geometry(tree: RadialTree, r: float):
+    """(children, t, psi, dirs) of the edges straddling S(r), by ascending
+    child index; dirs are the crossing directions."""
+    if not r > 0:
+        raise GeometryError("level radius must be > 0")
+    children, t, psi = _straddling(tree, r)
+    theta = tree.edge_thetas()[children]
+    dirs = tree.dirs[children]
+    pos = theta > 1e-14
+    th = theta[pos]
+    frac = psi[pos] / th
+    u2 = tree.dirs[tree.parent[children[pos]]]
+    dirs[pos] = (
+        np.sin((1.0 - frac) * th)[:, None] * dirs[pos] + np.sin(frac * th)[:, None] * u2
+    ) / np.sin(th)[:, None]
+    return children, t, psi, dirs
 
 
 def level_crossings(tree: RadialTree, r: float) -> list[LevelCrossing]:
     """One crossing per edge straddling S(r), multiplicity given by edges."""
-    if not r > 0:
-        raise GeometryError("level radius must be > 0")
-    children = _straddling_children(tree, r)
-    t, _, out = _crossing_geometry(tree, children, r)
+    children, t, _, dirs = level_geometry(tree, r)
     return [
-        LevelCrossing(int(c), float(t[k]), r, PolarPoint(r, Direction(out[k])))
+        LevelCrossing(int(c), float(t[k]), r, PolarPoint(r, Direction(dirs[k])))
         for k, c in enumerate(children)
     ]
 
@@ -250,7 +266,7 @@ def trajectory(tree: RadialTree, i: int) -> list[int]:
 
 
 def _crossing_on_edge(tree: RadialTree, child: int, r: float) -> LevelCrossing:
-    """The crossing of edge child with S(r): _crossing_geometry for one edge, in math."""
+    """The crossing of edge child with S(r): level_geometry for one edge, in math."""
     lists = tree.lists()
     rc, rp, theta = lists.radii[child], lists.parent_radii[child], lists.theta[child]
     t = float((r - rc) / (rp - rc))
@@ -381,70 +397,39 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     """One pass computing MBD_{r0}^{r1} for every crossing of S(r0).
 
     cum[i] holds the CFD from the r0 crossing to vertex i for every node in
-    the descendant forest; per-crossing maxima over vertex terms and r1-cut
-    terms realize the supremum.
+    the descendant forest, carried down the tree's depth layers; per-crossing
+    maxima over vertex terms and r1-cut terms realize the supremum.
     """
     if not 0 < r0 <= r1:
         raise GeometryError("need 0 < r0 <= r1")
-    radii = tree.radii
-    n = len(tree)
+    radii, parent = tree.radii, tree.parent
     theta = tree.edge_thetas()
-    parent = tree.parent
-    k0 = int(np.searchsorted(radii, r0, side="right"))
-    above = np.arange(k0, n)
-    rp_all = tree.parent_radii()
-    children = above[rp_all[above] <= r0]
-    t0, psi0, cross_dirs = _crossing_geometry(tree, children, r0)
+    rp = tree.parent_radii()
+    children, t0, psi0, cross_dirs = level_geometry(tree, r0)
     m = children.shape[0]
-    cross_index = np.full(n, -1, dtype=np.int64)
-    cross_index[children] = np.arange(m)
-
-    cum = np.zeros(n)
-    crossid = np.full(n, -1, dtype=np.int64)
-    parent_list = parent.tolist()
-    radii_list = radii.tolist()
-    theta_list = theta.tolist()
-    cum_l = cum.tolist()
-    crossid_l = crossid.tolist()
-    psi0_l = psi0.tolist()
-    cross_index_l = cross_index.tolist()
-    for i in range(k0, n):
-        p = parent_list[i]
-        if p == ROOT or radii_list[p] <= r0:
-            cid = cross_index_l[i]
-            crossid_l[i] = cid
-            cum_l[i] = psi0_l[cid]
-        else:
-            crossid_l[i] = crossid_l[p]
-            cum_l[i] = cum_l[p] + theta_list[i]
-    cum = np.array(cum_l)
-    crossid = np.array(crossid_l, dtype=np.int64)
+    cum = np.zeros(len(tree))
+    crossid = np.full(len(tree), -1, dtype=np.int64)
+    cum[children] = psi0
+    crossid[children] = np.arange(m)
+    # parents come a layer earlier, so each node gets cum[p] + theta[i] once
+    for layer in tree.layers():
+        deep = layer[rp[layer] > r0]
+        cum[deep] = cum[parent[deep]] + theta[deep]
+        crossid[deep] = crossid[parent[deep]]
 
     mbd_arr = np.zeros(m)
-    in_range = above[radii[above] <= r1]
-    if in_range.size:
-        np.maximum.at(mbd_arr, crossid[in_range], cum[in_range])
-    # r1-cut terms on edges spanning past r1
-    cut = above[(radii[above] > r1) & (rp_all[above] <= r1)]
-    if cut.size:
-        rc = radii[cut]
-        rp = rp_all[cut]
-        t1 = (r1 - rc) / (rp - rc)
-        th = theta[cut]
-        psi1 = np.zeros(cut.shape[0])
-        pos = th > 1e-14
-        if np.any(pos):
-            psi1[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], th[pos], t1[pos])
-        same_edge = rp <= r0
-        cfd1 = np.empty(cut.shape[0])
-        if np.any(same_edge):
-            own = cross_index[cut[same_edge]]
-            cfd1[same_edge] = np.abs(psi1[same_edge] - psi0[own])
-        other = ~same_edge
-        if np.any(other):
-            par = parent[cut[other]]
-            cfd1[other] = cum[par] + np.abs(th[other] - psi1[other])
-        np.maximum.at(mbd_arr, crossid[cut], cfd1)
+    lo, hi = np.searchsorted(radii, [r0, r1], side="right")
+    in_range = np.arange(lo, hi)
+    np.maximum.at(mbd_arr, crossid[in_range], cum[in_range])
+    # r1-cut terms on edges spanning past r1; an edge that also crosses S(r0)
+    # is its own crossing
+    cut, _, psi1 = _straddling(tree, r1)
+    cfd1 = np.where(
+        rp[cut] <= r0,
+        np.abs(psi1 - psi0[crossid[cut]]),
+        cum[parent[cut]] + np.abs(theta[cut] - psi1),
+    )
+    np.maximum.at(mbd_arr, crossid[cut], cfd1)
 
     return LevelSweep(
         r0=r0,
@@ -486,7 +471,8 @@ def validate(tree: RadialTree) -> ValidationReport:
             state[v] = 2
             v = int(parent[v])
             if v != ROOT and state[v] == 2:
-                violations.append(f"cycle through node {v}")
+                if cycles < 20:
+                    violations.append(f"cycle through node {v}")
                 cycles += 1
                 break
         for w in path:

@@ -196,6 +196,17 @@ def test_direction_single_edge_path_zero_tail(monkeypatch):
     assert rep.cells[0].estimate == 0.0
 
 
+def test_direction_picks_highest_index_deepest_node(monkeypatch):
+    tree = experiments.tree_for(SMALL.base, 0)
+    depth = [len(rst.trajectory(tree, i)) for i in range(len(tree))]
+    deepest = [i for i, k in enumerate(depth) if k == max(depth)]
+    picked = []
+    trajectory = rst.trajectory
+    monkeypatch.setattr(rst, "trajectory", lambda t, i: picked.append(i) or trajectory(t, i))
+    experiments._rep_direction(SMALL, 0)
+    assert picked == [deepest[-1]]
+
+
 def _report_bytes(report):
     return experiments.report_to_json(report), experiments.report_to_csv(report)
 

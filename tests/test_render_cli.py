@@ -1,5 +1,6 @@
 """SVG rendering geometry and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -94,6 +95,12 @@ class TestRenderSvg:
         tree = rst.build(cloud)
         with pytest.raises(GeometryError):
             render.render_svg(tree, SvgScene())
+
+    def test_component_is_trajectory_root_child(self):
+        tree = small_tree()
+        comp, hue = render._component_hues(tree)
+        assert comp.tolist() == [rst.trajectory(tree, i)[-2] for i in range(len(tree))]
+        assert sorted(hue) == tree.root_children().tolist()
 
     def test_svg_arcs_match_minor_arc(self):
         # reconstruct each emitted arc with the SVG endpoint parameterization
@@ -251,6 +258,21 @@ class TestCli:
         assert cli.main(["render", "--config", str(p), "--out", str(tmp_path)]) == 0
         svg = (tmp_path / "rst_12.svg").read_text()
         ET.fromstring(svg)
+
+    @pytest.mark.parametrize(
+        "style, digest",
+        [
+            ("geodesic-arc", "de6d9275a6388082094bd4a8dcbb13789fe87a803b731c9431ab042626c5e11c"),
+            ("star-path-polyline", "2689ede52b94487fdad2bef6d19245fe1c7b42e6f4a9d29216340ad86feef15c"),
+        ],
+    )
+    def test_render_bytes_pinned(self, tmp_path, style, digest):
+        # digests of the SVGs drawn before the subtree hues were carried by
+        # depth layers; any change to a colour or a coordinate changes them
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 6.0, "R": 2.5, "seed": 30, "edge_style": style}))
+        assert cli.main(["render", "--config", str(p), "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "rst_30.svg").read_bytes()).hexdigest() == digest
 
     def test_rst_and_dsf_commands(self, tmp_path):
         p = tmp_path / "cfg.json"

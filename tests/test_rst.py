@@ -390,6 +390,133 @@ class TestMbd:
         assert vals[2] < vals[0]
 
 
+def reference_sweep(tree, r0, r1):
+    """deviation_sweep as a per-node loop: cum and crossid are carried in
+    index order, where a parent always precedes its children (test oracle)."""
+    radii, dirs, parent = tree.radii, tree.dirs, tree.parent
+    n = len(tree)
+    theta = tree.edge_thetas()
+    k0 = int(np.searchsorted(radii, r0, side="right"))
+    above = np.arange(k0, n)
+    rp_all = tree.parent_radii()
+    children = above[rp_all[above] <= r0]
+    # crossing geometry at r0
+    rc, rp = radii[children], rp_all[children]
+    t0 = (r0 - rc) / (rp - rc)
+    th0 = theta[children]
+    psi0 = np.zeros(children.shape[0])
+    pos = th0 > 1e-14
+    if np.any(pos):
+        psi0[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], th0[pos], t0[pos])
+    u1 = dirs[children]
+    cross_dirs = u1.copy()
+    if np.any(pos):
+        th = th0[pos]
+        frac = psi0[pos] / th
+        u2 = dirs[parent[children[pos]]]
+        cross_dirs[pos] = (
+            np.sin((1.0 - frac) * th)[:, None] * u1[pos] + np.sin(frac * th)[:, None] * u2
+        ) / np.sin(th)[:, None]
+    m = children.shape[0]
+    cross_index = np.full(n, -1, dtype=np.int64)
+    cross_index[children] = np.arange(m)
+
+    parent_l, radii_l, theta_l, psi0_l = parent.tolist(), radii.tolist(), theta.tolist(), psi0.tolist()
+    cum_l = [0.0] * n
+    crossid_l = [-1] * n
+    for i in range(k0, n):
+        p = parent_l[i]
+        if p == ROOT or radii_l[p] <= r0:
+            cid = int(cross_index[i])
+            crossid_l[i] = cid
+            cum_l[i] = psi0_l[cid]
+        else:
+            crossid_l[i] = crossid_l[p]
+            cum_l[i] = cum_l[p] + theta_l[i]
+    cum = np.array(cum_l)
+    crossid = np.array(crossid_l, dtype=np.int64)
+
+    mbd = np.zeros(m)
+    in_range = above[radii[above] <= r1]
+    if in_range.size:
+        np.maximum.at(mbd, crossid[in_range], cum[in_range])
+    cut = above[(radii[above] > r1) & (rp_all[above] <= r1)]
+    if cut.size:
+        rc, rp = radii[cut], rp_all[cut]
+        t1 = (r1 - rc) / (rp - rc)
+        th = theta[cut]
+        psi1 = np.zeros(cut.shape[0])
+        pos = th > 1e-14
+        if np.any(pos):
+            psi1[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], th[pos], t1[pos])
+        same_edge = rp <= r0
+        cfd1 = np.empty(cut.shape[0])
+        if np.any(same_edge):
+            cfd1[same_edge] = np.abs(psi1[same_edge] - psi0[cross_index[cut[same_edge]]])
+        other = ~same_edge
+        if np.any(other):
+            cfd1[other] = cum[parent[cut[other]]] + np.abs(th[other] - psi1[other])
+        np.maximum.at(mbd, crossid[cut], cfd1)
+    return children, t0, psi0, cross_dirs, mbd
+
+
+def chain_tree():
+    """root <- z1 <- z2 <- z3 plus a sibling (the TestCfd chain)."""
+    return rst.build(make_cloud([1.0, 2.0, 3.0, 2.2], [0.0, 0.15, 0.05, 2.5]))
+
+
+class TestSweepOracle:
+    """deviation_sweep carries CFDs layer by layer; the per-node loop agrees bit for bit."""
+
+    @pytest.mark.parametrize(
+        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
+    )
+    def test_matches_per_node_loop(self, d, lam, R):
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        levels = [(1.5, R - 0.5), (1.0, 1.0), (1.2, R + 1.0), (0.05, 2.0), (2.0, 2.3), (R - 0.3, R)]
+        # levels through a vertex: an edge whose parent sits on S(r0) crosses it
+        mid = float(tree.radii[len(tree) // 2])
+        levels += [(mid, mid + 0.3), (mid / 2.0, mid)]
+        self._check(tree, levels)
+
+    def test_matches_per_node_loop_on_chain(self):
+        levels = [(1.5, 2.5), (0.5, 5.0), (2.5, 2.5), (2.1, 2.6), (1.5, 2.1), (2.0, 2.5), (1.0, 2.2)]
+        self._check(chain_tree(), levels)
+
+    @staticmethod
+    def _check(tree, levels):
+        radii = tree.radii
+        assert any(r1 > radii.max() for _, r1 in levels)
+        for r0, r1 in levels:
+            sweep = rst.deviation_sweep(tree, r0, r1)
+            got = (sweep.children, sweep.t, sweep.psi0, sweep.cross_dirs, sweep.mbd)
+            for a, b in zip(got, reference_sweep(tree, r0, r1)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+class TestLayers:
+    @pytest.mark.parametrize(
+        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0)], ids=["d1", "d2"]
+    )
+    def test_partition_by_depth(self, d, lam, R):
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        layers = tree.layers()
+        assert np.array_equal(layers[0], tree.root_children())
+        assert np.array_equal(np.sort(np.concatenate(layers)), np.arange(len(tree)))
+        for prev, layer in zip(layers, layers[1:]):
+            assert np.all(np.isin(tree.parent[layer], prev))
+        for layer in layers:
+            assert layer.dtype == np.int64 and np.all(np.diff(layer) > 0)
+        assert tree.layers() is layers
+
+    def test_chain_and_empty_tree(self):
+        tree = chain_tree()
+        assert [layer.tolist() for layer in tree.layers()] == [[0, 2], [1], [3]]
+        cloud = PointCloud(CloudConfig(d=1, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 2)))
+        assert rst.build(cloud).layers() == []
+
+
 class TestScalarPath:
     """The scalar level API (math on the tree's lists) against the array path."""
 
@@ -476,6 +603,11 @@ class TestValidate:
         assert sum("parent radius" in v for v in report.violations) == 20
         assert report.counts["bplus"] > 20
         assert sum("inside B+" in v for v in report.violations) == 20
+        cyclic = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
+        cyclic.parent[:100] = np.arange(100)
+        report = rst.validate(cyclic)
+        assert report.counts["cycle"] == 100
+        assert sum("cycle through node" in v for v in report.violations) == 20
 
     def test_bplus_empty_brute_scan(self):
         cloud = sampler.sample_ball(CloudConfig(d=1, lam=14.0, R=3.5, seed=16))
