@@ -151,7 +151,7 @@ def _pair_dist(radii, dirs):
     """pair_dist(i, j): distances between points i and j, index arrays broadcast.
 
     Columns are summed one at a time, in order, so that a pair gets the same
-    bits in the k-d search and in the block scan.
+    bits in the k-d search, in `validate` and in the test oracles.
     """
     cols = np.ascontiguousarray(dirs.T)
     sh = np.sinh(radii)
@@ -446,9 +446,137 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
 # validation and planarity
 
 
+_BANDS = 8  # equal-count radius bands of the empty-B+ check
+_PAIRS = 2**16  # candidate pairs taken at once, which bounds memory
+# Ball radii grow by _REL relative plus _REL per unit of radius, direction
+# coordinates by _ABS: rounding then costs extra candidates, never a missed one.
+_REL = 1e-9
+_ABS = 64 * np.finfo(float).eps
+
+
+def _direction_index(u: np.ndarray):
+    """Directions of one band, sorted: u is the angle at d=1, sorted with the
+    circle twice so that a window past pi is one range; at d >= 2 the unit
+    vectors, sorted by (cell of u1, rank of u0) beside the sorted u0."""
+    if u.ndim == 1:
+        order = np.argsort(u, kind="stable")
+        return np.concatenate([u[order], u[order] + 2.0 * math.pi]), np.concatenate([order, order])
+    m = u.shape[0]
+    cells = max(1, int(math.sqrt(m)))
+    cell = np.clip(((u[:, 1] + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
+    by_u0 = np.argsort(u[:, 0], kind="stable")
+    rank = np.empty(m, dtype=np.int64)
+    rank[by_u0] = np.arange(m)
+    key = cell * m + rank
+    order = np.argsort(key)
+    return key[order], order, u[by_u0, 0], cells
+
+
+def _band_ranges(index, u: np.ndarray, chord: np.ndarray):
+    """(query, lo, hi): ranges of the sorted band holding every direction that
+    differs from query direction u[query] by at most chord in each coordinate
+    (in the angle at d=1); grouped by query, ascending."""
+    if u.ndim == 1:
+        ext, pos = index
+        theta = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0)) + _ABS
+        start = u - theta
+        start = np.where(start < -math.pi, start + 2.0 * math.pi, start)
+        lo = np.searchsorted(ext, start, side="left")
+        hi = np.searchsorted(ext, start + 2.0 * theta, side="right")
+        whole = theta >= math.pi
+        lo[whole], hi[whole] = 0, pos.shape[0] // 2
+        return np.arange(u.shape[0]), lo, hi
+    keys, pos, u0s, cells = index
+    m = pos.shape[0]
+    c_lo = np.clip(((u[:, 1] - chord + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
+    c_hi = np.clip(((u[:, 1] + chord + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
+    r_lo = np.searchsorted(u0s, u[:, 0] - chord, side="left")
+    r_hi = np.searchsorted(u0s, u[:, 0] + chord, side="right")
+    k = np.repeat(np.arange(u.shape[0]), c_hi - c_lo + 1)
+    cell = search.concat_ranges(c_lo, c_hi + 1)
+    lo = np.searchsorted(keys, cell * m + r_lo[k], side="left")
+    hi = np.searchsorted(keys, cell * m + r_hi[k], side="left")
+    return k, lo, hi
+
+
+def _merge_nearest(parent, pdist, qi, j, d):
+    """Per query (grouped in qi) the nearest candidate j, lowest index among
+    equals, taken where it beats the best so far: by distance, then by index,
+    and over the root at equal distance."""
+    n = parent.shape[0]
+    starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+    best = np.minimum.reduceat(d, starts)
+    tied = d == np.repeat(best, np.diff(np.r_[starts, qi.size]))
+    j = np.minimum.reduceat(np.where(tied, j, n), starts)
+    q = qi[starts]
+    old = parent[q]
+    take = (best < pdist[q]) | ((best == pdist[q]) & ((old == ROOT) | (j < old)))
+    parent[q[take]] = j[take]
+    pdist[q[take]] = best[take]
+
+
+def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
+    """Nearest point of strictly smaller radius to each point i, or the root
+    (-1) at distance r_i, among the points of the closed ball B(z_i, rho_i)
+    for rho_i <= r_i, and maybe a few more.
+
+    Where the nearest lower point lies in that ball, this is exactly the
+    nearest one, with the builders' tie rule: lowest distance, then lowest
+    index, and a point beats the root at equal distance. Elsewhere the
+    distance returned is no smaller than the nearest one's.
+
+    Points are split into equal-count radius bands; a query visits the bands
+    that meet [r_i - rho_i, r_i). Within a band, by the hyperbolic law of
+    cosines, a point at distance <= rho has a chord |u_i - u_j| with
+    |u_i - u_j|^2 <= 2 (cosh rho - cosh(r_i - r_j)) / (sinh r_i sinh r_j),
+    largest at cosh r* = cosh r_i / cosh rho, clamped into the band.
+    """
+    n = radii.shape[0]
+    parent = np.full(n, ROOT, dtype=np.int64)
+    pdist = np.array(radii, dtype=float)
+    if n == 0:
+        return parent, pdist
+    u = np.arctan2(dirs[:, 1], dirs[:, 0]) if dirs.shape[1] == 2 else dirs
+    his = np.searchsorted(radii, radii, side="left")
+    reach = rho * (1.0 + _REL) + _REL * radii
+    lows = np.searchsorted(radii, radii - reach, side="left")
+    sh = np.sinh(radii)
+    r_star = np.arccosh(np.maximum(np.cosh(radii) / np.cosh(reach), 1.0))
+    edges = np.unique(np.linspace(0, n, _BANDS + 1).round().astype(np.int64))
+    for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
+        q = np.flatnonzero((lows < b) & (his > a) & (lows < his))
+        if q.size == 0:
+            continue
+        ri, rq = radii[q], reach[q]
+        rj = np.minimum(np.maximum(r_star[q], np.maximum(radii[a], ri - rq)), np.minimum(radii[b - 1], ri))
+        gap = ri - rj
+        # cosh rq - cosh gap, without cancellation
+        num = 2.0 * np.sinh((rq + gap) / 2.0) * np.sinh(np.maximum(rq - gap, 0.0) / 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            chord2 = np.where(rj > 0.0, 2.0 * num / (sh[q] * np.sinh(rj)), np.inf)
+        chord = np.sqrt(chord2) * (1.0 + _REL) + _ABS
+        index = _direction_index(u[a:b])
+        k, lo, hi = _band_ranges(index, u[q], chord)
+        # at most about _PAIRS candidates at once; a query's ranges may span
+        # two pieces, since each piece is merged into the best so far
+        ends = np.cumsum(hi - lo)
+        cuts = np.searchsorted(ends, np.arange(_PAIRS, int(ends[-1]), _PAIRS), side="left")
+        for c, e in zip([0, *cuts.tolist()], [*cuts.tolist(), k.size]):
+            qi = q[np.repeat(k[c:e], hi[c:e] - lo[c:e])]
+            j = index[1][search.concat_ranges(lo[c:e], hi[c:e])] + a
+            keep = (j >= lows[qi]) & (j < his[qi])
+            qi, j = qi[keep], j[keep]
+            if qi.size:
+                _merge_nearest(parent, pdist, qi, j, pair_dist(qi, j))
+    return parent, pdist
+
+
 def validate(tree: RadialTree) -> ValidationReport:
     """Check radial monotonicity, connectivity, acyclicity, the defining
     empty-B+ property of every parent link, and finite degrees."""
+    # a fresh view, so that parent radii, children and layers are derived
+    # from the parent array as it is now, not from caches of an earlier one
+    tree = RadialTree(tree.cloud, tree.parent, tree.parent_dist)
     violations = []
     n = len(tree)
     radii, dirs = tree.radii, tree.dirs
@@ -460,10 +588,13 @@ def validate(tree: RadialTree) -> ValidationReport:
     frontier = int(np.count_nonzero(parent == search.FRONTIER))
     if frontier:
         violations.append("tree contains frontier markers")
-    # connectivity to the root without cycles
-    state = np.zeros(n, dtype=np.int8)  # 0 unknown, 1 reaches root
+    # connectivity to the root without cycles: the depth layers are exactly
+    # the nodes that reach it, so only the others are walked
+    state = np.zeros(n, dtype=np.int8)  # 0 unknown, 1 reaches root or walked
+    for layer in tree.layers():
+        state[layer] = 1
     cycles = 0
-    for i in range(n):
+    for i in np.flatnonzero(state == 0).tolist():
         path = []
         v = i
         while v != ROOT and state[v] == 0:
@@ -482,8 +613,9 @@ def validate(tree: RadialTree) -> ValidationReport:
     true_dist = np.array(radii, dtype=float)
     has_parent = np.flatnonzero(parent >= 0)
     true_dist[has_parent] = pair_dist(has_parent, parent[has_parent])
-    # the block scan, not the k-d search that built the tree
-    check_parent, check_dist = search.nearest_lower_scan(radii, pair_dist, root_dist=radii)
+    # a polar band scan, not the k-d search that built the tree; a nearer
+    # point than the claimed parent (or the root) lies in B(z, min(d, r))
+    check_parent, check_dist = _nearest_lower_in_balls(radii, dirs, pair_dist, np.minimum(true_dist, radii))
     worse = np.nonzero(check_dist < true_dist - 1e-12)[0]
     for i in worse[:20]:
         violations.append(

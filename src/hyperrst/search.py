@@ -3,12 +3,12 @@
 Points are sorted by a key (distance to the tree origin, or minus the log
 ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
-over a Euclidean chart of the model (Bentley, CACM 1975); `nearest_lower_scan`
-is an independent block scan, pruned by d(z, z') >= |key(z) - key(z')|, that
-checks built trees.
+over a Euclidean chart of the model (Bentley, CACM 1975);
+`nearest_lower_brute` is the O(n^2) oracle over a distance matrix.
 
 Both apply one tie rule: lowest distance, then lowest candidate index, and a
-point beats the root at equal distance.
+point beats the root at equal distance. `rst.validate` checks built trees
+with a polar band scan of its own.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ _CHUNK = 2048  # points per k-d query, which bounds the candidate lists held at 
 # extra candidates, never a missed one.
 _REL = 1e-9
 _ULPS = 64 * np.finfo(float).eps
-
-_BLOCK = 128
-_BATCH = 128
 
 
 def _start(n: int, root_dist):
@@ -120,44 +117,6 @@ def _take_nearest(parent, pdist, qi, cand, his, pair_dist):
     take = best <= pdist[q]
     parent[q[take]] = j[take]
     pdist[q[take]] = best[take]
-
-
-def nearest_lower_scan(keys: np.ndarray, pair_dist, root_dist=None):
-    """The result of `nearest_lower` by a block scan over keys, for checking.
-
-    Runs of _BATCH consecutive points scan the candidate blocks together, from
-    high index to low; a point drops out once every candidate left below the
-    block has a key under keys[i] - best, widened by a rounding slack because
-    a computed distance can fall ulps below the computed key gap.
-    """
-    n = keys.shape[0]
-    parent, pdist = _start(n, root_dist)
-    his = np.searchsorted(keys, keys, side="left")
-    for a in range(0, n, _BATCH):
-        rows = np.arange(a, min(a + _BATCH, n))
-        top = int(his[rows[-1]])
-        while top > 0 and rows.size:
-            lo_blk = max(0, top - _BLOCK)
-            dist = pair_dist(rows[:, None], np.arange(lo_blk, top))
-            # each row's candidates are a prefix of the block: index < his[i]
-            cut = his[rows] - lo_blk
-            if cut.min() < top - lo_blk:
-                dist[np.arange(top - lo_blk) >= cut[:, None]] = np.inf
-            k = np.argmin(dist, axis=1)
-            dk = dist[np.arange(rows.size), k]
-            # blocks run from high to low index, so <= leaves the lowest index
-            take = (cut > 0) & (dk <= pdist[rows])
-            parent[rows[take]] = lo_blk + k[take]
-            pdist[rows[take]] = dk[take]
-            best = pdist[rows]
-            lo = np.zeros(rows.size, dtype=np.int64)
-            fin = np.isfinite(best)
-            kr = keys[rows[fin]]
-            reach = best[fin] * (1.0 + _REL) + _REL * np.abs(kr)
-            lo[fin] = np.searchsorted(keys, kr - reach, side="left")
-            rows = rows[lo < lo_blk]
-            top = lo_blk
-    return parent, pdist
 
 
 def nearest_lower_brute(keys: np.ndarray, dist_matrix: np.ndarray, root_dist=None):

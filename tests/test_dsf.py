@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hyperrst import dsf, hgeom, rst, sampler, search
+from hyperrst import dsf, hgeom, rst, sampler
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
 from hyperrst.hgeom import GeometryError, HalfPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
+from oracles import nearest_lower_scan
 
 WINDOW = HalfWindow(half_width=4.0, y_min=0.05, y_max=4.0)
 
@@ -20,7 +21,7 @@ def half_cloud(seed, lam=5.0, d=1, w=WINDOW, replica=0):
 def scan_parents(forest, keys, root_dist=None):
     """Parents and parent distances from the block scan, in the forest's order."""
     pair_dist = dsf._pair_dist(forest.x, forest.y)
-    return search.nearest_lower_scan(keys, pair_dist, root_dist)
+    return nearest_lower_scan(keys, pair_dist, root_dist)
 
 
 def capped_clusters(seed=0):

@@ -1,6 +1,8 @@
 """Tree construction oracles, level machinery, CFD/MBD, validation, planarity."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hyperrst import hgeom, rst, sampler, search
 from hyperrst.hgeom import Direction, GeometryError, PolarPoint, polar
 from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
+from oracles import nearest_lower_scan, validate_reference
 
 
 def make_cloud(radii, angles, d=1, lam=1.0, R=None, seed=0):
@@ -28,9 +31,9 @@ def sample_tree(seed, lam=10.0, R=3.5, d=1):
 
 
 def scan_parents(cloud):
-    """Parents and parent distances from the block scan that rst.validate uses."""
+    """Parents and parent distances from the block scan oracle."""
     pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
-    return search.nearest_lower_scan(cloud.radii, pair_dist, root_dist=cloud.radii)
+    return nearest_lower_scan(cloud.radii, pair_dist, root_dist=cloud.radii)
 
 
 def mirror_cloud(pairs=40, seed=0):
@@ -95,7 +98,7 @@ class TestBuild:
         j = np.arange(n)
         dist = 1.0 + (j[:, None] + j[None, :]) % 3
         for root_dist in (None, np.ones(n)):
-            parent, pdist = search.nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
+            parent, pdist = nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
             want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
@@ -109,7 +112,7 @@ class TestBuild:
         dist[-1, 250] = 0.5
         dist[-1, 170] = np.nextafter(keys[-1] - keys[170], 0.0)
         for root_dist in (None, np.ones(n)):
-            parent, pdist = search.nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
+            parent, pdist = nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
             want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
             assert want_parent[-1] == 170
             assert np.array_equal(parent, want_parent)
@@ -132,7 +135,7 @@ class TestBuild:
             want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
-            scan_parent, scan_dist = search.nearest_lower_scan(keys, l1, root_dist)
+            scan_parent, scan_dist = nearest_lower_scan(keys, l1, root_dist)
             assert np.array_equal(parent, scan_parent)
             assert np.array_equal(pdist, scan_dist)
 
@@ -570,6 +573,36 @@ class TestScalarPath:
             assert type(rst._crossing_on_edge(tree, c.edge_child, 2.0).t) is float
 
 
+def scrambled(tree, seed, frac=0.05):
+    """The tree with a share of its parents moved to random targets: the
+    root, a lower or higher point, or the node itself."""
+    rng = np.random.default_rng(seed)
+    n = len(tree)
+    parent = tree.parent.copy()
+    rows = rng.choice(n, size=max(1, int(frac * n)), replace=False)
+    parent[rows] = rng.integers(-1, n, size=rows.size)
+    return rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy())
+
+
+def pinned_tree(name):
+    """The corrupted trees whose validate reports tests/data pins."""
+    if name == "rerouted_d2":
+        tree = sample_tree(4, lam=1.0, R=3.5, d=2)
+        parent = tree.parent.copy()
+        rows = np.arange(10, len(tree), 50)
+        parent[rows] = rows // 2
+    else:
+        tree = sample_tree(15)
+        parent = tree.parent.copy()
+        if name == "radius25":
+            parent[:25] = len(tree) - 1
+        else:
+            # 100 self-parented nodes, and a tail 300 -> 301 into the cycle 302 -> 303 -> 304
+            parent[:100] = np.arange(100)
+            parent[300:305] = [301, 302, 303, 304, 302]
+    return rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy())
+
+
 class TestValidate:
     def test_built_tree_clean(self):
         tree = sample_tree(15)
@@ -622,6 +655,214 @@ class TestValidate:
                 if j != i and hgeom.bplus_region_test(z, rho - 1e-12, cloud.point(j))
             ]
             assert inside == []
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            mirror_cloud,
+            lambda: sampler.sample_ball(CloudConfig(d=1, lam=10.0, R=3.5, seed=15)),
+            lambda: sampler.sample_ball(CloudConfig(d=2, lam=1.5, R=2.5, seed=1)),
+            lambda: sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=2.6, seed=2)),
+            lambda: sampler.sample_ball(CloudConfig(d=2, lam=1e-5, R=9.0, seed=0)),
+            lambda: sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=3.5, seed=0)),
+        ],
+        ids=["mirror", "d1", "d2", "d3", "d2_R9", "d3_n9k"],
+    )
+    def test_band_check_matches_scan_oracle(self, make):
+        tree = rst.build(make())
+        trees = [tree, scrambled(tree, seed=1)]
+        for t in trees:
+            radii, dirs, parent = t.radii, t.dirs, t.parent
+            pair_dist = rst._pair_dist(radii, dirs)
+            true_dist = np.array(radii, dtype=float)
+            has = np.flatnonzero(parent >= 0)
+            true_dist[has] = pair_dist(has, parent[has])
+            rho = np.minimum(true_dist, radii)
+            got_parent, got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, rho)
+            want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
+            # exact wherever the nearest lower point is in the ball, never nearer
+            inside = want_dist <= rho
+            assert np.array_equal(got_parent[inside], want_parent[inside])
+            assert np.array_equal(got_dist[inside], want_dist[inside])
+            assert np.all(got_dist >= want_dist)
+            report = rst.validate(t)
+            assert (report.violations, report.counts, report.max_degree) == validate_reference(t)
+        assert rst.validate(trees[0]).ok
+        assert not rst.validate(trees[1]).ok
+
+    @pytest.mark.parametrize("d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 2.5), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"])
+    def test_second_nearest_parent_caught(self, d, lam, R):
+        tree = sample_tree(5, lam=lam, R=R, d=d)
+        radii = tree.radii
+        pair_dist = rst._pair_dist(radii, tree.dirs)
+        n = len(tree)
+        moved = 0
+        for i in range(n - 1, 0, -max(1, n // 12)):
+            lower = np.flatnonzero(radii < radii[i])
+            cand = np.append(lower, ROOT)
+            dist = np.append(pair_dist(np.full(lower.size, i), lower), radii[i])
+            order = np.argsort(dist, kind="stable")
+            (first, second), (d1, d2) = cand[order[:2]], dist[order[:2]]
+            if not d2 > d1 + 1e-12:
+                continue
+            assert tree.parent[i] == first
+            bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
+            bad.parent[i] = second
+            report = rst.validate(bad)
+            assert report.counts == {"radius": 0, "frontier": 0, "cycle": 0, "bplus": 1}
+            assert report.violations == [f"node {i}: point {first} at {d1} inside B+(z, {d2})"]
+            moved += 1
+        assert moved >= 8
+
+    @staticmethod
+    def _one_ulp_inside(rng, place, precondition):
+        """Clouds of a lower point w (index 0) and a point z (index 1) with
+        d(z, w) one ulp under the ball radius rho, where an unpadded bound
+        would drop w: the band check still finds w."""
+        found = 0
+        for _ in range(20000):
+            cloud = place(rng)
+            pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+            d = pair_dist(np.array([1]), np.array([0]))[0]
+            rho = np.nextafter(d, np.inf)
+            if not precondition(cloud, rho):
+                continue
+            parent, pdist = rst._nearest_lower_in_balls(cloud.radii, cloud.dirs, pair_dist, np.array([0.0, rho]))
+            assert parent[1] == 0
+            assert pdist[1] == d
+            found += 1
+            if found == 10:
+                return
+        pytest.fail(f"only {found} edge cases found")
+
+    def test_one_ulp_inside_at_radius_window_edge(self):
+        # z on the ray of w, so that d(z, w) is the radius gap up to rounding;
+        # where rounding puts it below the gap, r_z - rho falls above r_w
+        def place(rng):
+            rw = rng.uniform(0.01, 0.3)
+            return make_cloud([rw, rw + rng.uniform(0.5, 5.0)], [0.7, 0.7])
+
+        def precondition(cloud, rho):
+            return np.searchsorted(cloud.radii, cloud.radii[1] - rho, side="left") > 0
+
+        self._one_ulp_inside(np.random.default_rng(3), place, precondition)
+
+    @staticmethod
+    def _unpadded_chord(cloud, rho):
+        rw, rz = cloud.radii
+        return math.sqrt(2.0 * (math.cosh(rho) - math.cosh(rz - rw)) / (math.sinh(rz) * math.sinh(rw)))
+
+    def test_one_ulp_inside_at_angle_edge_d1(self):
+        def place(rng):
+            rw = rng.uniform(0.5, 3.0)
+            return make_cloud([rw, rw + rng.uniform(0.01, 1.0)], [rng.uniform(0.001, 0.5), 0.0])
+
+        def precondition(cloud, rho):
+            theta = 2.0 * math.asin(min(1.0, self._unpadded_chord(cloud, rho) / 2.0))
+            return theta < math.atan2(cloud.dirs[0, 1], cloud.dirs[0, 0])
+
+        self._one_ulp_inside(np.random.default_rng(4), place, precondition)
+
+    def test_one_ulp_inside_at_angle_edge_d2(self):
+        # w and z differ in u0 alone, so the u0 slab is as tight as the chord
+        def place(rng):
+            rw = rng.uniform(0.5, 3.0)
+            h = rng.uniform(0.001, 0.25)
+            dirs = np.array([[math.sin(h), 0.0, math.cos(h)], [-math.sin(h), 0.0, math.cos(h)]])
+            return PointCloud(CloudConfig(d=2, lam=1.0, R=4.0, seed=0), np.array([rw, rw + rng.uniform(0.01, 1.0)]), dirs)
+
+        def precondition(cloud, rho):
+            return self._unpadded_chord(cloud, rho) < cloud.dirs[0, 0] - cloud.dirs[1, 0]
+
+        self._one_ulp_inside(np.random.default_rng(5), place, precondition)
+
+    def test_one_ulp_inside_at_angle_edge_far_out(self):
+        # near r = 30 the allowed angle is ~1e-13, below the rounding of
+        # atan2 and of the unit vectors: the relative padding alone drops w
+        def place(rng):
+            rw, a0 = rng.uniform(25.0, 30.0), rng.uniform(1.0, 3.0)
+            return make_cloud([rw, rw + rng.uniform(0.01, 1.0)], [a0 + rng.uniform(1e-15, 1e-12), a0])
+
+        def precondition(cloud, rho):
+            (rw, rz), (w, z) = cloud.radii, cloud.dirs
+            reach = rho * (1.0 + rst._REL) + rst._REL * rz
+            cosh_gap = 2.0 * math.sinh((reach + rz - rw) / 2.0) * math.sinh((reach - rz + rw) / 2.0)
+            chord = math.sqrt(2.0 * cosh_gap / (math.sinh(rz) * math.sinh(rw))) * (1.0 + rst._REL)
+            theta = 2.0 * math.asin(min(1.0, chord / 2.0))
+            start = math.atan2(z[1], z[0]) - theta
+            return not start <= math.atan2(w[1], w[0]) <= start + 2.0 * theta
+
+        self._one_ulp_inside(np.random.default_rng(6), place, precondition)
+
+    def test_ties_across_bands_and_with_the_root(self):
+        # few points, so each is its own radius band: the mirror pair
+        # (1, +-0.3) ties for the axis point across two bands
+        clouds = [make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0])]
+        # a lower point at exactly the root distance r_z, by bisecting its angle
+        for rz in np.linspace(1.2, 3.0, 10):
+            lo, hi = 0.0, math.pi
+            for _ in range(100):
+                mid = (lo + hi) / 2.0
+                cloud = make_cloud([1.0, rz], [mid, 0.0])
+                d = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([1]), np.array([0]))[0]
+                lo, hi = (mid, hi) if d < rz else (lo, mid)
+            cloud = make_cloud([1.0, rz], [np.nextafter(lo, np.inf), 0.0])
+            if rst._pair_dist(cloud.radii, cloud.dirs)(np.array([1]), np.array([0]))[0] == rz:
+                clouds.append(cloud)
+                break
+        assert len(clouds) == 2
+        for cloud in clouds:
+            radii = cloud.radii
+            pair_dist = rst._pair_dist(radii, cloud.dirs)
+            want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
+            assert want_parent[-1] == 0
+            got_parent, got_dist = rst._nearest_lower_in_balls(radii, cloud.dirs, pair_dist, radii.copy())
+            assert np.array_equal(got_parent, want_parent)
+            assert np.array_equal(got_dist, want_dist)
+
+    def test_parent_edited_in_place_after_caching(self):
+        tree = sample_tree(15)
+        rst.deviation_sweep(tree, 1.5, 3.0)  # fills the parent-radius, children and layer caches
+        tree.parent[300:303] = [301, 302, 300]
+        report = rst.validate(tree)
+        fresh = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist)
+        assert (report.violations, report.counts, report.max_degree) == validate_reference(fresh)
+        assert report.counts["cycle"] == 1
+        assert report.counts["radius"] == 2
+
+    def test_empty_and_single_point_trees(self):
+        empty = PointCloud(CloudConfig(d=2, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 3)))
+        for cloud in (empty, make_cloud([1.0], [0.3])):
+            report = rst.validate(rst.build(cloud))
+            assert report.ok
+            assert report.counts == {"radius": 0, "frontier": 0, "cycle": 0, "bplus": 0}
+            assert report.max_degree == 0
+
+    def test_independent_of_the_kd_search(self, monkeypatch):
+        import scipy.spatial
+
+        trees = [sample_tree(15), sample_tree(3, lam=1.5, R=2.5, d=2)]
+        trees += [scrambled(t, seed=2) for t in trees]
+        want = [rst.validate(t) for t in trees]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate used the k-d search")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", refuse)
+        monkeypatch.setattr(search, "cKDTree", refuse)
+        monkeypatch.setattr(search, "nearest_lower", refuse)
+        for t, w in zip(trees, want):
+            fresh = rst.RadialTree(t.cloud, t.parent.copy(), t.parent_dist.copy())
+            report = rst.validate(fresh)
+            assert (report.violations, report.counts, report.max_degree) == (w.violations, w.counts, w.max_degree)
+
+    @pytest.mark.parametrize("name", ["radius25", "cycles", "rerouted_d2"])
+    def test_reports_pinned(self, name):
+        # recorded from the key-pruned block scan and the per-node cycle walk
+        pins = json.loads((Path(__file__).parent / "data" / "validate_pins.json").read_text())
+        report = rst.validate(pinned_tree(name))
+        got = {"violations": report.violations, "counts": report.counts, "max_degree": report.max_degree}
+        assert got == pins[name]
 
 
 class TestPlanarity:
