@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hgeom, search
-from .hgeom import Direction, GeometryError, PolarPoint
+from .hgeom import GeometryError
 from .sampler import PointCloud
 from .search import ROOT
 
@@ -44,6 +44,12 @@ class RadialTree:
     _edge_theta: np.ndarray | None = field(default=None, repr=False)
     _lists: TreeLists | None = field(default=None, repr=False)
     _layers: list | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # the caches below are derived from these arrays: an in-place edit
+        # raises ValueError instead of leaving them stale
+        self.parent.setflags(write=False)
+        self.parent_dist.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.cloud)
@@ -118,14 +124,12 @@ class RadialTree:
         return self._layers
 
 
-@dataclass(frozen=True, eq=False)
-class LevelCrossing:
-    """Crossing of an edge with the sphere S(level), as the pair (edge, t)."""
+class LevelCrossing(NamedTuple):
+    """Crossing of the edge (edge_child, parent) with the sphere S(level); its
+    parameter t, angle psi and direction are a row of level_geometry."""
 
     edge_child: int
-    t: float
     level: float
-    point: PolarPoint
 
 
 @dataclass(eq=False)
@@ -210,29 +214,32 @@ def brute_force_parents(cloud: PointCloud) -> np.ndarray:
 # levels and trajectories
 
 
-def _straddling(tree: RadialTree, r: float):
-    """Edges with parent radius <= r < child radius, by ascending child index,
-    with the crossing parameter t and the angle psi of the crossing from the
-    child direction."""
-    radii = tree.radii
-    rp_all = tree.parent_radii()
-    above = np.arange(int(np.searchsorted(radii, r, side="right")), len(tree))
-    children = above[rp_all[above] <= r]
-    rc, rp = radii[children], rp_all[children]
+def _straddling(tree: RadialTree, r: float) -> np.ndarray:
+    """Edges with parent radius <= r < child radius, by ascending child index."""
+    above = np.arange(int(np.searchsorted(tree.radii, r, side="right")), len(tree))
+    return above[tree.parent_radii()[above] <= r]
+
+
+def _crossing_psi(tree: RadialTree, children: np.ndarray, r: float):
+    """(t, psi) of the edges' crossings with S(r): the crossing parameter and
+    the angle of the crossing from the child direction."""
+    rc, rp = tree.radii[children], tree.parent_radii()[children]
     t = (r - rc) / (rp - rc)
     theta = tree.edge_thetas()[children]
     psi = np.zeros(children.shape[0])
     pos = theta > 1e-14
     psi[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], theta[pos], t[pos])
-    return children, t, psi
+    return t, psi
 
 
 def level_geometry(tree: RadialTree, r: float):
     """(children, t, psi, dirs) of the edges straddling S(r), by ascending
-    child index; dirs are the crossing directions."""
+    child index; dirs are the crossing directions. A LevelCrossing
+    (edge_child, level) has its geometry in the row of edge_child here."""
     if not r > 0:
         raise GeometryError("level radius must be > 0")
-    children, t, psi = _straddling(tree, r)
+    children = _straddling(tree, r)
+    t, psi = _crossing_psi(tree, children, r)
     theta = tree.edge_thetas()[children]
     dirs = tree.dirs[children]
     pos = theta > 1e-14
@@ -247,11 +254,9 @@ def level_geometry(tree: RadialTree, r: float):
 
 def level_crossings(tree: RadialTree, r: float) -> list[LevelCrossing]:
     """One crossing per edge straddling S(r), multiplicity given by edges."""
-    children, t, _, dirs = level_geometry(tree, r)
-    return [
-        LevelCrossing(int(c), float(t[k]), r, PolarPoint(r, Direction(dirs[k])))
-        for k, c in enumerate(children)
-    ]
+    if not r > 0:
+        raise GeometryError("level radius must be > 0")
+    return [LevelCrossing(c, r) for c in _straddling(tree, r).tolist()]
 
 
 def trajectory(tree: RadialTree, i: int) -> list[int]:
@@ -265,18 +270,6 @@ def trajectory(tree: RadialTree, i: int) -> list[int]:
     return path
 
 
-def _crossing_on_edge(tree: RadialTree, child: int, r: float) -> LevelCrossing:
-    """The crossing of edge child with S(r): level_geometry for one edge, in math."""
-    lists = tree.lists()
-    rc, rp, theta = lists.radii[child], lists.parent_radii[child], lists.theta[child]
-    t = float((r - rc) / (rp - rc))
-    u = tree.dirs[child]
-    if theta > 1e-14:
-        frac = hgeom.star_psi(rc, rp, theta, t) / theta
-        u = hgeom.slerp(u, tree.dirs[lists.parent[child]], theta, frac)
-    return LevelCrossing(int(child), t, r, PolarPoint(r, Direction(u)))
-
-
 def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCrossing:
     """Unique crossing of the trajectory through c with the sphere S(r), r <= level."""
     if r > c.level:
@@ -285,7 +278,7 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
         raise GeometryError("ancestor level must be > 0")
     if r == c.level:
         return c
-    return _crossing_on_edge(tree, _edge_at_level(tree, c.edge_child, r), r)
+    return LevelCrossing(_edge_at_level(tree, c.edge_child, r), r)
 
 
 def _edge_at_level(tree: RadialTree, v: int, r: float) -> int:
@@ -310,7 +303,7 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
         else:
             stack.extend(tree.children_of(w).tolist())
     out.sort()
-    return [_crossing_on_edge(tree, w, r_prime) for w in out]
+    return [LevelCrossing(w, r_prime) for w in out]
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +380,6 @@ class LevelSweep:
     r0: float
     r1: float
     children: np.ndarray      # child index of each straddling edge, ascending
-    t: np.ndarray
-    psi0: np.ndarray
     cross_dirs: np.ndarray    # (m, d+1) crossing directions
     mbd: np.ndarray           # per-crossing MBD over [r0, r1]
 
@@ -405,7 +396,7 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     radii, parent = tree.radii, tree.parent
     theta = tree.edge_thetas()
     rp = tree.parent_radii()
-    children, t0, psi0, cross_dirs = level_geometry(tree, r0)
+    children, _, psi0, cross_dirs = level_geometry(tree, r0)
     m = children.shape[0]
     cum = np.zeros(len(tree))
     crossid = np.full(len(tree), -1, dtype=np.int64)
@@ -423,7 +414,8 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     np.maximum.at(mbd_arr, crossid[in_range], cum[in_range])
     # r1-cut terms on edges spanning past r1; an edge that also crosses S(r0)
     # is its own crossing
-    cut, _, psi1 = _straddling(tree, r1)
+    cut = _straddling(tree, r1)
+    _, psi1 = _crossing_psi(tree, cut, r1)
     cfd1 = np.where(
         rp[cut] <= r0,
         np.abs(psi1 - psi0[crossid[cut]]),
@@ -431,15 +423,7 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     )
     np.maximum.at(mbd_arr, crossid[cut], cfd1)
 
-    return LevelSweep(
-        r0=r0,
-        r1=r1,
-        children=children,
-        t=t0,
-        psi0=psi0,
-        cross_dirs=cross_dirs,
-        mbd=mbd_arr,
-    )
+    return LevelSweep(r0=r0, r1=r1, children=children, cross_dirs=cross_dirs, mbd=mbd_arr)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hyperrst import hgeom, rst, sampler, search
-from hyperrst.hgeom import Direction, GeometryError, PolarPoint, polar
+from hyperrst.hgeom import GeometryError
 from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
 from oracles import nearest_lower_scan, validate_reference
@@ -180,18 +180,30 @@ class TestLevelCrossings:
             expected = int(np.sum((rp <= r) & (tree.radii > r)))
             assert len(rst.level_crossings(tree, float(r))) == expected
 
-    def test_crossing_point_consistency(self):
-        tree = sample_tree(4)
+    def test_rejects_nonpositive_level(self):
+        tree = sample_tree(2)
+        for r in (0.0, -1.0):
+            with pytest.raises(GeometryError):
+                rst.level_crossings(tree, r)
+
+    @pytest.mark.parametrize(
+        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
+    )
+    def test_crossing_point_consistency(self, d, lam, R):
+        # level_geometry's t and directions against the star path evaluated
+        # one point at a time
+        tree = sample_tree(4, lam=lam, R=R, d=d)
         r = 1.7
-        for c in rst.level_crossings(tree, r):
-            assert c.point.r == pytest.approx(r, abs=1e-12)
-            child = tree.cloud.point(c.edge_child)
-            p = tree.parent[c.edge_child]
-            par = tree.cloud.point(int(p)) if p != ROOT else hgeom.origin_point(2)
-            path = hgeom.StarPath(child, par)
-            z = hgeom.star_eval(path, c.t)
+        children, t, _, dirs = rst.level_geometry(tree, r)
+        assert children.size
+        assert [c.edge_child for c in rst.level_crossings(tree, r)] == children.tolist()
+        for k, i in enumerate(children.tolist()):
+            p = tree.parent[i]
+            par = tree.cloud.point(int(p)) if p != ROOT else hgeom.origin_point(d + 1)
+            path = hgeom.StarPath(tree.cloud.point(i), par)
+            z = hgeom.star_eval(path, float(t[k]))
             assert z.r == pytest.approx(r, abs=1e-12)
-            assert np.allclose(z.u.components, c.point.u.components, atol=1e-9)
+            assert np.max(np.abs(z.u.components - dirs[k])) <= 1e-9
 
 
 class TestAncestors:
@@ -211,8 +223,7 @@ class TestAncestors:
         for c in rst.level_crossings(tree, 2.5)[:10]:
             via = rst.ancestor_at_level(tree, rst.ancestor_at_level(tree, c, 1.8), 1.1)
             direct = rst.ancestor_at_level(tree, c, 1.1)
-            assert via.edge_child == direct.edge_child
-            assert via.t == pytest.approx(direct.t, abs=1e-12)
+            assert (via.edge_child, via.level) == (direct.edge_child, direct.level)
 
     def test_fiber_property(self):
         tree = sample_tree(7)
@@ -257,6 +268,12 @@ def _subtree_nodes(tree, v0):
     return seen
 
 
+def crossing_dirs(tree, r):
+    """Crossing direction at S(r) by edge child, from level_geometry."""
+    children, _, _, dirs = rst.level_geometry(tree, r)
+    return dict(zip(children.tolist(), dirs))
+
+
 def dense_grid_mbd(tree, c, r1, levels=1000):
     """Brute-force MBD: max CFD over a dense level grid plus vertex radii.
 
@@ -274,13 +291,7 @@ def dense_grid_mbd(tree, c, r1, levels=1000):
     for r in sorted(grid):
         for w, rcw, rpw in zip(nodes, rc, rp):
             if rpw < r <= rcw and r > r0:
-                cross = rst.LevelCrossing(
-                    int(w),
-                    0.0 if rcw == r else float((r - rcw) / (rpw - rcw)),
-                    float(r),
-                    rst._crossing_on_edge(tree, int(w), float(r)).point,
-                )
-                best = max(best, rst.cfd(tree, r0, cross))
+                best = max(best, rst.cfd(tree, r0, rst.LevelCrossing(int(w), float(r))))
     return best
 
 
@@ -292,13 +303,12 @@ class TestCfd:
 
     def test_single_edge_is_origin_angle(self):
         tree = sample_tree(8)
+        dirs, anc_dirs = crossing_dirs(tree, 2.2), crossing_dirs(tree, 2.1)
         for c in rst.level_crossings(tree, 2.2):
             anc = rst.ancestor_at_level(tree, c, 2.1)
             if anc.edge_child == c.edge_child:
                 got = rst.cfd(tree, 2.1, c)
-                expected = hgeom.angle_between(
-                    c.point.u.components, anc.point.u.components
-                )
+                expected = hgeom.angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
                 assert got == pytest.approx(expected, abs=1e-9)
                 break
 
@@ -334,9 +344,10 @@ class TestCfd:
 
     def test_triangle_bound(self):
         tree = sample_tree(9)
+        dirs, anc_dirs = crossing_dirs(tree, 2.6), crossing_dirs(tree, 1.3)
         for c in rst.level_crossings(tree, 2.6)[:20]:
             anc = rst.ancestor_at_level(tree, c, 1.3)
-            direct = hgeom.angle_between(c.point.u.components, anc.point.u.components)
+            direct = hgeom.angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
             assert rst.cfd(tree, 1.3, c) >= direct - 1e-10
 
 
@@ -492,7 +503,8 @@ class TestSweepOracle:
         assert any(r1 > radii.max() for _, r1 in levels)
         for r0, r1 in levels:
             sweep = rst.deviation_sweep(tree, r0, r1)
-            got = (sweep.children, sweep.t, sweep.psi0, sweep.cross_dirs, sweep.mbd)
+            _, t0, psi0, _ = rst.level_geometry(tree, r0)
+            got = (sweep.children, t0, psi0, sweep.cross_dirs, sweep.mbd)
             for a, b in zip(got, reference_sweep(tree, r0, r1)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
@@ -522,19 +534,6 @@ class TestLayers:
 
 class TestScalarPath:
     """The scalar level API (math on the tree's lists) against the array path."""
-
-    @pytest.mark.parametrize(
-        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
-    )
-    def test_crossing_on_edge_matches_level_crossings(self, d, lam, R):
-        tree = sample_tree(10, lam=lam, R=R, d=d)
-        for r in (1.0, 1.7, R - 0.6):
-            crossings = rst.level_crossings(tree, r)
-            assert crossings
-            for c in crossings:
-                got = rst._crossing_on_edge(tree, c.edge_child, r)
-                assert got.t == c.t
-                assert np.max(np.abs(got.point.u.components - c.point.u.components)) <= 1e-12
 
     def test_star_psi_matches_arrays(self):
         rng = np.random.default_rng(22)
@@ -570,7 +569,9 @@ class TestScalarPath:
         for c in rst.level_crossings(tree, 2.0):
             assert type(rst.cfd(tree, 1.2, c)) is float
             assert type(rst.mbd(tree, c, 3.0)) is float
-            assert type(rst._crossing_on_edge(tree, c.edge_child, 2.0).t) is float
+            assert type(c.edge_child) is int and type(c.level) is float
+            for a in (rst.ancestor_at_level(tree, c, 1.2), *rst.descendants_at_level(tree, c, 3.0)):
+                assert type(a.edge_child) is int and type(a.level) is float
 
 
 def scrambled(tree, seed, frac=0.05):
@@ -613,32 +614,31 @@ class TestValidate:
 
     def test_corrupted_parent_detected(self):
         tree = sample_tree(15)
-        bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
         # reroute some node to a far-away parent of smaller radius
-        i = len(tree) - 1
-        bad.parent[i] = 0
-        report = rst.validate(bad)
+        parent = tree.parent.copy()
+        parent[len(tree) - 1] = 0
+        report = rst.validate(rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy()))
         assert not report.ok
 
     def test_radius_violation_detected(self):
         tree = sample_tree(15)
-        bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
-        bad.parent[0] = len(tree) - 1
-        report = rst.validate(bad)
+        parent = tree.parent.copy()
+        parent[0] = len(tree) - 1
+        report = rst.validate(rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy()))
         assert any("radius" in v for v in report.violations)
 
     def test_counts_past_the_message_cap(self):
         tree = sample_tree(15)
-        bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
-        bad.parent[:25] = len(tree) - 1
-        report = rst.validate(bad)
+        parent = tree.parent.copy()
+        parent[:25] = len(tree) - 1
+        report = rst.validate(rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy()))
         assert report.counts["radius"] == 25
         assert sum("parent radius" in v for v in report.violations) == 20
         assert report.counts["bplus"] > 20
         assert sum("inside B+" in v for v in report.violations) == 20
-        cyclic = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
-        cyclic.parent[:100] = np.arange(100)
-        report = rst.validate(cyclic)
+        parent = tree.parent.copy()
+        parent[:100] = np.arange(100)
+        report = rst.validate(rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy()))
         assert report.counts["cycle"] == 100
         assert sum("cycle through node" in v for v in report.violations) == 20
 
@@ -706,9 +706,9 @@ class TestValidate:
             if not d2 > d1 + 1e-12:
                 continue
             assert tree.parent[i] == first
-            bad = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist.copy())
-            bad.parent[i] = second
-            report = rst.validate(bad)
+            parent = tree.parent.copy()
+            parent[i] = second
+            report = rst.validate(rst.RadialTree(tree.cloud, parent, tree.parent_dist.copy()))
             assert report.counts == {"radius": 0, "frontier": 0, "cycle": 0, "bplus": 1}
             assert report.violations == [f"node {i}: point {first} at {d1} inside B+(z, {d2})"]
             moved += 1
@@ -823,12 +823,21 @@ class TestValidate:
     def test_parent_edited_in_place_after_caching(self):
         tree = sample_tree(15)
         rst.deviation_sweep(tree, 1.5, 3.0)  # fills the parent-radius, children and layer caches
-        tree.parent[300:303] = [301, 302, 300]
-        report = rst.validate(tree)
-        fresh = rst.RadialTree(tree.cloud, tree.parent.copy(), tree.parent_dist)
-        assert (report.violations, report.counts, report.max_degree) == validate_reference(fresh)
-        assert report.counts["cycle"] == 1
-        assert report.counts["radius"] == 2
+        # the caches would go stale, so the arrays refuse the edit
+        for column in (tree.parent, tree.parent_dist):
+            with pytest.raises(ValueError):
+                column[300:303] = column[[301, 302, 300]]
+        parent = tree.parent.copy()
+        parent[300:303] = [301, 302, 300]
+        edited = rst.RadialTree(tree.cloud, parent, tree.parent_dist)
+        want = validate_reference(edited)
+        assert want[1]["cycle"] == 1
+        assert want[1]["radius"] == 2
+        # a reassigned array is read by validate, not the caches of the old one
+        tree.parent = parent
+        for t in (edited, tree):
+            report = rst.validate(t)
+            assert (report.violations, report.counts, report.max_degree) == want
 
     def test_empty_and_single_point_trees(self):
         empty = PointCloud(CloudConfig(d=2, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 3)))
