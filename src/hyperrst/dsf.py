@@ -186,16 +186,14 @@ def region_contains(spec: RegionSpec, z: HalfPoint) -> bool:
     """Membership per the displayed set definitions.
 
     All three Vois cones have apex O(h); the apertures are A e^-h, A e^-h and
-    A e^-(h+a). Cyl kinds compare coordinates directly.
+    A e^-(h+a). Cyl kinds test their cyl_box; a y_lo of 0 is no bound, as
+    every HalfPoint has y > 0.
     """
     xnorm = float(np.linalg.norm(z.x))
     y = z.y
-    if spec.kind == "Cyl":
-        return xnorm < spec.A and 0 < y <= 1.5
-    if spec.kind == "Cyl'":
-        return xnorm < spec.A and 0.5 * math.exp(-spec.a) <= y <= 1.5
-    if spec.kind == "Cyl''":
-        return xnorm < spec.A * math.exp(-spec.a) and 0 < y <= 1.5 * math.exp(-spec.a)
+    if spec.kind in CYL_KINDS:
+        xr, lo, hi = cyl_box(spec)
+        return xnorm < xr and lo <= y <= hi
     ang = float(hgeom.apex_angle_arrays(spec.h, xnorm, y))
     dist = float(origin_distances(spec.h, z.x[None, :], np.array([y]))[0])
     if spec.kind == "Vois":

@@ -20,8 +20,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-UNIT_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     pass
@@ -48,10 +46,6 @@ class Direction:
     def __post_init__(self):
         object.__setattr__(self, "components", _as_unit(self.components))
 
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0] - 1
-
     def angle_to(self, other: "Direction") -> float:
         return angle_between(self.components, other.components)
 
@@ -72,10 +66,6 @@ class PolarPoint:
     def __post_init__(self):
         if self.r < 0:
             raise GeometryError(f"radius {self.r} < 0")
-
-    @property
-    def dim(self) -> int:
-        return self.u.dim
 
 
 def polar(r: float, components) -> PolarPoint:
@@ -111,10 +101,6 @@ class HalfPoint:
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         if not self.y > 0:
             raise GeometryError(f"ordinate {self.y} must be > 0")
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

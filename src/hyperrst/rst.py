@@ -278,15 +278,11 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
         raise GeometryError("ancestor level must be > 0")
     if r == c.level:
         return c
-    return LevelCrossing(_edge_at_level(tree, c.edge_child, r), r)
-
-
-def _edge_at_level(tree: RadialTree, v: int, r: float) -> int:
-    """Edge on the trajectory from edge v that straddles S(r), for 0 < r below v's child."""
     lists = tree.lists()
+    v = c.edge_child
     while lists.parent_radii[v] > r:
         v = lists.parent[v]
-    return v
+    return LevelCrossing(v, r)
 
 
 def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> list[LevelCrossing]:
@@ -325,24 +321,24 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
 
     Single origin-angle when both crossings share an edge; otherwise the sum
     of the partial angle to the edge's parent endpoint, the full edge angles
-    along the trajectory, and the partial angle on the ancestor's edge.
+    along the trajectory, and the partial angle on the ancestor's edge, in
+    one walk up the trajectory.
     """
     if r > c.level:
         raise GeometryError("cfd requires r <= crossing level")
     if not r > 0:
         raise GeometryError("ancestor level must be > 0")
-    anc_edge = _edge_at_level(tree, c.edge_child, r)
-    if anc_edge == c.edge_child:
-        return abs(_psi_at(tree, c.edge_child, c.level) - _psi_at(tree, c.edge_child, r))
     lists = tree.lists()
-    parent, theta = lists.parent, lists.theta
-    total = abs(theta[c.edge_child] - _psi_at(tree, c.edge_child, c.level))
-    w = parent[c.edge_child]
-    while w != anc_edge:
-        total += theta[w]
-        w = parent[w]
-    total += _psi_at(tree, anc_edge, r)
-    return total
+    parent, parent_radii, theta = lists.parent, lists.parent_radii, lists.theta
+    v = c.edge_child
+    if parent_radii[v] <= r:
+        return abs(_psi_at(tree, v, c.level) - _psi_at(tree, v, r))
+    total = abs(theta[v] - _psi_at(tree, v, c.level))
+    v = parent[v]
+    while parent_radii[v] > r:
+        total += theta[v]
+        v = parent[v]
+    return total + _psi_at(tree, v, r)
 
 
 def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
@@ -351,25 +347,28 @@ def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
     Evaluated at the vertices of the descendant subtree in (level, r_prime]
     plus the crossings at r_prime: along a star-path edge the angular
     coordinate is monotone for the edge angles an RST produces, so per-edge
-    suprema sit at edge endpoints or the cut.
+    suprema sit at edge endpoints or the cut. One walk down the subtree
+    carries the CFD from the crossing, added root-first.
     """
     if r_prime < c.level:
         raise GeometryError("mbd requires r_prime >= crossing level")
     lists = tree.lists()
     radii, theta = lists.radii, lists.theta
-    best = 0.0
-    # vertex terms accumulate edge angles from the crossing outward; the CFD
-    # at the crossing's own child is the on-edge angle psi
-    stack = [(c.edge_child, _psi_at(tree, c.edge_child, c.level))]
+    v = c.edge_child
+    # the CFD at the crossing's own child is the on-edge angle psi
+    psi0 = _psi_at(tree, v, c.level)
+    if radii[v] > r_prime:
+        return abs(_psi_at(tree, v, r_prime) - psi0)
+    best = psi0
+    stack = [(v, psi0)]
     while stack:
         w, acc = stack.pop()
-        if radii[w] > r_prime:
-            continue
-        best = max(best, acc)
         for x in tree.children_of(w).tolist():
-            stack.append((x, acc + theta[x]))
-    for cross in descendants_at_level(tree, c, r_prime):
-        best = max(best, cfd(tree, c.level, cross))
+            if radii[x] > r_prime:
+                best = max(best, acc + abs(theta[x] - _psi_at(tree, x, r_prime)))
+            else:
+                best = max(best, acc + theta[x])
+                stack.append((x, acc + theta[x]))
     return best
 
 
@@ -439,12 +438,8 @@ _ABS = 64 * np.finfo(float).eps
 
 
 def _direction_index(u: np.ndarray):
-    """Directions of one band, sorted: u is the angle at d=1, sorted with the
-    circle twice so that a window past pi is one range; at d >= 2 the unit
-    vectors, sorted by (cell of u1, rank of u0) beside the sorted u0."""
-    if u.ndim == 1:
-        order = np.argsort(u, kind="stable")
-        return np.concatenate([u[order], u[order] + 2.0 * math.pi]), np.concatenate([order, order])
+    """Unit vectors of one band, sorted by (cell of u1, rank of u0), beside
+    the sorted u0."""
     m = u.shape[0]
     cells = max(1, int(math.sqrt(m)))
     cell = np.clip(((u[:, 1] + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
@@ -458,18 +453,8 @@ def _direction_index(u: np.ndarray):
 
 def _band_ranges(index, u: np.ndarray, chord: np.ndarray):
     """(query, lo, hi): ranges of the sorted band holding every direction that
-    differs from query direction u[query] by at most chord in each coordinate
-    (in the angle at d=1); grouped by query, ascending."""
-    if u.ndim == 1:
-        ext, pos = index
-        theta = 2.0 * np.arcsin(np.minimum(chord / 2.0, 1.0)) + _ABS
-        start = u - theta
-        start = np.where(start < -math.pi, start + 2.0 * math.pi, start)
-        lo = np.searchsorted(ext, start, side="left")
-        hi = np.searchsorted(ext, start + 2.0 * theta, side="right")
-        whole = theta >= math.pi
-        lo[whole], hi[whole] = 0, pos.shape[0] // 2
-        return np.arange(u.shape[0]), lo, hi
+    differs from query direction u[query] by at most chord in u0 and u1;
+    grouped by query, ascending."""
     keys, pos, u0s, cells = index
     m = pos.shape[0]
     c_lo = np.clip(((u[:, 1] - chord + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
@@ -520,7 +505,6 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
     pdist = np.array(radii, dtype=float)
     if n == 0:
         return parent, pdist
-    u = np.arctan2(dirs[:, 1], dirs[:, 0]) if dirs.shape[1] == 2 else dirs
     his = np.searchsorted(radii, radii, side="left")
     reach = rho * (1.0 + _REL) + _REL * radii
     lows = np.searchsorted(radii, radii - reach, side="left")
@@ -539,8 +523,8 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
         with np.errstate(divide="ignore", invalid="ignore"):
             chord2 = np.where(rj > 0.0, 2.0 * num / (sh[q] * np.sinh(rj)), np.inf)
         chord = np.sqrt(chord2) * (1.0 + _REL) + _ABS
-        index = _direction_index(u[a:b])
-        k, lo, hi = _band_ranges(index, u[q], chord)
+        index = _direction_index(dirs[a:b])
+        k, lo, hi = _band_ranges(index, dirs[q], chord)
         # at most about _PAIRS candidates at once; a query's ranges may span
         # two pieces, since each piece is merged into the best so far
         ends = np.cumsum(hi - lo)

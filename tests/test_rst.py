@@ -1,5 +1,6 @@
 """Tree construction oracles, level machinery, CFD/MBD, validation, planarity."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -508,6 +509,9 @@ class TestSweepOracle:
             for a, b in zip(got, reference_sweep(tree, r0, r1)):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
+            # the scalar walk, a separate DFS, agrees with the sweep
+            for k, c in enumerate(rst.level_crossings(tree, r0)):
+                assert abs(rst.mbd(tree, c, r1) - float(sweep.mbd[k])) <= 1e-12
 
 
 class TestLayers:
@@ -562,6 +566,28 @@ class TestScalarPath:
             assert abs(got - float(hgeom.star_psi_arrays(*args))) <= 1e-12
             if exact is not None:
                 assert got == exact
+
+    @pytest.mark.parametrize(
+        "d, lam, R, digest",
+        [
+            (1, 10.0, 3.5, "ff5be110b34ba6a60496e61806b4bc36130971ac49317342b39871b5ab425f3f"),
+            (2, 1.5, 3.0, "45e085c96493da17c9081b16978f666a9402d20c232e8ad8d9e1fd94f2f35efd"),
+            (3, 0.3, 2.6, "fd95a9fc841467da640385133a67890af6499426c22466f10d6fe8ae0988f2ba"),
+        ],
+        ids=["d1", "d2", "d3"],
+    )
+    def test_cfd_bits_pinned(self, d, lam, R, digest):
+        # digests recorded before cfd became one walk up the trajectory; a
+        # changed term, or a changed order of its float additions, moves them
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        levels = np.linspace(0.3, R, 10).tolist()
+        vals = [
+            rst.cfd(tree, r0, c)
+            for k, r in enumerate(levels)
+            for c in rst.level_crossings(tree, r)
+            for r0 in levels[: k + 1]
+        ]
+        assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == digest
 
     def test_scalar_results_are_python_floats(self):
         # np.float64 subclasses float, so isinstance would let 0-d numpy back in
