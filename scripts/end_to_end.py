@@ -1,0 +1,133 @@
+"""End-to-end record: `hyperrst analyze all --config defaults`, timed.
+
+Runs the command once per run in a fresh process for each checkout given,
+and writes one JSON record with the wall time, the peak RSS and a digest of
+the report bytes of every run, plus the machine and the numpy/scipy
+versions. Each checkout is imported from its own `src`. Comparing two
+checkouts alternates their runs, so that a slow spell of the machine is
+shared.
+
+    python3 scripts/end_to_end.py --checkout parent=../parent --checkout change=. \\
+        --runs 1 --out BENCH_end_to_end.json
+
+A run takes about a minute at the defaults, so this is not part of the
+test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+
+import numpy
+import scipy
+
+COMMAND = ["analyze", "all", "--config", "defaults"]
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def git_state(root: str) -> dict:
+    """HEAD of the git work tree rooted at root, and whether its tracked
+    files differ from HEAD; nulls outside a git work tree."""
+    out = subprocess.run(["git", "-C", root, "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True)
+    lines = out.stdout.split()
+    if out.returncode != 0 or len(lines) != 2 or os.path.realpath(lines[0]) != os.path.realpath(root):
+        return {"commit": None, "dirty": None}
+    status = subprocess.run(["git", "-C", root, "status", "--porcelain", "--untracked-files=no"],
+                            capture_output=True, text=True)
+    return {"commit": lines[1], "dirty": bool(status.stdout.strip())}
+
+
+def reports_digest(out_dir: str) -> str:
+    """SHA-256 over the name and bytes of every report file, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        h.update(name.encode())
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def run_once(root: str) -> dict:
+    """One `hyperrst analyze all` in a fresh process importing root/src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env.pop("HYPERRST_THREADS", None)
+    with tempfile.TemporaryDirectory() as out_dir:
+        argv = [sys.executable, "-m", "hyperrst.cli", *COMMAND, "--out", out_dir]
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+        return {
+            "exit_code": proc.returncode,
+            "wall_s": wall,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0,  # kilobytes on Linux
+            "reports": len(os.listdir(out_dir)),
+            "reports_sha256": reports_digest(out_dir),
+        }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
+                    help="a hyperrst checkout to run, under a label; repeat to compare")
+    ap.add_argument("--runs", type=int, default=1, help="runs per checkout")
+    ap.add_argument("--out", required=True, help="JSON record to write")
+    args = ap.parse_args(argv)
+
+    checkouts = {}
+    for item in args.checkout:
+        label, sep, root = item.partition("=")
+        if not sep or not os.path.isfile(os.path.join(root, "src", "hyperrst", "cli.py")):
+            ap.error(f"--checkout {item!r}: expected LABEL=DIR with DIR/src/hyperrst")
+        checkouts[label] = os.path.abspath(root)
+
+    runs = {label: [] for label in checkouts}
+    for k in range(args.runs):
+        for label, root in checkouts.items():
+            row = run_once(root)
+            runs[label].append(row)
+            print(f"{label} run {k}: {row['wall_s']:.1f} s, {row['peak_rss_mb']:.1f} MB, exit {row['exit_code']}",
+                  file=sys.stderr)
+
+    record = {
+        "command": "hyperrst " + " ".join(COMMAND),
+        "machine": {
+            "nproc": os.cpu_count(),
+            "cpu_model": cpu_model(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+        },
+        "checkouts": {
+            label: {**git_state(root), "runs": runs[label]} for label, root in checkouts.items()
+        },
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    failed = any(row["exit_code"] != 0 for rows in runs.values() for row in rows)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,10 +4,16 @@ The DSF points toward the ideal point at infinity of the upper half space:
 each point connects to its nearest neighbor among points of strictly larger
 ordinate. RST(h) is the radial tree with origin O(h) = (0, e^h); as h grows
 its parents couple with the DSF parents on compact sets.
+
+Both search the same (x, y) chart and differ only in the key order. A
+HalfCloud owns the chart's k-d tree and 8-NN table, so every forest built
+on one HalfCloud shares them; points given as a list or an (x, y) pair get
+a fresh HalfCloud, and so a fresh index, per call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,16 +29,37 @@ class MarginError(RuntimeError):
     """A parent search ball leaves the sampling window; results would be biased."""
 
 
-def _as_arrays(points):
-    """Accept a list of HalfPoint or an (x, y) array pair; returns x (n,d), y (n,)."""
+@dataclass(eq=False)
+class HalfCloud:
+    """Half-space points x (n, d), y (n,) that own their chart index: a k-d
+    tree over (x, y) and each point's nearest chart neighbours, built on
+    first use. The DSF and every RST(h) built on one HalfCloud share that
+    index, each search mapping it through its own key order."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    @functools.cached_property
+    def index(self) -> search.ChartIndex:
+        return search.ChartIndex(np.column_stack([self.x, self.y]))
+
+
+def _as_cloud(points) -> HalfCloud:
+    """Accept a HalfCloud, a list of HalfPoint or an (x, y) array pair; the
+    last two are wrapped in a fresh HalfCloud."""
+    if isinstance(points, HalfCloud):
+        return points
     if isinstance(points, tuple) and len(points) == 2:
         x, y = points
-        return np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float)
+        return HalfCloud(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
     x = np.array([p.x for p in points], dtype=float)
     y = np.array([p.y for p in points], dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    return x, y
+    return HalfCloud(x, y)
 
 
 @dataclass(eq=False)
@@ -76,11 +103,11 @@ def _pair_dist(x, y):
     return pair_dist
 
 
-def _ordered(x, y, *keys):
+def _ordered(cloud: HalfCloud, *keys):
     """(order, x, y) with the points sorted by keys, the last one primary as in
     np.lexsort, then by the columns of x in turn."""
-    order = np.lexsort(tuple(x[:, ::-1].T) + keys)
-    return order, x[order], y[order]
+    order = np.lexsort(tuple(cloud.x[:, ::-1].T) + keys)
+    return order, cloud.x[order], cloud.y[order]
 
 
 def _dist_matrix(x, y):
@@ -91,35 +118,37 @@ def _dist_matrix(x, y):
     return hgeom.stable_arccosh1p(s)
 
 
-def _nearest_lower(x, y, keys, root_dist):
-    """search.nearest_lower in the chart (x, y), where B(z, rho) is the
-    Euclidean ball with centre (x, y cosh rho) and radius y sinh rho."""
+def _nearest_lower(cloud: HalfCloud, order, x, y, keys, root_dist):
+    """search.nearest_lower over the cloud's chart index seen in the key order
+    `order`, with x, y the points in that order; B(z, rho) is the Euclidean
+    ball with centre (x, y cosh rho) and radius y sinh rho."""
 
     def cover(rows, rho):
         yr = y[rows]
         return np.column_stack([x[rows], yr * np.cosh(rho)]), yr * np.sinh(rho)
 
-    return search.nearest_lower(keys, np.column_stack([x, y]), _pair_dist(x, y), cover, root_dist)
+    chart = search.KeyOrder(cloud.index, order)
+    return search.nearest_lower(keys, chart, _pair_dist(x, y), cover, root_dist)
 
 
 def build_dsf(points) -> HalfForest:
     """Parent = nearest point of strictly larger ordinate, else FRONTIER.
 
-    The search key is -ln y, so smaller keys are larger ordinates.
+    The search key is -ln y, so smaller keys are larger ordinates. A
+    HalfCloud shares its chart index with every other build on it.
     """
-    x, y = _as_arrays(points)
-    if y.shape[0] == 0:
+    cloud = _as_cloud(points)
+    if len(cloud) == 0:
         raise GeometryError("empty point list")
-    order, xs, ys = _ordered(x, y, -y)
-    keys = -np.log(ys)
-    parent, pdist = _nearest_lower(xs, ys, keys, root_dist=None)
+    order, xs, ys = _ordered(cloud, -cloud.y)
+    parent, pdist = _nearest_lower(cloud, order, xs, ys, -np.log(ys), root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
 
 
 def build_dsf_brute(points) -> HalfForest:
     """O(n^2) oracle built directly from the definition."""
-    x, y = _as_arrays(points)
-    order, xs, ys = _ordered(x, y, -y)
+    cloud = _as_cloud(points)
+    order, xs, ys = _ordered(cloud, -cloud.y)
     parent, pdist = search.nearest_lower_brute(-np.log(ys), _dist_matrix(xs, ys), root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
 
@@ -133,23 +162,24 @@ def origin_distances(h: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def build_rst_h(points, h: float) -> HalfForest:
     """Radial tree with origin O(h): parent = nearest among points strictly
-    closer to O(h), with O(h) itself competing (parent ROOT)."""
+    closer to O(h), with O(h) itself competing (parent ROOT). A HalfCloud
+    shares its chart index with every other build on it."""
     if h < 0:
         raise GeometryError("h must be >= 0")
-    x, y = _as_arrays(points)
-    if y.shape[0] == 0:
+    cloud = _as_cloud(points)
+    if len(cloud) == 0:
         raise GeometryError("empty point list")
-    c = origin_distances(h, x, y)
-    order, xs, ys = _ordered(x, y, y, c)
+    c = origin_distances(h, cloud.x, cloud.y)
+    order, xs, ys = _ordered(cloud, cloud.y, c)
     cs = c[order]
-    parent, pdist = _nearest_lower(xs, ys, cs, root_dist=cs)
+    parent, pdist = _nearest_lower(cloud, order, xs, ys, cs, root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
 
 def build_rst_h_brute(points, h: float) -> HalfForest:
-    x, y = _as_arrays(points)
-    c = origin_distances(h, x, y)
-    order, xs, ys = _ordered(x, y, y, c)
+    cloud = _as_cloud(points)
+    c = origin_distances(h, cloud.x, cloud.y)
+    order, xs, ys = _ordered(cloud, cloud.y, c)
     cs = c[order]
     parent, pdist = search.nearest_lower_brute(cs, _dist_matrix(xs, ys), root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
@@ -223,13 +253,23 @@ def coupling_fraction(points, window: HalfWindow, K: RegionSpec, h: float,
                       dsf_forest: HalfForest | None = None):
     """Fraction of cloud points in K whose RST(h) parent equals their DSF parent.
 
+    dsf_forest, when given, must be build_dsf of the same points; anything
+    else raises GeometryError. Pass a HalfCloud so that the RST(h) search
+    reuses the chart index of the DSF.
+
     Every point of K must have both parent search balls inside the window;
     a violation raises MarginError rather than returning a biased number.
     An empty K intersection reports fraction 1 with count 0.
     """
-    x, y = _as_arrays(points)
-    forest = dsf_forest if dsf_forest is not None else build_dsf((x, y))
-    tree_h = build_rst_h((x, y), h)
+    cloud = _as_cloud(points)
+    x, y = cloud.x, cloud.y
+    forest = dsf_forest if dsf_forest is not None else build_dsf(cloud)
+    if forest.h is not None:
+        raise GeometryError(f"dsf_forest is the RST(h) with h = {forest.h}, not the DSF")
+    same = len(forest) == len(y) and np.array_equal(forest.y, y[forest.order])
+    if not (same and np.array_equal(forest.x, x[forest.order])):
+        raise GeometryError("dsf_forest was built on other points")
+    tree_h = build_rst_h(cloud, h)
     dsf_parent = forest.parent_in_input_order()
     rst_parent = tree_h.parent_in_input_order()
 

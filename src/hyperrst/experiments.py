@@ -322,6 +322,14 @@ def bplus_grid(cfg: ExperimentConfig) -> list:
     return [(r, rho) for r in rs for rho in rhos]
 
 
+def _boosted_radius(r: float, rad: np.ndarray, cos0: np.ndarray) -> np.ndarray:
+    """Radii of the points (rad; u) after the boost taking the origin to
+    (r; e0), where cos0 = <u, e0>: the radius alone of
+    hgeom.boost_from_origin(r, e0, rad, u), with the same bits."""
+    t2 = math.cosh(r) * np.cosh(rad) + math.sinh(r) * (np.sinh(rad) * cos0)
+    return hgeom.stable_arccosh1p(t2 - 1.0)
+
+
 def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     """Monte Carlo rejection estimate of Vol(B+(z, rho)) for z at radius r.
 
@@ -336,11 +344,8 @@ def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     else:
         rad = sampler._radial_inverter(d, rho)(u01)
     g = rng.normal(size=(BPLUS_SAMPLES, d + 1))
-    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-    axis = np.zeros(d + 1)
-    axis[0] = 1.0
-    new_r, _ = hgeom.boost_from_origin(r, axis, rad, dirs)
-    frac = float(np.mean(new_r < r))
+    cos0 = g[:, 0] / np.linalg.norm(g, axis=1)
+    frac = float(np.mean(_boosted_radius(r, rad, cos0) < r))
     total = hgeom.ball_volume(d, rho)
     se = total * math.sqrt(max(frac * (1.0 - frac), 1e-12) / BPLUS_SAMPLES)
     return frac * total, se
@@ -384,12 +389,13 @@ def coupling_window(cfg: ExperimentConfig) -> HalfWindow:
 
 def _rep_coupling(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     w = coupling_window(cfg)
-    x, y = sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, cfg.base.seed, replica)
-    forest = dsf.build_dsf((x, y))
+    # one chart index serves the DSF and every RST(h) search on the cloud
+    cloud = dsf.HalfCloud(*sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, cfg.base.seed, replica))
+    forest = dsf.build_dsf(cloud)
     K = dsf.RegionSpec("Cyl'", A=cfg.A, a=cfg.a)
     out = []
     for h in cfg.h_grid:
-        frac, count = dsf.coupling_fraction((x, y), w, K, h, dsf_forest=forest)
+        frac, count = dsf.coupling_fraction(cloud, w, K, h, dsf_forest=forest)
         out.append(frac)
     return np.array(out)
 

@@ -4,7 +4,9 @@ Points are sorted by a key (distance to the tree origin, or minus the log
 ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
 over a Euclidean chart of the model (Bentley, CACM 1975);
-`nearest_lower_brute` is the O(n^2) oracle over a distance matrix.
+`nearest_lower_brute` is the O(n^2) oracle over a distance matrix. The tree
+and each point's nearest chart neighbours belong to the point set (a
+`ChartIndex`), so searches that sort one set by different keys share them.
 
 Both apply one tie rule: lowest distance, then lowest candidate index, and a
 point beats the root at equal distance. `rst.validate` checks built trees
@@ -44,18 +46,80 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(lo - ends + counts, counts)
 
 
-def nearest_lower(keys: np.ndarray, chart: np.ndarray, pair_dist, cover, root_dist=None):
+class ChartIndex:
+    """A k-d tree over the Euclidean chart coordinates (n, m), n >= 1, of a
+    point set, and each point's _K nearest chart neighbours, itself among
+    them, both in the set's own order. They belong to the point set: every
+    search over it uses them, whatever key order it sorts the points by
+    (see KeyOrder). The _K_WIDE nearest are kept too, for the few points
+    that ask for them."""
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+        self.tree = cKDTree(coords)
+        self.scale = float(np.abs(coords).max())
+        self.knn = self.query(coords, _K)
+        self._wide: dict = {}  # point -> its _K_WIDE nearest
+
+    def query(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the min(k, n) nearest chart neighbours of each of pts."""
+        n = self.coords.shape[0]
+        return self.tree.query(pts, k=list(range(1, min(k, n) + 1)))[1]
+
+    def wide(self, pts: np.ndarray) -> np.ndarray:
+        """query(pts, _K_WIDE), with each point queried once per index."""
+        new = [p for p in dict.fromkeys(pts.tolist()) if p not in self._wide]
+        if new:
+            self._wide.update(zip(new, self.query(self.coords[new], _K_WIDE)))
+        return np.array([self._wide[p] for p in pts.tolist()])
+
+
+class KeyOrder:
+    """A ChartIndex seen in a search's key order: row r is point order[r], or
+    point r when order is None. Neighbours and ball hits come back as rows."""
+
+    def __init__(self, index: ChartIndex, order: np.ndarray | None = None):
+        self.index = index
+        self.order = order
+        if order is not None:
+            self.inv = np.empty_like(order)
+            self.inv[order] = np.arange(order.shape[0])
+
+    def _rows(self, ids):
+        return ids if self.order is None else self.inv[ids]
+
+    def _points(self, rows):
+        return rows if self.order is None else self.order[rows]
+
+    def neighbours(self, rows: np.ndarray, wide: bool = False) -> np.ndarray:
+        """Rows of the _K (with wide, _K_WIDE) nearest chart neighbours of
+        each of rows, at most n."""
+        pts = self._points(rows)
+        return self._rows(self.index.wide(pts) if wide else self.index.knn[pts])
+
+    def ball(self, centres: np.ndarray, radii: np.ndarray):
+        """(counts, rows): the rows in each chart ball, concatenated in ball order."""
+        found = self.index.tree.query_ball_point(centres, radii, return_sorted=False)
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
+        hits = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
+        return counts, self._rows(hits)
+
+
+def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
     """Parent of each point among points with strictly smaller key.
 
     keys: (n,) sorted ascending.
-    chart: (n, m) Euclidean coordinates of the points.
+    chart: the points' Euclidean chart, either as (n, m) coordinates in key
+        order, indexed afresh, or as a KeyOrder of the point set's shared
+        ChartIndex.
     pair_dist(i, j): distances between points i and j, index arrays broadcast.
     cover(rows, rho): (centres, radii) of chart balls that contain the closed
         metric ball of radius rho[k] around point rows[k].
     root_dist: optional (n,) distances to a virtual root that always competes;
         when None, points with no candidate are marked FRONTIER.
 
-    Returns (parent, parent_dist); parent_dist is +inf for frontier points.
+    Points are rows in key order throughout. Returns (parent, parent_dist);
+    parent_dist is +inf for frontier points.
 
     Pass 1 bounds each parent distance by the nearest smaller-key point among
     the k Euclidean neighbours in the chart (or the root). Pass 2 takes every
@@ -67,30 +131,29 @@ def nearest_lower(keys: np.ndarray, chart: np.ndarray, pair_dist, cover, root_di
     if n == 0:
         return parent, pdist
     his = np.searchsorted(keys, keys, side="left")
-    tree = cKDTree(chart)
-    scale = float(np.abs(chart).max())
+    if not isinstance(chart, KeyOrder):
+        chart = KeyOrder(ChartIndex(chart))
+    scale = chart.index.scale
 
-    def knn_bound(rows, k):
-        _, nb = tree.query(chart[rows], k=list(range(1, min(k, n) + 1)))
+    def knn_bound(rows, wide=False):
+        nb = chart.neighbours(rows, wide)
         d = pair_dist(rows[:, None], nb)
         d[nb >= his[rows, None]] = np.inf
         return d.min(axis=1)
 
     for a in range(0, n, _CHUNK):
         rows = np.arange(a, min(a + _CHUNK, n))
-        near = knn_bound(rows, _K)
+        near = knn_bound(rows)
         miss = ~np.isfinite(near)
         if np.any(miss):
-            near[miss] = knn_bound(rows[miss], _K_WIDE)
+            near[miss] = knn_bound(rows[miss], wide=True)
         rho = np.minimum(pdist[rows], near)
         open_ = ~np.isfinite(rho)
         bounded = rows[~open_]
         if bounded.size:
             centre, radius = cover(bounded, rho[~open_] * (1.0 + _REL))
             radius = radius * (1.0 + _REL) + _ULPS * np.maximum(scale, np.abs(centre).max(axis=1))
-            found = tree.query_ball_point(centre, radius, return_sorted=False)
-            counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
-            cand = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
+            counts, cand = chart.ball(centre, radius)
             _take_nearest(parent, pdist, np.repeat(bounded, counts), cand, his, pair_dist)
         unbounded = rows[open_]
         if unbounded.size:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperrst import dsf, hgeom, rst, sampler
+from hyperrst import dsf, hgeom, rst, sampler, search
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
 from hyperrst.hgeom import GeometryError, HalfPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
@@ -36,6 +36,16 @@ def capped_clusters(seed=0):
         x.append(cx + rng.uniform(-0.2, 0.2, (100, 1)))
         y.append(cy - rng.uniform(0.01, 0.2, 100))
     return np.concatenate(x), np.concatenate(y)
+
+
+def mirror_half_cloud(pairs=40, seed=0):
+    """Points on the axis x = 0 just below mirror-image pairs (+-t, y): each
+    axis point is at exactly equal distance from the two points of a pair."""
+    rng = np.random.default_rng(seed)
+    y = np.cumsum(rng.uniform(0.05, 0.09, pairs)) + 0.1
+    t = rng.uniform(0.005, 0.03, pairs)
+    x = np.concatenate([t, -t, np.zeros(pairs)])[:, None]
+    return x, np.concatenate([y, y, y - 0.01])
 
 
 class TestBuildDsf:
@@ -173,6 +183,68 @@ class TestBuildRstH:
         assert np.mean(p1[real] == dsf_parents[real]) > 0.999
 
 
+class TestSharedIndex:
+    """One HalfCloud carries one chart index for the DSF and every RST(h);
+    each must equal the build over a fresh index, bit for bit."""
+
+    def test_shared_equals_fresh(self, monkeypatch):
+        built = []
+
+        class CountingIndex(search.ChartIndex):
+            def __init__(self, coords):
+                built.append(len(coords))
+                super().__init__(coords)
+
+        monkeypatch.setattr(search, "ChartIndex", CountingIndex)
+        d2 = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
+        clouds = (
+            [half_cloud(seed, lam=6.0) for seed in range(5)]
+            + [half_cloud(seed) for seed in range(6, 10)]
+            + [half_cloud(seed, lam=1.0, d=2, w=d2) for seed in range(3)]
+            + [mirror_half_cloud(), capped_clusters()]
+        )
+        for x, y in clouds:
+            cloud = dsf.HalfCloud(x, y)
+            built.clear()
+            shared = [dsf.build_dsf(cloud)] + [dsf.build_rst_h(cloud, h) for h in (0.0, 2.0, 10.0)]
+            assert built == [len(y)]
+            fresh = [dsf.build_dsf((x, y))] + [dsf.build_rst_h((x, y), h) for h in (0.0, 2.0, 10.0)]
+            assert len(built) == 5
+            for a, b in zip(shared, fresh):
+                assert a.h == b.h
+                for name in ("parent", "parent_dist", "order"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.h, name)
+
+    def test_key_order_maps_neighbours_and_hits(self):
+        # a wrong neighbour map only loosens pass 1's bound, which the
+        # parent tests cannot see; compare with an index built in key order
+        rng = np.random.default_rng(3)
+        coords = rng.uniform(0.0, 1.0, (500, 2))
+        order = rng.permutation(500)
+        mapped = search.KeyOrder(search.ChartIndex(coords), order)
+        fresh = search.KeyOrder(search.ChartIndex(coords[order]))
+        rows = np.arange(0, 500, 7)
+        for wide in (False, True):
+            got, want = mapped.neighbours(rows, wide), fresh.neighbours(rows, wide)
+            assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        centres, radii = coords[order[rows]], np.full(rows.size, 0.1)
+        (got_n, got), (want_n, want) = mapped.ball(centres, radii), fresh.ball(centres, radii)
+        assert np.array_equal(got_n, want_n)
+        assert np.array_equal(np.sort(got), np.sort(want))
+
+    def test_mirror_ties_taken(self):
+        x, y = mirror_half_cloud()
+        cloud = dsf.HalfCloud(x, y)
+        forest = dsf.build_dsf(cloud)
+        assert np.array_equal(forest.parent, dsf.build_dsf_brute((x, y)).parent)
+        for h in (0.0, 2.0, 10.0):
+            assert np.array_equal(dsf.build_rst_h(cloud, h).parent, dsf.build_rst_h_brute((x, y), h).parent)
+        # each axis point is tied between its pair and takes the lower index,
+        # the -t point, which comes first among equal ordinates
+        axis = forest.parent_in_input_order()[80:]
+        assert np.array_equal(axis, np.arange(40, 80))
+
+
 class TestRegions:
     def test_cyl_contains_unit_point(self):
         z = HalfPoint(np.zeros(1), 1.0)
@@ -250,6 +322,19 @@ class TestCoupling:
         K = RegionSpec("Cyl'", A=1.0, a=0.7)
         with pytest.raises(MarginError):
             dsf.coupling_fraction((x, y), w, K, 3.0)
+
+    def test_foreign_dsf_forest_rejected(self):
+        x, y = half_cloud(1)
+        K = RegionSpec("Cyl'", A=2.0, a=0.0)
+        with pytest.raises(GeometryError, match="not the DSF"):
+            dsf.coupling_fraction((x, y), WINDOW, K, 4.0, dsf_forest=dsf.build_rst_h((x, y), 4.0))
+        other = dsf.build_dsf(half_cloud(2))
+        with pytest.raises(GeometryError, match="other points"):
+            dsf.coupling_fraction((x, y), WINDOW, K, 4.0, dsf_forest=other)
+        # the same points in a fresh container are the same points
+        forest = dsf.build_dsf((x.copy(), y.copy()))
+        got = dsf.coupling_fraction(dsf.HalfCloud(x, y), WINDOW, K, 4.0, dsf_forest=forest)
+        assert got == dsf.coupling_fraction((x, y), WINDOW, K, 4.0)
 
     def test_fraction_trend_in_h(self):
         # median over seeds: agreement at h=12 >= agreement at h=4

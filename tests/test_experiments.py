@@ -5,6 +5,7 @@ live in test_acceptance.py.
 """
 
 import functools
+import hashlib
 import json
 import math
 
@@ -157,6 +158,20 @@ def test_bplus_volume_cells():
     assert rep.fit.slope >= 0.5 - 0.1
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_boosted_radius_bits_match_boost(d):
+    # the B+ cells keep only the radius of the boost onto (r; e0)
+    rng = np.random.default_rng(d)
+    rad = rng.uniform(0.0, 6.0, 500)
+    g = rng.normal(size=(500, d + 1))
+    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+    e0 = np.eye(d + 1)[0]
+    for r in (0.0, 1.5, 3.5):
+        want = hgeom.boost_from_origin(r, e0, rad, dirs)[0]
+        got = experiments._boosted_radius(r, rad, g[:, 0] / np.linalg.norm(g, axis=1))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_confinement_trend():
     rep = experiments.exp_confinement(SMALL)
     means = [c.estimate for c in rep.cells]
@@ -264,6 +279,43 @@ def test_pool_sized_to_replicas(monkeypatch, threads, replicas, size):
     assert _RecordingPool.sizes == size
     monkeypatch.delenv("HYPERRST_THREADS")
     assert _report_bytes(pooled) == _report_bytes(experiments.exp_level_counts(cfg))
+
+
+# SHA-256 of each report's JSON bytes then CSV bytes, recorded before the
+# coupling searches shared one chart index per cloud; any change to a
+# statistic, a float's last bit or the serialization changes them
+PINNED_D1 = ExperimentConfig(
+    base=CloudConfig(d=1, lam=6.0, R=3.5, seed=11),
+    replicas=3,
+    r0_grid=(1.5, 2.0, 2.4),
+    h_grid=(2.0, 4.0),
+)
+PINNED_D1_REPORTS = {
+    "straightness": "f29d8d76ea365fd31e4ef57af3c9ca2ff4d1dbf5076d66aa4413fb0025e392da",
+    "mbd_moment": "9954ad096bc8d2937f62c257407e461fc020bd632d22d7d22f971bfee2125226",
+    "annulus": "d89ff491eaf14f7ee13f136a2e6deb9aa67d6242725251fcc452dac8ed2a2486",
+    "good_points": "bf60a476fd7032bc60faee3eff328726315e9f0748a3f0257ae8590368df3265",
+    "level_counts": "8b70a4d4f96a53af6dd01c9f224f55b2dac9d5612ff7b76237dfb5100034348f",
+    "bplus_volume": "6ae7faf5b2d101cbeba533b304c2662c2cb9fda5d5bb785add1c1235ac92822a",
+    "coupling": "fea587cd6f671bbe36c30b6a473353c595e6c8aa626ba541d05dcea8c84a6f10",
+    "confinement": "1d578bba6b5a830c4d6b31cd77a0c6e5be035aa2b5d5c983745c2cdff0c370fa",
+    "direction_convergence": "ab0070e61aa3bcb57d600b1373b3a61b9a5b6daaa58ee4ff58de55abc6165116",
+}
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_report_bytes_pinned_d1(monkeypatch, tmp_path, threads):
+    if threads is None:
+        monkeypatch.delenv("HYPERRST_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("HYPERRST_THREADS", threads)
+    reports = experiments.analyze(PINNED_D1, list(experiments.EXPERIMENTS))
+    got = {}
+    for name, report in reports.items():
+        json_path, csv_path = experiments.write_report(report, str(tmp_path))
+        with open(json_path, "rb") as fj, open(csv_path, "rb") as fc:
+            got[name] = hashlib.sha256(fj.read() + fc.read()).hexdigest()
+    assert got == PINNED_D1_REPORTS
 
 
 def test_coupling_small():

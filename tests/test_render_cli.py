@@ -274,6 +274,15 @@ class TestCli:
         assert cli.main(["render", "--config", str(p), "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "rst_30.svg").read_bytes()).hexdigest() == digest
 
+    def test_dsf_bytes_pinned(self, tmp_path):
+        # digest of the forest written before the DSF and RST(h) searches
+        # shared one chart index per cloud
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 6.0, "seed": 11}))
+        assert cli.main(["dsf", "--config", str(p), "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "dsf_11.json").read_bytes()).hexdigest()
+        assert digest == "bf06377fcaa3f3f75be969cce364a658203b7fc7c9048cb1948eb28caa182976"
+
     def test_rst_and_dsf_commands(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(
