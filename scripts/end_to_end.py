@@ -1,8 +1,11 @@
-"""End-to-end record: `hyperrst analyze all --config defaults`, timed.
+"""End-to-end record: `hyperrst analyze all` and the ten acceptance criteria, timed.
 
-Runs the command once per run in a fresh process for each checkout given,
-and writes one JSON record with the wall time, the peak RSS and a digest of
-the report bytes of every run, plus the machine and the numpy/scipy
+Each run of a checkout runs `hyperrst analyze all --config defaults` once in a fresh process, then each
+acceptance criterion as its own `pytest tests/test_acceptance.py -k
+criterion_N_` from the checkout's own `tests`. It writes one JSON record
+with, for every run, the command's wall time, peak RSS and a digest of its
+report bytes, and each criterion's wall time (interpreter start-up and
+collection included) and exit code, plus the machine and the numpy/scipy
 versions. Each checkout is imported from its own `src`. Comparing two
 checkouts alternates their runs, so that a slow spell of the machine is
 shared.
@@ -10,7 +13,7 @@ shared.
     python3 scripts/end_to_end.py --checkout parent=../parent --checkout change=. \\
         --runs 1 --out BENCH_end_to_end.json
 
-A run takes about a minute at the defaults, so this is not part of the
+A run takes about two minutes at the defaults, so this is not part of the
 test suite.
 """
 
@@ -30,6 +33,7 @@ import numpy
 import scipy
 
 COMMAND = ["analyze", "all", "--config", "defaults"]
+CRITERIA = range(1, 11)
 
 
 def cpu_model() -> str:
@@ -65,10 +69,26 @@ def reports_digest(out_dir: str) -> str:
     return h.hexdigest()
 
 
-def run_once(root: str) -> dict:
-    """One `hyperrst analyze all` in a fresh process importing root/src."""
+def checkout_env(root: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env.pop("HYPERRST_THREADS", None)
+    return env
+
+
+def run_criterion(root: str, k: int) -> dict:
+    """Acceptance criterion k of root's own tests, in a fresh pytest process."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "tests/test_acceptance.py", "-k", f"criterion_{k}_"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, env=checkout_env(root), cwd=root, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return {"exit_code": proc.returncode, "wall_s": time.perf_counter() - start}
+
+
+def run_once(root: str) -> dict:
+    """One `hyperrst analyze all` in a fresh process importing root/src, then
+    each acceptance criterion."""
+    env = checkout_env(root)
     with tempfile.TemporaryDirectory() as out_dir:
         argv = [sys.executable, "-m", "hyperrst.cli", *COMMAND, "--out", out_dir]
         start = time.perf_counter()
@@ -76,13 +96,15 @@ def run_once(root: str) -> dict:
         _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-        return {
+        row = {
             "exit_code": proc.returncode,
             "wall_s": wall,
             "peak_rss_mb": usage.ru_maxrss / 1024.0,  # kilobytes on Linux
             "reports": len(os.listdir(out_dir)),
             "reports_sha256": reports_digest(out_dir),
         }
+    row["criteria"] = {str(k): run_criterion(root, k) for k in CRITERIA}
+    return row
 
 
 def main(argv=None) -> int:
@@ -105,8 +127,10 @@ def main(argv=None) -> int:
         for label, root in checkouts.items():
             row = run_once(root)
             runs[label].append(row)
-            print(f"{label} run {k}: {row['wall_s']:.1f} s, {row['peak_rss_mb']:.1f} MB, exit {row['exit_code']}",
-                  file=sys.stderr)
+            crit = " ".join(f"c{c}={r['wall_s']:.1f}" + ("" if r["exit_code"] == 0 else "!")
+                            for c, r in row["criteria"].items())
+            print(f"{label} run {k}: {row['wall_s']:.1f} s, {row['peak_rss_mb']:.1f} MB, exit {row['exit_code']}; "
+                  f"{crit}", file=sys.stderr)
 
     record = {
         "command": "hyperrst " + " ".join(COMMAND),
@@ -125,7 +149,8 @@ def main(argv=None) -> int:
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    failed = any(row["exit_code"] != 0 for rows in runs.values() for row in rows)
+    failed = any(r["exit_code"] != 0 for rows in runs.values() for row in rows
+                 for r in (row, *row["criteria"].values()))
     return 1 if failed else 0
 
 

@@ -31,13 +31,24 @@ class MarginError(RuntimeError):
 
 @dataclass(eq=False)
 class HalfCloud:
-    """Half-space points x (n, d), y (n,) that own their chart index: a k-d
-    tree over (x, y) and each point's nearest chart neighbours, built on
-    first use. The DSF and every RST(h) built on one HalfCloud share that
-    index, each search mapping it through its own key order."""
+    """Half-space points x (n, d), y (n,), finite with y > 0 (GeometryError
+    otherwise), that own their chart index: a k-d tree over (x, y) and each
+    point's nearest chart neighbours, built on first use. The DSF and every
+    RST(h) built on one HalfCloud share that index, each search mapping it
+    through its own key order."""
 
     x: np.ndarray
     y: np.ndarray
+
+    def __post_init__(self):
+        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+        if y.ndim != 1 or x.ndim != 2 or x.shape[0] != y.shape[0] or x.shape[1] < 1:
+            raise GeometryError(f"points need x of shape (n, d) and y of shape (n,), not {x.shape} and {y.shape}")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise GeometryError("point coordinates must be finite")
+        if np.any(y <= 0):
+            raise GeometryError("every ordinate y must be > 0")
+        self.x, self.y = x, y
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -49,12 +60,11 @@ class HalfCloud:
 
 def _as_cloud(points) -> HalfCloud:
     """Accept a HalfCloud, a list of HalfPoint or an (x, y) array pair; the
-    last two are wrapped in a fresh HalfCloud."""
+    last two are wrapped in a fresh HalfCloud, which checks them."""
     if isinstance(points, HalfCloud):
         return points
     if isinstance(points, tuple) and len(points) == 2:
-        x, y = points
-        return HalfCloud(np.atleast_2d(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
+        return HalfCloud(*points)
     x = np.array([p.x for p in points], dtype=float)
     y = np.array([p.y for p in points], dtype=float)
     if x.ndim == 1:

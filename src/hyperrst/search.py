@@ -4,9 +4,18 @@ Points are sorted by a key (distance to the tree origin, or minus the log
 ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
 over a Euclidean chart of the model (Bentley, CACM 1975);
-`nearest_lower_brute` is the O(n^2) oracle over a distance matrix. The tree
-and each point's nearest chart neighbours belong to the point set (a
-`ChartIndex`), so searches that sort one set by different keys share them.
+`nearest_lower_brute` is the O(n^2) oracle over a distance matrix. The tree,
+each point's nearest chart neighbours and the distance to the farthest of
+them belong to the point set (a `ChartIndex`), so searches that sort one set
+by different keys share them.
+
+Pass 1 bounds each parent distance by the nearest smaller-key point among
+the point's chart neighbours, or by the root. Each bounded point then takes
+one of two routes, each of which sees a superset of the metric ball of that
+radius: (1) when the ball's padded chart cover lies strictly inside the
+neighbours' farthest distance, pass 1's answer is final; (2) otherwise the
+point takes its chart ball from the k-d tree. A point left without a bound
+scans its smaller-key prefix.
 
 Both apply one tie rule: lowest distance, then lowest candidate index, and a
 point beats the root at equal distance. `rst.validate` checks built trees
@@ -48,29 +57,33 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 class ChartIndex:
     """A k-d tree over the Euclidean chart coordinates (n, m), n >= 1, of a
-    point set, and each point's _K nearest chart neighbours, itself among
-    them, both in the set's own order. They belong to the point set: every
-    search over it uses them, whatever key order it sorts the points by
-    (see KeyOrder). The _K_WIDE nearest are kept too, for the few points
-    that ask for them."""
+    point set, each point's _K nearest chart neighbours, itself among them,
+    and the chart distance to the farthest of those (+inf when n <= _K, as
+    they are then every point), all in the set's own order. Every point
+    strictly closer than that distance is among the _K. They belong to the
+    point set: every search over it uses them, whatever key order it sorts
+    the points by (see KeyOrder). The _K_WIDE nearest are kept too, for the
+    few points that ask for them."""
 
     def __init__(self, coords: np.ndarray):
         self.coords = coords
         self.tree = cKDTree(coords)
         self.scale = float(np.abs(coords).max())
-        self.knn = self.query(coords, _K)
+        dist, self.knn = self.query(coords, _K)
+        self.kth = dist[:, -1] if coords.shape[0] > _K else np.full(coords.shape[0], np.inf)
         self._wide: dict = {}  # point -> its _K_WIDE nearest
 
-    def query(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the min(k, n) nearest chart neighbours of each of pts."""
+    def query(self, pts: np.ndarray, k: int):
+        """(distances, indices) of the min(k, n) nearest chart neighbours of
+        each of pts."""
         n = self.coords.shape[0]
-        return self.tree.query(pts, k=list(range(1, min(k, n) + 1)))[1]
+        return self.tree.query(pts, k=list(range(1, min(k, n) + 1)))
 
     def wide(self, pts: np.ndarray) -> np.ndarray:
-        """query(pts, _K_WIDE), with each point queried once per index."""
+        """query(pts, _K_WIDE) indices, with each point queried once per index."""
         new = [p for p in dict.fromkeys(pts.tolist()) if p not in self._wide]
         if new:
-            self._wide.update(zip(new, self.query(self.coords[new], _K_WIDE)))
+            self._wide.update(zip(new, self.query(self.coords[new], _K_WIDE)[1]))
         return np.array([self._wide[p] for p in pts.tolist()])
 
 
@@ -90,6 +103,13 @@ class KeyOrder:
 
     def _points(self, rows):
         return rows if self.order is None else self.order[rows]
+
+    def coords(self, rows: np.ndarray) -> np.ndarray:
+        return self.index.coords[self._points(rows)]
+
+    def kth(self, rows: np.ndarray) -> np.ndarray:
+        """Chart distance from each of rows to its _K-th nearest neighbour."""
+        return self.index.kth[self._points(rows)]
 
     def neighbours(self, rows: np.ndarray, wide: bool = False) -> np.ndarray:
         """Rows of the _K (with wide, _K_WIDE) nearest chart neighbours of
@@ -122,9 +142,14 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
     parent_dist is +inf for frontier points.
 
     Pass 1 bounds each parent distance by the nearest smaller-key point among
-    the k Euclidean neighbours in the chart (or the root). Pass 2 takes every
-    point in a chart ball that covers the metric ball of that radius and keeps
-    the best smaller-key one. Points left without a bound scan every smaller key.
+    the _K chart neighbours (_K_WIDE when the _K hold none), or by the root.
+    Each bounded row then takes one of two exact routes, each of which sees
+    every point of the metric ball of that radius:
+    1. when the padded chart ball that covers it lies strictly inside the
+       row's _K-th neighbour distance, the _K neighbours hold the whole ball,
+       and pass 1's best, or the root, is final;
+    2. any other row keeps the best smaller-key point of its chart ball.
+    A row with no bound scans every smaller key.
     """
     n = keys.shape[0]
     parent, pdist = _start(n, root_dist)
@@ -135,26 +160,39 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
         chart = KeyOrder(ChartIndex(chart))
     scale = chart.index.scale
 
-    def knn_bound(rows, wide=False):
+    def pass1(rows, wide=False):
+        """(near, best): the distance and row of the nearest smaller-key
+        chart neighbour of each of rows, the lowest row on ties; near is
+        +inf when there is none."""
         nb = chart.neighbours(rows, wide)
         d = pair_dist(rows[:, None], nb)
         d[nb >= his[rows, None]] = np.inf
-        return d.min(axis=1)
+        near = d.min(axis=1)
+        return near, np.where(d == near[:, None], nb, n).min(axis=1)
 
     for a in range(0, n, _CHUNK):
         rows = np.arange(a, min(a + _CHUNK, n))
-        near = knn_bound(rows)
+        near, best = pass1(rows)
         miss = ~np.isfinite(near)
         if np.any(miss):
-            near[miss] = knn_bound(rows[miss], wide=True)
+            near[miss], best[miss] = pass1(rows[miss], wide=True)
         rho = np.minimum(pdist[rows], near)
         open_ = ~np.isfinite(rho)
-        bounded = rows[~open_]
-        if bounded.size:
-            centre, radius = cover(bounded, rho[~open_] * (1.0 + _REL))
-            radius = radius * (1.0 + _REL) + _ULPS * np.maximum(scale, np.abs(centre).max(axis=1))
-            counts, cand = chart.ball(centre, radius)
-            _take_nearest(parent, pdist, np.repeat(bounded, counts), cand, his, pair_dist)
+        b = np.flatnonzero(~open_)  # bounded rows, as positions in the chunk
+        centre, radius = cover(rows[b], rho[b] * (1.0 + _REL))
+        slack = _ULPS * np.maximum(scale, np.abs(centre).max(axis=1))
+        radius = radius * (1.0 + _REL) + slack
+        # route 1: the cover ball lies inside the _K-NN ball
+        reach = np.linalg.norm(centre - chart.coords(rows[b]), axis=1) + radius
+        inside = reach * (1.0 + _REL) + slack < chart.kth(rows[b])
+        done = b[inside & (near[b] <= pdist[rows[b]])]
+        parent[rows[done]] = best[done]
+        pdist[rows[done]] = near[done]
+        # route 2: every smaller-key point in the chart ball
+        out = ~inside
+        if np.any(out):
+            counts, cand = chart.ball(centre[out], radius[out])
+            _take_nearest(parent, pdist, np.repeat(rows[b[out]], counts), cand, his, pair_dist)
         unbounded = rows[open_]
         if unbounded.size:
             count = his[unbounded]

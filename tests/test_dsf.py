@@ -1,11 +1,12 @@
 """DSF/RST(h) builders, regions, and the coupling machinery."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from hyperrst import dsf, hgeom, rst, sampler, search
+from hyperrst import dsf, experiments, hgeom, rst, sampler, search
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
 from hyperrst.hgeom import GeometryError, HalfPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
@@ -71,6 +72,28 @@ class TestBuildDsf:
                 assert np.array_equal(a.parent_dist, b.parent_dist)
         with pytest.raises(GeometryError):
             dsf.build_dsf([])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[0.0], [0.5]], [1.0, -2.0]),
+            ([[0.0], [0.5]], [1.0, 0.0]),
+            ([[0.0], [np.nan]], [1.0, 2.0]),
+            ([[0.0], [0.5]], [1.0, np.inf]),
+            ([0.0, 0.5], [1.0, 2.0]),
+            ([[0.0], [0.5], [1.0]], [1.0, 2.0]),
+            ([[0.0, 0.5]], [1.0, 2.0]),
+            ([[0.0], [0.5]], [[1.0, 2.0]]),
+        ],
+        ids=["y<0", "y=0", "nan_x", "inf_y", "1d_x", "more_x", "wide_x", "2d_y"],
+    )
+    def test_bad_points_rejected(self, x, y):
+        with pytest.raises(GeometryError):
+            dsf.build_dsf((np.array(x), np.array(y)))
+        with pytest.raises(GeometryError):
+            dsf.build_rst_h((np.array(x), np.array(y)), 2.0)
+        with pytest.raises(GeometryError):
+            dsf.HalfCloud(np.array(x), np.array(y))
 
     def test_matches_brute(self):
         clouds = [half_cloud(seed, lam=6.0) for seed in range(5)] + [capped_clusters()]
@@ -243,6 +266,185 @@ class TestSharedIndex:
         # the -t point, which comes first among equal ordinates
         axis = forest.parent_in_input_order()[80:]
         assert np.array_equal(axis, np.arange(40, 80))
+
+
+def brute_over(keys, pair_dist, root_dist=None):
+    """search.nearest_lower_brute over the matrix of pair_dist."""
+    idx = np.arange(keys.shape[0])
+    return search.nearest_lower_brute(keys, pair_dist(idx[:, None], idx), root_dist)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Rows of search.nearest_lower by what they reach: a cover ball
+    ("bounded"), a searched chart ball ("ball", route 2) and a smaller-key
+    prefix scan ("prefix", the unbounded rows). Bounded rows that reach no
+    ball query are the ones route 1 settled."""
+    seen = dict.fromkeys(("bounded", "ball", "prefix"), 0)
+    nearest_lower, concat_ranges = search.nearest_lower, search.concat_ranges
+    ball = search.KeyOrder.ball
+
+    def counting_search(keys, chart, pair_dist, cover, root_dist=None):
+        def counting_cover(rows, rho):
+            seen["bounded"] += rows.size
+            return cover(rows, rho)
+
+        monkeypatch.setattr(search, "concat_ranges", counting_ranges)
+        try:
+            return nearest_lower(keys, chart, pair_dist, counting_cover, root_dist)
+        finally:
+            monkeypatch.setattr(search, "concat_ranges", concat_ranges)
+
+    def counting_ranges(lo, hi):
+        seen["prefix"] += lo.size
+        return concat_ranges(lo, hi)
+
+    def counting_ball(self, centres, radii):
+        seen["ball"] += len(centres)
+        return ball(self, centres, radii)
+
+    monkeypatch.setattr(search, "nearest_lower", counting_search)
+    monkeypatch.setattr(search.KeyOrder, "ball", counting_ball)
+    return seen
+
+
+def check_forests(x, y, hs=(0.0, 2.0, 10.0)):
+    """The DSF and RST(h) of a shared HalfCloud equal build_*_brute, and
+    nearest_lower_brute over their own pair distances bit for bit."""
+    cloud = dsf.HalfCloud(x, y)
+    for h in (None, *hs):
+        if h is None:
+            forest, brute = dsf.build_dsf(cloud), dsf.build_dsf_brute((x, y))
+            keys, root_dist = -np.log(forest.y), None
+        else:
+            forest, brute = dsf.build_rst_h(cloud, h), dsf.build_rst_h_brute((x, y), h)
+            keys = root_dist = dsf.origin_distances(h, forest.x, forest.y)
+        assert np.array_equal(forest.parent, brute.parent), h
+        parent, pdist = brute_over(keys, dsf._pair_dist(forest.x, forest.y), root_dist)
+        assert np.array_equal(forest.parent, parent), h
+        assert forest.parent_dist.tobytes() == pdist.tobytes(), h
+
+
+def check_tree(cloud):
+    """rst.build equals brute_force_parents, and nearest_lower_brute over its
+    own pair distances bit for bit."""
+    tree = rst.build(cloud)
+    assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+    parent, pdist = brute_over(cloud.radii, rst._pair_dist(cloud.radii, cloud.dirs), cloud.radii)
+    assert np.array_equal(tree.parent, parent)
+    assert tree.parent_dist.tobytes() == pdist.tobytes()
+
+
+def route_one_fired(seen):
+    """Some bounded row reached no ball query."""
+    return seen["bounded"] > seen["ball"]
+
+
+class TestRoutes:
+    """search.nearest_lower settles a bounded row from its chart neighbours
+    (route 1) or searches its chart ball (route 2); both routes must give
+    the brute oracles' parents, ties included."""
+
+    def test_at_most_k_points(self, routes):
+        # the neighbour table then holds every point, so route 1 settles
+        # every bounded row
+        rng = np.random.default_rng(0)
+        for n in range(1, search._K + 1):
+            for d in (1, 2):
+                check_forests(rng.uniform(-1.0, 1.0, (n, d)), rng.uniform(0.2, 2.0, n))
+            for d in (1, 2, 3):
+                dirs = rng.normal(size=(n, d + 1))
+                dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+                radii = np.sort(rng.uniform(0.1, 3.0, n))
+                check_tree(sampler.PointCloud(CloudConfig(d=d, lam=1.0, R=3.0, seed=0), radii, dirs))
+        assert routes["bounded"] > 0
+        assert routes["ball"] == 0
+
+    def test_lattice_at_kth_distance(self, routes):
+        # a checkerboard of the integer grid, even points first in row-major
+        # order: an even point's unit neighbours are odd, so its nearest
+        # smaller keys are diagonal, at sqrt 2, which is also its _K-th
+        # neighbour distance; an odd point ties four even ones at distance 1
+        a, b = (g.ravel() for g in np.meshgrid(np.arange(12), np.arange(12), indexing="ij"))
+        keys = ((a + b) % 2) * 1000.0 + a * 12 + b
+        order = np.argsort(keys)
+        grid, keys = np.column_stack([a, b])[order].astype(float), keys[order]
+        n = keys.shape[0]
+
+        def euclid(i, j):
+            return np.sqrt(((grid[i] - grid[j]) ** 2).sum(axis=-1))
+
+        # a root at distance 1 keeps every ball inside the sqrt 2 of the
+        # _K-th neighbour, so route 1 settles every row; only the rows of
+        # the rootless pass are left without a bound
+        cases = [(None, True), (np.full(n, math.sqrt(2.0)), True), (np.ones(n), False), (keys / 100.0 + 0.5, True)]
+        for root_dist, searched in cases:
+            routes.update(dict.fromkeys(routes, 0))
+            parent, pdist = search.nearest_lower(keys, grid, euclid, lambda rows, rho: (grid[rows], rho), root_dist)
+            want_parent, want_dist = brute_over(keys, euclid, root_dist)
+            assert np.array_equal(parent, want_parent)
+            assert np.array_equal(pdist, want_dist)
+            assert route_one_fired(routes)
+            assert (routes["ball"] > 0) == searched
+            assert (routes["prefix"] > 0) == (root_dist is None)
+
+    def test_mirror_ties_and_capped_clusters(self, routes):
+        check_forests(*mirror_half_cloud())
+        check_forests(*capped_clusters())
+        assert route_one_fired(routes)
+        assert routes["ball"] > 0
+
+    def test_sampled_clouds(self, routes):
+        d2 = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
+        for x, y in [half_cloud(seed, lam=6.0) for seed in range(3)] + [half_cloud(0, lam=4.0, d=2, w=d2)]:
+            check_forests(x, y)
+        for d, lam, R in ((1, 10.0, 3.5), (2, 1.0, 3.5), (3, 0.3, 3.0)):
+            check_tree(sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=0)))
+        assert route_one_fired(routes)
+        assert routes["ball"] > 0
+
+    def test_route_split_on_coupling_cloud(self, routes):
+        # the seed-29 coupling cloud at the defaults: route 1 settles most
+        # bounded rows, so few reach a k-d ball query
+        cfg = experiments.default_config(seed=29)
+        w = experiments.coupling_window(cfg)
+        cloud = dsf.HalfCloud(*sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, 29, 0))
+        dsf.build_dsf(cloud)
+        for h in cfg.h_grid:
+            dsf.build_rst_h(cloud, h)
+        assert routes["bounded"] > 5 * len(cloud)
+        assert routes["ball"] < 0.25 * routes["bounded"]
+
+
+# SHA-256 of (parent, parent_dist) bytes at d=2, lambda=0.2, seed 11 in the
+# coupling window of the default A and a (n = 10,378), recorded before the
+# search settled rows from their chart neighbours; h None is the DSF
+PINNED_D2_FORESTS = [
+    (None, "dfe14e0f70ca447088ab0a582deaaef609a1ae544e3c2ea6371aed2d7ba6e107",
+     "ab67487355e1fc80ae1df3b072ab32fbaf29deac97bf3f4728510c9915a51f86"),
+    (2.0, "0d4c9a6035826ece98fc639d818d1973170b785626f18e88fcef57eed519e151",
+     "3204edab1e57c7c839f9033979a8d823d2487b193132f3502b10aae12116fcfb"),
+    (6.0, "2a97fbf7d1ae103ddfe82f5a41a0a09df84a0217a0365403582a22b62abd0966",
+     "08f841ee0a7cbec68d9f27c0236cdc01e2c294d02395bf97df2645e1c4bb70b7"),
+    (10.0, "423dc23ea2891908e368f2eb5800ffda04501db39521a3b9c5c5d367d4b28f14",
+     "7079df45783a5c26a7f14711b7123b86bab60ffe51b46b0c87cb48dcac88fcf3"),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_d2_cloud():
+    cfg = experiments.default_config(seed=11, base=CloudConfig(d=2, lam=0.2, R=5.0, seed=11))
+    w = experiments.coupling_window(cfg)
+    return dsf.HalfCloud(*sampler.sample_half_arrays(0.2, 2, w, 11, 0))
+
+
+@pytest.mark.parametrize("h, parent_digest, dist_digest", PINNED_D2_FORESTS, ids=["dsf", "h2", "h6", "h10"])
+def test_parents_pinned_d2(pinned_d2_cloud, h, parent_digest, dist_digest):
+    cloud = pinned_d2_cloud
+    forest = dsf.build_dsf(cloud) if h is None else dsf.build_rst_h(cloud, h)
+    assert len(forest) == 10378
+    assert hashlib.sha256(forest.parent.tobytes()).hexdigest() == parent_digest
+    assert hashlib.sha256(forest.parent_dist.tobytes()).hexdigest() == dist_digest
 
 
 class TestRegions:

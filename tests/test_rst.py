@@ -140,6 +140,15 @@ class TestBuild:
             assert np.array_equal(parent, scan_parent)
             assert np.array_equal(pdist, scan_dist)
 
+    def test_parents_pinned_d3(self):
+        # recorded before the search settled rows from their chart neighbours
+        tree = rst.build(sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=3.5, seed=0)))
+        assert len(tree) == 8849
+        assert hashlib.sha256(tree.parent.tobytes()).hexdigest() == (
+            "ec69c09943f52abec2ed2d13fabb06c0123bda72a922503854ea47e143e3fb36")
+        assert hashlib.sha256(tree.parent_dist.tobytes()).hexdigest() == (
+            "8b35f7e115780e5756a7b9041548fecb8da1ea9ba398ed87cdb877709c3134b0")
+
     def test_empty_cloud(self):
         cloud = PointCloud(CloudConfig(d=1, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 2)))
         tree = rst.build(cloud)
