@@ -8,7 +8,9 @@ its parents couple with the DSF parents on compact sets.
 Both search the same (x, y) chart and differ only in the key order. A
 HalfCloud owns the chart's k-d tree and 8-NN table, so every forest built
 on one HalfCloud shares them; points given as a list or an (x, y) pair get
-a fresh HalfCloud, and so a fresh index, per call.
+a fresh HalfCloud, and so a fresh index, per call. coupling_fraction wraps
+its points once, so the DSF and the RST(h) of its whole h grid share one
+index.
 """
 
 from __future__ import annotations
@@ -90,11 +92,16 @@ class HalfForest:
     def point(self, i: int) -> HalfPoint:
         return HalfPoint(self.x[i], float(self.y[i]))
 
+    @functools.cached_property
+    def rank(self) -> np.ndarray:
+        """Internal row of each input point: the inverse of order."""
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[self.order] = np.arange(len(self))
+        return rank
+
     def parent_in_input_order(self) -> np.ndarray:
         """Parent indices re-expressed for the caller's original point order."""
-        inv = np.empty(len(self), dtype=np.int64)
-        inv[self.order] = np.arange(len(self))
-        pp = self.parent[inv]
+        pp = self.parent[self.rank]
         return np.where(pp < 0, pp, self.order[np.maximum(pp, 0)])
 
 
@@ -259,53 +266,43 @@ def cyl_box(spec: RegionSpec):
 # coupling
 
 
-def coupling_fraction(points, window: HalfWindow, K: RegionSpec, h: float,
-                      dsf_forest: HalfForest | None = None):
-    """Fraction of cloud points in K whose RST(h) parent equals their DSF parent.
+def _k_parents(forest: HalfForest, idx: np.ndarray):
+    """Parents (in input order) and parent distances of the input points idx.
+    Callers keep these rows, not the forest, so one RST(h) is alive at a time."""
+    return forest.parent_in_input_order()[idx], forest.parent_dist[forest.rank[idx]]
 
-    dsf_forest, when given, must be build_dsf of the same points; anything
-    else raises GeometryError. Pass a HalfCloud so that the RST(h) search
-    reuses the chart index of the DSF.
 
-    Every point of K must have both parent search balls inside the window;
-    a violation raises MarginError rather than returning a biased number.
-    An empty K intersection reports fraction 1 with count 0.
+def coupling_fraction(points, window: HalfWindow, K: RegionSpec, hs):
+    """For each h of hs, the fraction of cloud points in K whose RST(h) parent
+    equals their DSF parent; returns (fractions, number of points in K).
+
+    The DSF and every RST(h) are built on one HalfCloud, so they share one
+    chart index; each RST(h) is dropped before the next is built. Every
+    point of K must have both parent search balls inside the window; the
+    first h with a violation raises MarginError rather than returning a
+    biased number. An empty K intersection reports fraction 1 with count 0.
     """
     cloud = _as_cloud(points)
     x, y = cloud.x, cloud.y
-    forest = dsf_forest if dsf_forest is not None else build_dsf(cloud)
-    if forest.h is not None:
-        raise GeometryError(f"dsf_forest is the RST(h) with h = {forest.h}, not the DSF")
-    same = len(forest) == len(y) and np.array_equal(forest.y, y[forest.order])
-    if not (same and np.array_equal(forest.x, x[forest.order])):
-        raise GeometryError("dsf_forest was built on other points")
-    tree_h = build_rst_h(cloud, h)
-    dsf_parent = forest.parent_in_input_order()
-    rst_parent = tree_h.parent_in_input_order()
-
     xr, ylo, yhi = cyl_box(K)
-    in_k = (np.linalg.norm(x, axis=1) < xr) & (y >= ylo) & (y <= yhi)
-    idx = np.nonzero(in_k)[0]
+    idx = np.nonzero((np.linalg.norm(x, axis=1) < xr) & (y >= ylo) & (y <= yhi))[0]
     if idx.size == 0:
-        return 1.0, 0
-
+        return [1.0] * len(hs), 0
     margins = window_margin(window, x[idx], y[idx])
-    inv_d = np.empty(len(y), dtype=np.int64)
-    inv_d[forest.order] = np.arange(len(y))
-    inv_r = np.empty(len(y), dtype=np.int64)
-    inv_r[tree_h.order] = np.arange(len(y))
-    d_dsf = forest.parent_dist[inv_d[idx]]
-    d_rst = tree_h.parent_dist[inv_r[idx]]
-    worst = np.maximum(d_dsf, d_rst)
-    bad = ~np.isfinite(worst) | (worst >= margins)
-    if np.any(bad):
-        k = int(np.nonzero(bad)[0][0])
-        raise MarginError(
-            f"parent ball of point {idx[k]} (dist {worst[k]:.3f}) exceeds its "
-            f"window margin {margins[k]:.3f}; enlarge the window"
-        )
-    agree = dsf_parent[idx] == rst_parent[idx]
-    # a frontier marker never equals a real parent; ROOT (the O(h) origin)
-    # never equals a DSF parent either
-    agree &= dsf_parent[idx] >= 0
-    return float(np.mean(agree)), int(idx.size)
+    dsf_parent, d_dsf = _k_parents(build_dsf(cloud), idx)
+    fractions = []
+    for h in hs:
+        rst_parent, d_rst = _k_parents(build_rst_h(cloud, h), idx)
+        worst = np.maximum(d_dsf, d_rst)
+        bad = ~np.isfinite(worst) | (worst >= margins)
+        if np.any(bad):
+            k = int(np.nonzero(bad)[0][0])
+            raise MarginError(
+                f"parent ball of point {idx[k]} (dist {worst[k]:.3f}) exceeds its "
+                f"window margin {margins[k]:.3f}; enlarge the window"
+            )
+        # a frontier marker never equals a real parent; ROOT (the O(h) origin)
+        # never equals a DSF parent either
+        agree = (dsf_parent == rst_parent) & (dsf_parent >= 0)
+        fractions.append(float(np.mean(agree)))
+    return fractions, int(idx.size)

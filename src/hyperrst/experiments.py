@@ -51,8 +51,14 @@ class ExperimentConfig:
             raise GeometryError("r0_grid must be nonempty")
         if any(not 0 < r < self.base.R for r in self.r0_grid):
             raise GeometryError("r0_grid must lie inside (0, R)")
-        if self.p < 1:
+        if not self.p >= 1:
             raise GeometryError("p must be >= 1")
+        if not (self.A > 0 and self.theta > 0):
+            raise GeometryError("A and theta must be > 0")
+        if not self.a >= 0:
+            raise GeometryError("a must be >= 0")
+        if any(not h >= 0 for h in self.h_grid):
+            raise GeometryError("h_grid must be >= 0")
 
 
 def default_config(seed: int = DEFAULT_SEED, **overrides) -> ExperimentConfig:
@@ -389,15 +395,9 @@ def coupling_window(cfg: ExperimentConfig) -> HalfWindow:
 
 def _rep_coupling(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     w = coupling_window(cfg)
-    # one chart index serves the DSF and every RST(h) search on the cloud
-    cloud = dsf.HalfCloud(*sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, cfg.base.seed, replica))
-    forest = dsf.build_dsf(cloud)
-    K = dsf.RegionSpec("Cyl'", A=cfg.A, a=cfg.a)
-    out = []
-    for h in cfg.h_grid:
-        frac, count = dsf.coupling_fraction(cloud, w, K, h, dsf_forest=forest)
-        out.append(frac)
-    return np.array(out)
+    points = sampler.sample_half_arrays(cfg.base.lam, cfg.base.d, w, cfg.base.seed, replica)
+    fractions, _ = dsf.coupling_fraction(points, w, dsf.RegionSpec("Cyl'", A=cfg.A, a=cfg.a), cfg.h_grid)
+    return np.array(fractions)
 
 
 def _summary_coupling(cfg: ExperimentConfig, values: np.ndarray) -> StatReport:
@@ -450,7 +450,7 @@ def _rep_direction(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     if len(tree) == 0:
         return np.zeros(len(cfg.r0_grid))
-    best = int(tree.layers()[-1][-1])  # the highest-index deepest node
+    best = int(tree.layers[-1][-1])  # the highest-index deepest node
     path = rst.trajectory(tree, best)[:-1]  # drop the root sentinel
     path.reverse()  # root-side first, radii increasing
     radii = tree.radii[path]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -354,7 +353,6 @@ def star_sphere_crossing(p: StarPath, r: float) -> float:
 # volumes
 
 
-@lru_cache(maxsize=None)
 def sphere_surface(d: int) -> float:
     """d-dimensional volume of the unit sphere S^d in R^(d+1)."""
     return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)

@@ -17,6 +17,7 @@ from . import hgeom, rst
 from .hgeom import GeometryError
 
 COLLINEAR_TOL = 1e-9
+POLYLINE_SEGMENTS = 32  # straight pieces per star-path polyline edge
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,6 @@ class SvgScene:
     disc_px: float = 800.0
     edge_style: str = "geodesic-arc"  # or "star-path-polyline"
     colors: bool = True
-    polyline_segments: int = 32
 
     def __post_init__(self):
         if self.edge_style not in ("geodesic-arc", "star-path-polyline"):
@@ -93,7 +93,7 @@ def _arc_path(arc: GeodesicArc) -> str:
 def _component_hues(tree: rst.RadialTree) -> tuple:
     """Root-child subtree id per node and golden-angle hue per subtree."""
     comp = np.arange(len(tree))
-    for layer in tree.layers()[1:]:
+    for layer in tree.layers[1:]:
         comp[layer] = comp[tree.parent[layer]]
     roots = tree.root_children()
     hue = {int(r): (k * 137.508) % 360.0 for k, r in enumerate(roots)}
@@ -121,7 +121,7 @@ def render_svg(tree: rst.RadialTree, scene: SvgScene) -> str:
         if scene.edge_style == "geodesic-arc":
             d_attr = _arc_path(geodesic_arc(p1, p2))
         else:
-            pts = _star_polyline(tree, i, scene.polyline_segments)
+            pts = _star_polyline(tree, i)
             coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in (_svg_coords(p) for p in pts))
             d_attr = "M " + coords
         parts.append(
@@ -135,13 +135,13 @@ def render_svg(tree: rst.RadialTree, scene: SvgScene) -> str:
     return "\n".join(parts)
 
 
-def _star_polyline(tree: rst.RadialTree, i: int, segments: int) -> list:
+def _star_polyline(tree: rst.RadialTree, i: int) -> list:
     child = tree.cloud.point(i)
     p = tree.parent[i]
     par = tree.cloud.point(int(p)) if p != rst.ROOT else hgeom.origin_point(2)
     path = hgeom.StarPath(child, par)
     out = []
-    for t in np.linspace(0.0, 1.0, segments + 1):
+    for t in np.linspace(0.0, 1.0, POLYLINE_SEGMENTS + 1):
         z = hgeom.star_eval(path, float(t))
         out.append(hgeom.polar_to_ball(z).coords)
     return out

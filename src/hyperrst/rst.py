@@ -9,9 +9,10 @@ deviations (MBD) take suprema of CFD over descendant subtrees.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,13 @@ class TreeLists(NamedTuple):
     theta: list
 
 
+class ChildTable(NamedTuple):
+    """The children of node i are nodes[start[i] : start[i + 1]], ascending."""
+
+    nodes: np.ndarray
+    start: np.ndarray
+
+
 @dataclass(eq=False)
 class RadialTree:
     """Point cloud plus parent links; parent ROOT (-1) means the origin."""
@@ -38,16 +46,10 @@ class RadialTree:
     cloud: PointCloud
     parent: np.ndarray
     parent_dist: np.ndarray
-    _children: np.ndarray | None = field(default=None, repr=False)
-    _children_start: np.ndarray | None = field(default=None, repr=False)
-    _parent_radii: np.ndarray | None = field(default=None, repr=False)
-    _edge_theta: np.ndarray | None = field(default=None, repr=False)
-    _lists: TreeLists | None = field(default=None, repr=False)
-    _layers: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        # the caches below are derived from these arrays: an in-place edit
-        # raises ValueError instead of leaving them stale
+        # the cached properties below are derived from these arrays: an
+        # in-place edit raises ValueError instead of leaving them stale
         self.parent.setflags(write=False)
         self.parent_dist.setflags(write=False)
 
@@ -62,66 +64,55 @@ class RadialTree:
     def dirs(self) -> np.ndarray:
         return self.cloud.dirs
 
+    @functools.cached_property
     def parent_radii(self) -> np.ndarray:
         """Radius of each node's parent (0 for root edges)."""
-        if self._parent_radii is None:
-            self._parent_radii = np.where(self.parent >= 0, self.radii[np.maximum(self.parent, 0)], 0.0)
-        return self._parent_radii
+        return np.where(self.parent >= 0, self.radii[np.maximum(self.parent, 0)], 0.0)
 
-    def children_of(self, i: int) -> np.ndarray:
-        self._ensure_children()
-        return self._children[self._children_start[i] : self._children_start[i + 1]]
-
-    def root_children(self) -> np.ndarray:
-        return np.nonzero(self.parent == ROOT)[0]
-
-    def _ensure_children(self):
-        if self._children is not None:
-            return
+    @functools.cached_property
+    def children(self) -> ChildTable:
         n = len(self)
         mask = self.parent >= 0
         counts = np.bincount(self.parent[mask], minlength=n)
         start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=start[1:])
         order = np.argsort(self.parent[mask], kind="stable")
-        self._children = np.nonzero(mask)[0][order]
-        self._children_start = start
+        return ChildTable(np.nonzero(mask)[0][order], start)
 
+    def children_of(self, i: int) -> np.ndarray:
+        nodes, start = self.children
+        return nodes[start[i] : start[i + 1]]
+
+    def root_children(self) -> np.ndarray:
+        return np.nonzero(self.parent == ROOT)[0]
+
+    @functools.cached_property
     def edge_thetas(self) -> np.ndarray:
         """Origin-angle between each node and its parent (0 for root edges)."""
-        if self._edge_theta is None:
-            rp = self.parent >= 0
-            theta = np.zeros(len(self))
-            pidx = self.parent[rp]
-            theta[rp] = hgeom.angle_between_arrays(self.dirs[rp], self.dirs[pidx])
-            self._edge_theta = theta
-        return self._edge_theta
+        rp = self.parent >= 0
+        theta = np.zeros(len(self))
+        theta[rp] = hgeom.angle_between_arrays(self.dirs[rp], self.dirs[self.parent[rp]])
+        return theta
 
+    @functools.cached_property
     def lists(self) -> TreeLists:
         """parent, radii, parent radii and edge thetas as lists: per-node reads
         of Python floats cost a fraction of 0-d numpy indexing."""
-        if self._lists is None:
-            self._lists = TreeLists(
-                self.parent.tolist(),
-                self.radii.tolist(),
-                self.parent_radii().tolist(),
-                self.edge_thetas().tolist(),
-            )
-        return self._lists
+        return TreeLists(
+            self.parent.tolist(), self.radii.tolist(), self.parent_radii.tolist(), self.edge_thetas.tolist()
+        )
 
+    @functools.cached_property
     def layers(self) -> list:
         """Nodes by depth as int64 arrays, each ascending; layer 0 is the root
         children. Root-to-leaf carries run one layer at a time."""
-        if self._layers is None:
-            self._ensure_children()
-            start = self._children_start
-            layers = []
-            layer = self.root_children()
-            while layer.size:
-                layers.append(layer)
-                layer = np.sort(self._children[search.concat_ranges(start[layer], start[layer + 1])])
-            self._layers = layers
-        return self._layers
+        nodes, start = self.children
+        layers = []
+        layer = self.root_children()
+        while layer.size:
+            layers.append(layer)
+            layer = np.sort(nodes[search.concat_ranges(start[layer], start[layer + 1])])
+        return layers
 
 
 class LevelCrossing(NamedTuple):
@@ -217,15 +208,15 @@ def brute_force_parents(cloud: PointCloud) -> np.ndarray:
 def _straddling(tree: RadialTree, r: float) -> np.ndarray:
     """Edges with parent radius <= r < child radius, by ascending child index."""
     above = np.arange(int(np.searchsorted(tree.radii, r, side="right")), len(tree))
-    return above[tree.parent_radii()[above] <= r]
+    return above[tree.parent_radii[above] <= r]
 
 
 def _crossing_psi(tree: RadialTree, children: np.ndarray, r: float):
     """(t, psi) of the edges' crossings with S(r): the crossing parameter and
     the angle of the crossing from the child direction."""
-    rc, rp = tree.radii[children], tree.parent_radii()[children]
+    rc, rp = tree.radii[children], tree.parent_radii[children]
     t = (r - rc) / (rp - rc)
-    theta = tree.edge_thetas()[children]
+    theta = tree.edge_thetas[children]
     psi = np.zeros(children.shape[0])
     pos = theta > 1e-14
     psi[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], theta[pos], t[pos])
@@ -240,7 +231,7 @@ def level_geometry(tree: RadialTree, r: float):
         raise GeometryError("level radius must be > 0")
     children = _straddling(tree, r)
     t, psi = _crossing_psi(tree, children, r)
-    theta = tree.edge_thetas()[children]
+    theta = tree.edge_thetas[children]
     dirs = tree.dirs[children]
     pos = theta > 1e-14
     th = theta[pos]
@@ -278,7 +269,7 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
         raise GeometryError("ancestor level must be > 0")
     if r == c.level:
         return c
-    lists = tree.lists()
+    lists = tree.lists
     v = c.edge_child
     while lists.parent_radii[v] > r:
         v = lists.parent[v]
@@ -289,7 +280,7 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
     """All crossings at S(r_prime) whose trajectory passes through c."""
     if r_prime < c.level:
         raise GeometryError("descendant level below crossing level")
-    radii = tree.lists().radii
+    radii = tree.lists.radii
     out = []
     stack = [c.edge_child]
     while stack:
@@ -308,7 +299,7 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
 
 def _psi_at(tree: RadialTree, child: int, r: float) -> float:
     """Angle from the child direction of the star-path point at radius r."""
-    lists = tree.lists()
+    lists = tree.lists
     theta = lists.theta[child]
     if theta < 1e-14:
         return 0.0
@@ -328,7 +319,7 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
         raise GeometryError("cfd requires r <= crossing level")
     if not r > 0:
         raise GeometryError("ancestor level must be > 0")
-    lists = tree.lists()
+    lists = tree.lists
     parent, parent_radii, theta = lists.parent, lists.parent_radii, lists.theta
     v = c.edge_child
     if parent_radii[v] <= r:
@@ -352,7 +343,7 @@ def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
     """
     if r_prime < c.level:
         raise GeometryError("mbd requires r_prime >= crossing level")
-    lists = tree.lists()
+    lists = tree.lists
     radii, theta = lists.radii, lists.theta
     v = c.edge_child
     # the CFD at the crossing's own child is the on-edge angle psi
@@ -393,8 +384,8 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     if not 0 < r0 <= r1:
         raise GeometryError("need 0 < r0 <= r1")
     radii, parent = tree.radii, tree.parent
-    theta = tree.edge_thetas()
-    rp = tree.parent_radii()
+    theta = tree.edge_thetas
+    rp = tree.parent_radii
     children, _, psi0, cross_dirs = level_geometry(tree, r0)
     m = children.shape[0]
     cum = np.zeros(len(tree))
@@ -402,7 +393,7 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     cum[children] = psi0
     crossid[children] = np.arange(m)
     # parents come a layer earlier, so each node gets cum[p] + theta[i] once
-    for layer in tree.layers():
+    for layer in tree.layers:
         deep = layer[rp[layer] > r0]
         cum[deep] = cum[parent[deep]] + theta[deep]
         crossid[deep] = crossid[parent[deep]]
@@ -549,7 +540,7 @@ def validate(tree: RadialTree) -> ValidationReport:
     n = len(tree)
     radii, dirs = tree.radii, tree.dirs
     parent = tree.parent
-    rp = tree.parent_radii()
+    rp = tree.parent_radii
     bad = np.nonzero((parent >= 0) & (rp >= radii))[0]
     for i in bad[:20]:
         violations.append(f"node {i}: parent radius {rp[i]} >= radius {radii[i]}")
@@ -559,7 +550,7 @@ def validate(tree: RadialTree) -> ValidationReport:
     # connectivity to the root without cycles: the depth layers are exactly
     # the nodes that reach it, so only the others are walked
     state = np.zeros(n, dtype=np.int8)  # 0 unknown, 1 reaches root or walked
-    for layer in tree.layers():
+    for layer in tree.layers:
         state[layer] = 1
     cycles = 0
     for i in np.flatnonzero(state == 0).tolist():
@@ -590,8 +581,7 @@ def validate(tree: RadialTree) -> ValidationReport:
             f"node {i}: point {check_parent[i]} at {check_dist[i]} inside "
             f"B+(z, {true_dist[i]})"
         )
-    tree._ensure_children()
-    degrees = np.diff(tree._children_start)
+    degrees = np.diff(tree.children.start)
     max_degree = int(degrees.max()) if n else 0
     counts = {"radius": len(bad), "frontier": frontier, "cycle": cycles, "bplus": len(worse)}
     return ValidationReport(violations=violations, max_degree=max_degree, counts=counts)
@@ -601,7 +591,7 @@ def _edge_angular_intervals(tree: RadialTree):
     """Angular interval [start, start+width] swept by each geodesic edge (d=1)."""
     dirs = tree.dirs
     alpha = np.arctan2(dirs[:, 1], dirs[:, 0])
-    theta = tree.edge_thetas()
+    theta = tree.edge_thetas
     parent = tree.parent
     has = parent >= 0
     cross = np.zeros(len(tree))

@@ -56,7 +56,7 @@ def validate_reference(tree):
     violations = []
     n = len(tree)
     radii, parent = tree.radii, tree.parent
-    rp = tree.parent_radii()
+    rp = tree.parent_radii
     bad = np.nonzero((parent >= 0) & (rp >= radii))[0]
     for i in bad[:20]:
         violations.append(f"node {i}: parent radius {rp[i]} >= radius {radii[i]}")

@@ -206,19 +206,26 @@ class TestBuildRstH:
         assert np.mean(p1[real] == dsf_parents[real]) > 0.999
 
 
+@pytest.fixture
+def chart_builds(monkeypatch):
+    """The size of every search.ChartIndex built while the test runs."""
+    built = []
+
+    class CountingIndex(search.ChartIndex):
+        def __init__(self, coords):
+            built.append(len(coords))
+            super().__init__(coords)
+
+    monkeypatch.setattr(search, "ChartIndex", CountingIndex)
+    return built
+
+
 class TestSharedIndex:
     """One HalfCloud carries one chart index for the DSF and every RST(h);
     each must equal the build over a fresh index, bit for bit."""
 
-    def test_shared_equals_fresh(self, monkeypatch):
-        built = []
-
-        class CountingIndex(search.ChartIndex):
-            def __init__(self, coords):
-                built.append(len(coords))
-                super().__init__(coords)
-
-        monkeypatch.setattr(search, "ChartIndex", CountingIndex)
+    def test_shared_equals_fresh(self, chart_builds):
+        built = chart_builds
         d2 = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
         clouds = (
             [half_cloud(seed, lam=6.0) for seed in range(5)]
@@ -509,13 +516,25 @@ class TestRegions:
             RegionSpec("Box", A=1.0)
 
 
+def brute_fractions(x, y, K, hs):
+    """Per h, the agreement fraction over K from the O(n^2) oracle parents,
+    with K membership from region_contains; and the size of K."""
+    idx = [i for i in range(len(y)) if dsf.region_contains(K, HalfPoint(x[i], float(y[i])))]
+    dsf_parent = dsf.build_dsf_brute((x, y)).parent_in_input_order()[idx]
+    fractions = []
+    for h in hs:
+        rst_parent = dsf.build_rst_h_brute((x, y), h).parent_in_input_order()[idx]
+        fractions.append(float(np.mean((dsf_parent == rst_parent) & (dsf_parent >= 0))))
+    return fractions, len(idx)
+
+
 class TestCoupling:
     def test_vacuous_region(self):
         x, y = half_cloud(11)
         # a Cyl'' region so small it contains no points
         K = RegionSpec("Cyl''", A=1e-6, a=0.0)
-        frac, count = dsf.coupling_fraction((x, y), WINDOW, K, 2.0)
-        assert frac == 1.0 and count == 0
+        fractions, count = dsf.coupling_fraction((x, y), WINDOW, K, (2.0, 4.0, 8.0))
+        assert fractions == [1.0, 1.0, 1.0] and count == 0
 
     def test_margin_violation_raises(self):
         # a window barely larger than K leaves no collar: audit must fire
@@ -523,34 +542,50 @@ class TestCoupling:
         x, y = sampler.sample_half_arrays(20.0, 1, w, seed=12)
         K = RegionSpec("Cyl'", A=1.0, a=0.7)
         with pytest.raises(MarginError):
-            dsf.coupling_fraction((x, y), w, K, 3.0)
+            dsf.coupling_fraction((x, y), w, K, (3.0,))
 
-    def test_foreign_dsf_forest_rejected(self):
-        x, y = half_cloud(1)
-        K = RegionSpec("Cyl'", A=2.0, a=0.0)
-        with pytest.raises(GeometryError, match="not the DSF"):
-            dsf.coupling_fraction((x, y), WINDOW, K, 4.0, dsf_forest=dsf.build_rst_h((x, y), 4.0))
-        other = dsf.build_dsf(half_cloud(2))
-        with pytest.raises(GeometryError, match="other points"):
-            dsf.coupling_fraction((x, y), WINDOW, K, 4.0, dsf_forest=other)
-        # the same points in a fresh container are the same points
-        forest = dsf.build_dsf((x.copy(), y.copy()))
-        got = dsf.coupling_fraction(dsf.HalfCloud(x, y), WINDOW, K, 4.0, dsf_forest=forest)
-        assert got == dsf.coupling_fraction((x, y), WINDOW, K, 4.0)
+    def test_margin_message_pinned(self):
+        # DSF parent balls of replica 0 leave the window, so the audit fails
+        # at h = 2 and names the first failing point of K in input order
+        cfg = experiments.ExperimentConfig(
+            base=CloudConfig(d=2, lam=0.2, R=3.5, seed=11), replicas=3, r0_grid=(1.5,), h_grid=(2.0, 4.0)
+        )
+        msg = "parent ball of point 9951 (dist 2.086) exceeds its window margin 1.614; enlarge the window"
+        with pytest.raises(MarginError) as err:
+            experiments.exp_coupling(cfg)
+        assert str(err.value) == msg
+
+    @pytest.mark.parametrize("case", ["d1", "d2", "mirror"])
+    def test_fractions_match_brute(self, case, chart_builds):
+        if case == "d1":
+            (x, y), K = half_cloud(5, lam=4.0), RegionSpec("Cyl'", A=1.5, a=0.5)
+        elif case == "d2":
+            w = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
+            (x, y), K = half_cloud(5, lam=1.0, d=2, w=w), RegionSpec("Cyl'", A=1.0, a=0.0)
+        else:
+            # axis points tie between the two points of a mirror pair
+            (x, y), K = mirror_half_cloud(), RegionSpec("Cyl'", A=0.1, a=1.0)
+        # a window far beyond the points: the audit passes and only the
+        # parents decide the fractions
+        w = HalfWindow(half_width=100.0, y_min=1e-3, y_max=1e3)
+        hs = (0.0, 1.0, 2.0, 4.0, 10.0)
+        want = brute_fractions(x, y, K, hs)
+        chart_builds.clear()
+        assert dsf.coupling_fraction((x, y), w, K, hs) == want
+        assert chart_builds == [len(y)]
+        assert want[1] > 0 and 0 < min(want[0]) < 1
 
     def test_fraction_trend_in_h(self):
         # median over seeds: agreement at h=12 >= agreement at h=4
-        from hyperrst import experiments
-
         cfg = experiments.default_config(seed=13, A=2.0, a=0.7)
         w = experiments.coupling_window(cfg)
         K = RegionSpec("Cyl'", A=2.0, a=0.7)
         lo, hi = [], []
         for repl in range(6):
             x, y = sampler.sample_half_arrays(10.0, 1, w, seed=13, replica=repl)
-            f = dsf.build_dsf((x, y))
-            lo.append(dsf.coupling_fraction((x, y), w, K, 4.0, dsf_forest=f)[0])
-            hi.append(dsf.coupling_fraction((x, y), w, K, 12.0, dsf_forest=f)[0])
+            fractions, _ = dsf.coupling_fraction((x, y), w, K, (4.0, 12.0))
+            lo.append(fractions[0])
+            hi.append(fractions[1])
         assert np.median(hi) >= np.median(lo)
         assert np.mean(hi) > 0.99
 
@@ -563,18 +598,14 @@ class TestCoupling:
         tree_h = dsf.build_rst_h((x, y), h)
         pd = forest.parent_in_input_order()
         pr = tree_h.parent_in_input_order()
-        inv_d = np.empty(len(y), dtype=np.int64)
-        inv_d[forest.order] = np.arange(len(y))
-        inv_r = np.empty(len(y), dtype=np.int64)
-        inv_r[tree_h.order] = np.arange(len(y))
         c_all = dsf.origin_distances(h, x, y)
         checked = 0
         for i in range(len(y)):
             if pd[i] < 0 or pr[i] < 0 or pd[i] == pr[i]:
                 continue
             zi = HalfPoint(x[i], float(y[i]))
-            d_dsf = float(forest.parent_dist[inv_d[i]])
-            d_rst = float(tree_h.parent_dist[inv_r[i]])
+            d_dsf = float(forest.parent_dist[forest.rank[i]])
+            d_rst = float(tree_h.parent_dist[tree_h.rank[i]])
             ball = max(d_dsf, d_rst)
             hit = False
             for j in range(len(y)):

@@ -4,6 +4,7 @@ Small configurations keep this file fast; the full-scale envelope checks
 live in test_acceptance.py.
 """
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -55,6 +56,21 @@ def test_grid_validation():
         )
     with pytest.raises(GeometryError):
         ExperimentConfig(base=SMALL.base, replicas=0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"A": -1.0}, {"A": 0.0}, {"theta": -0.5}, {"theta": 0.0}, {"a": -0.1}, {"h_grid": (2.0, -1.0)}, {"p": math.nan}],
+    ids=["A_negative", "A_zero", "theta_negative", "theta_zero", "a_negative", "h_negative", "p_nan"],
+)
+def test_config_rejects_bad_values(bad):
+    with pytest.raises(GeometryError):
+        dataclasses.replace(SMALL, **bad)
+
+
+def test_config_accepts_zero_a_and_h():
+    cfg = dataclasses.replace(SMALL, a=0.0, h_grid=(0.0, 2.0))
+    assert cfg.a == 0.0 and cfg.h_grid == (0.0, 2.0)
 
 
 def test_mbd_moment_positive_cells():

@@ -212,6 +212,17 @@ class TestCli:
                 assert cli.main(argv) == 2, (value, command)
         assert not any(tmp_path.glob("*_*.*"))
 
+    @pytest.mark.parametrize(
+        "bad", [{"A": -1.0}, {"A": 0}, {"theta": -0.5}, {"a": -0.5}, {"h_grid": [2.0, -4.0]}],
+        ids=["A_negative", "A_zero", "theta_negative", "a_negative", "h_negative"],
+    )
+    def test_bad_region_values_exit_2(self, tmp_path, bad):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 4.0, "R": 3.0, "replicas": 2, "r0_grid": [1.4, 2.0], **bad}))
+        for name in ("mbd_moment", "confinement", "annulus", "good_points", "coupling", "all"):
+            assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2, name
+        assert not any(tmp_path.glob("*_*.*"))
+
     def test_dsf_bytes_independent_of_number_type(self, tmp_path):
         written = []
         for number in (int, float):

@@ -185,7 +185,7 @@ class TestLevelCrossings:
 
     def test_interval_overlap_oracle(self):
         tree = sample_tree(3)
-        rp = tree.parent_radii()
+        rp = tree.parent_radii
         for r in np.linspace(0.2, 3.4, 40):
             expected = int(np.sum((rp <= r) & (tree.radii > r)))
             assert len(rst.level_crossings(tree, float(r))) == expected
@@ -293,7 +293,7 @@ def dense_grid_mbd(tree, c, r1, levels=1000):
     r0 = c.level
     nodes = _subtree_nodes(tree, c.edge_child)
     rc = tree.radii[nodes]
-    rp = tree.parent_radii()[nodes]
+    rp = tree.parent_radii[nodes]
     grid = set(np.linspace(r0, r1, levels))
     grid.update(float(r) for r in rc if r0 < r <= r1)
     grid.add(float(r1))
@@ -419,10 +419,10 @@ def reference_sweep(tree, r0, r1):
     index order, where a parent always precedes its children (test oracle)."""
     radii, dirs, parent = tree.radii, tree.dirs, tree.parent
     n = len(tree)
-    theta = tree.edge_thetas()
+    theta = tree.edge_thetas
     k0 = int(np.searchsorted(radii, r0, side="right"))
     above = np.arange(k0, n)
-    rp_all = tree.parent_radii()
+    rp_all = tree.parent_radii
     children = above[rp_all[above] <= r0]
     # crossing geometry at r0
     rc, rp = radii[children], rp_all[children]
@@ -529,20 +529,20 @@ class TestLayers:
     )
     def test_partition_by_depth(self, d, lam, R):
         tree = sample_tree(10, lam=lam, R=R, d=d)
-        layers = tree.layers()
+        layers = tree.layers
         assert np.array_equal(layers[0], tree.root_children())
         assert np.array_equal(np.sort(np.concatenate(layers)), np.arange(len(tree)))
         for prev, layer in zip(layers, layers[1:]):
             assert np.all(np.isin(tree.parent[layer], prev))
         for layer in layers:
             assert layer.dtype == np.int64 and np.all(np.diff(layer) > 0)
-        assert tree.layers() is layers
+        assert tree.layers is layers
 
     def test_chain_and_empty_tree(self):
         tree = chain_tree()
-        assert [layer.tolist() for layer in tree.layers()] == [[0, 2], [1], [3]]
+        assert [layer.tolist() for layer in tree.layers] == [[0, 2], [1], [3]]
         cloud = PointCloud(CloudConfig(d=1, lam=1.0, R=1.0, seed=0), np.empty(0), np.empty((0, 2)))
-        assert rst.build(cloud).layers() == []
+        assert rst.build(cloud).layers == []
 
 
 class TestScalarPath:
