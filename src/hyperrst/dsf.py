@@ -5,12 +5,14 @@ each point connects to its nearest neighbor among points of strictly larger
 ordinate. RST(h) is the radial tree with origin O(h) = (0, e^h); as h grows
 its parents couple with the DSF parents on compact sets.
 
-Both search the same (x, y) chart and differ only in the key order. A
-HalfCloud owns the chart's k-d tree and 8-NN table, so every forest built
-on one HalfCloud shares them; points given as a list or an (x, y) pair get
-a fresh HalfCloud, and so a fresh index, per call. coupling_fraction wraps
-its points once, so the DSF and the RST(h) of its whole h grid share one
-index.
+Both search the same (x, y) chart and differ only in the key order. What
+depends only on the points belongs to a HalfCloud: the chart's k-d tree,
+each point's 8 nearest chart neighbours with their hyperbolic distances,
+and one sort of the points by (y, x). Every forest built on one HalfCloud
+shares them, and sorts by its own key with a stable sort of that (y, x)
+order. Points given as a list or an (x, y) pair get a fresh HalfCloud per
+call. coupling_fraction wraps its points once, so the DSF and the RST(h)
+of its whole h grid share one of each.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ class MarginError(RuntimeError):
 @dataclass(eq=False)
 class HalfCloud:
     """Half-space points x (n, d), y (n,), finite with y > 0 (GeometryError
-    otherwise), that own their chart index: a k-d tree over (x, y) and each
-    point's nearest chart neighbours, built on first use. The DSF and every
-    RST(h) built on one HalfCloud share that index, each search mapping it
-    through its own key order."""
+    otherwise), that own what their searches share, each built on first
+    use: the chart index (a k-d tree over (x, y), each point's nearest
+    chart neighbours and their pair distances) and the (y, x) sort. The DSF
+    and every RST(h) built on one HalfCloud map that index through their
+    own key orders."""
 
     x: np.ndarray
     y: np.ndarray
@@ -57,7 +60,19 @@ class HalfCloud:
 
     @functools.cached_property
     def index(self) -> search.ChartIndex:
-        return search.ChartIndex(np.column_stack([self.x, self.y]))
+        return search.ChartIndex(np.column_stack([self.x, self.y]), _pair_dist(self.x, self.y))
+
+    @functools.cached_property
+    def by_height(self) -> np.ndarray:
+        """The points sorted by y, then by the columns of x in turn."""
+        return np.lexsort(tuple(self.x[:, ::-1].T) + (self.y,))
+
+    def ordered(self, key: np.ndarray):
+        """(order, x, y) with the points sorted by key, ties by y and then by
+        the columns of x: a stable sort of by_height, the permutation of
+        np.lexsort((x..., y, key))."""
+        order = self.by_height[np.argsort(key[self.by_height], kind="stable")]
+        return order, self.x[order], self.y[order]
 
 
 def _as_cloud(points) -> HalfCloud:
@@ -122,7 +137,8 @@ def _pair_dist(x, y):
 
 def _ordered(cloud: HalfCloud, *keys):
     """(order, x, y) with the points sorted by keys, the last one primary as in
-    np.lexsort, then by the columns of x in turn."""
+    np.lexsort, then by the columns of x in turn: the oracles' own sort,
+    independent of HalfCloud.ordered."""
     order = np.lexsort(tuple(cloud.x[:, ::-1].T) + keys)
     return order, cloud.x[order], cloud.y[order]
 
@@ -157,7 +173,7 @@ def build_dsf(points) -> HalfForest:
     cloud = _as_cloud(points)
     if len(cloud) == 0:
         raise GeometryError("empty point list")
-    order, xs, ys = _ordered(cloud, -cloud.y)
+    order, xs, ys = cloud.ordered(-cloud.y)
     parent, pdist = _nearest_lower(cloud, order, xs, ys, -np.log(ys), root_dist=None)
     return HalfForest(xs, ys, parent, pdist, order)
 
@@ -173,7 +189,7 @@ def build_dsf_brute(points) -> HalfForest:
 def origin_distances(h: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Distances from O(h) = (0, e^h)."""
     eh = math.exp(h)
-    s = (np.sum(x**2, axis=1) + (y - eh) ** 2) / (2.0 * y * eh)
+    s = (hgeom.row_sumsq(x) + (y - eh) ** 2) / (2.0 * y * eh)
     return hgeom.stable_arccosh1p(s)
 
 
@@ -187,7 +203,7 @@ def build_rst_h(points, h: float) -> HalfForest:
     if len(cloud) == 0:
         raise GeometryError("empty point list")
     c = origin_distances(h, cloud.x, cloud.y)
-    order, xs, ys = _ordered(cloud, cloud.y, c)
+    order, xs, ys = cloud.ordered(c)
     cs = c[order]
     parent, pdist = _nearest_lower(cloud, order, xs, ys, cs, root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
@@ -285,7 +301,7 @@ def coupling_fraction(points, window: HalfWindow, K: RegionSpec, hs):
     cloud = _as_cloud(points)
     x, y = cloud.x, cloud.y
     xr, ylo, yhi = cyl_box(K)
-    idx = np.nonzero((np.linalg.norm(x, axis=1) < xr) & (y >= ylo) & (y <= yhi))[0]
+    idx = np.nonzero((np.sqrt(hgeom.row_sumsq(x)) < xr) & (y >= ylo) & (y <= yhi))[0]
     if idx.size == 0:
         return [1.0] * len(hs), 0
     margins = window_margin(window, x[idx], y[idx])

@@ -27,6 +27,11 @@ GOOD_PROBES = 8
 BOOT_SAMPLES = 800
 BPLUS_SAMPLES = 40_000
 COUPLING_MARGIN = 1.5
+# Expected points in the coupling window above which `coupling` refuses to
+# run. The count grows like y_min^-d: 9.6k at the defaults and 104k at d=2,
+# lam=2, but 3.4M at d=3, lam=0.3, where the six searches of each replica
+# would take minutes and GBs.
+COUPLING_MAX_POINTS = 1_000_000
 CONFINEMENT_SCALES = (0.5, 1.0, 2.0, 4.0)
 
 DEFAULT_SEED = 20240811
@@ -274,16 +279,20 @@ def _rep_good_points(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     cloud = sampler.sample_ball(cfg.base, replica)
     r0 = float(np.median(cfg.r0_grid))
     probes = probe_directions(cfg.base.d, GOOD_PROBES, cfg.base.seed)
-    radii, dirs = cloud.radii, cloud.dirs
-    dots = dirs @ probes.T
+    dots = cloud.dirs @ probes.T
+
+    def shell(lo, hi):
+        """The rows of dots with lo <= radius < hi, the radii being sorted."""
+        a, b = np.searchsorted(cloud.radii, (lo, hi))
+        return dots[a:b]
+
+    inner = shell(r0 - 1.0, r0)
     out = []
     for a_, d_ in good_point_grid(cfg):
-        shell1 = (radii >= r0) & (radii < r0 + d_)
-        shell2 = (radii >= r0 - 1.0) & (radii < r0)
         cos1 = math.cos(min(3.0 * a_ * math.exp(-r0), math.pi))
         cos2 = math.cos(min(a_ * math.exp(-r0), math.pi))
-        occupied1 = np.any(shell1[:, None] & (dots >= cos1), axis=0)
-        occupied2 = np.any(shell2[:, None] & (dots >= cos2), axis=0)
+        occupied1 = np.any(shell(r0, r0 + d_) >= cos1, axis=0)
+        occupied2 = np.any(inner >= cos2, axis=0)
         good = ~occupied1 & occupied2
         out.append(float(good.mean()))
     return np.array(out)
@@ -350,7 +359,7 @@ def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     else:
         rad = sampler._radial_inverter(d, rho)(u01)
     g = rng.normal(size=(BPLUS_SAMPLES, d + 1))
-    cos0 = g[:, 0] / np.linalg.norm(g, axis=1)
+    cos0 = g[:, 0] / np.sqrt(hgeom.row_sumsq(g))
     frac = float(np.mean(_boosted_radius(r, rad, cos0) < r))
     total = hgeom.ball_volume(d, rho)
     se = total * math.sqrt(max(frac * (1.0 - frac), 1e-12) / BPLUS_SAMPLES)
@@ -488,8 +497,15 @@ def _check(cfg: ExperimentConfig, names):
         raise GeometryError("r0_grid must stay inside (1, R-1), away from the window boundary")
     if "annulus" in names and not cfg.delta > 0:
         raise GeometryError("delta must be > 0")
-    if "coupling" in names and not cfg.h_grid:
-        raise GeometryError("h_grid must be nonempty")
+    if "coupling" in names:
+        if not cfg.h_grid:
+            raise GeometryError("h_grid must be nonempty")
+        count = cfg.base.lam * sampler.half_window_volume(cfg.base.d, coupling_window(cfg))
+        if count > COUPLING_MAX_POINTS:
+            raise GeometryError(
+                f"the coupling window would hold about {count:.3g} points per replica, "
+                f"above the cap of {COUPLING_MAX_POINTS:.3g}; lower lam, d, A or a"
+            )
 
 
 def _replica_rows(cfg: ExperimentConfig, kernels: tuple, replica: int) -> list:

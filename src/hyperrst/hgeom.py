@@ -133,6 +133,22 @@ def stable_arccosh1p(s):
     return np.log1p(s + np.sqrt(s * (s + 2.0)))
 
 
+def row_sumsq(a: np.ndarray) -> np.ndarray:
+    """np.sum(a * a, axis=1) of an (n, m) array, with its bits.
+
+    Below 8 columns numpy sums the squares left to right, and so does the
+    column loop here, about 5x faster; from 8 columns on numpy switches to
+    pairwise sums, and its own call is kept. np.linalg.norm(a, axis=1) is
+    the square root of the same sum.
+    """
+    if a.shape[1] >= 8:
+        return np.sum(a * a, axis=1)
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return out
+
+
 def angle_between(u1: np.ndarray, u2: np.ndarray) -> float:
     """Angle in [0, pi] between unit vectors, stable near 0 and pi."""
     d2 = float(np.dot(u1 - u2, u1 - u2))

@@ -144,11 +144,11 @@ def _radial_inverter(d: int, R: float):
 
 def _uniform_directions(rng: np.random.Generator, n: int, ambient: int) -> np.ndarray:
     g = rng.normal(size=(n, ambient))
-    norms = np.linalg.norm(g, axis=1)
+    norms = np.sqrt(hgeom.row_sumsq(g))
     redo = norms < 1e-12
     while np.any(redo):
         g[redo] = rng.normal(size=(int(redo.sum()), ambient))
-        norms = np.linalg.norm(g, axis=1)
+        norms = np.sqrt(hgeom.row_sumsq(g))
         redo = norms < 1e-12
     return g / norms[:, None]
 

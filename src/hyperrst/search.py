@@ -5,12 +5,16 @@ ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
 over a Euclidean chart of the model (Bentley, CACM 1975);
 `nearest_lower_brute` is the O(n^2) oracle over a distance matrix. The tree,
-each point's nearest chart neighbours and the distance to the farthest of
-them belong to the point set (a `ChartIndex`), so searches that sort one set
-by different keys share them.
+each point's nearest chart neighbours, their distances in the search metric
+and the chart distance to the farthest of them belong to the point set (a
+`ChartIndex`), so searches that sort one set by different keys share them
+and none evaluates them again.
 
 Pass 1 bounds each parent distance by the nearest smaller-key point among
-the point's chart neighbours, or by the root. Each bounded point then takes
+the point's chart neighbours, or by the root; it runs over the whole key
+order at once, reducing the neighbour table one column of neighbours at a
+time, which numpy does about 5x faster than along short rows. Each bounded
+point then takes
 one of two routes, each of which sees a superset of the metric ball of that
 radius: (1) when the ball's padded chart cover lies strictly inside the
 neighbours' farthest distance, pass 1's answer is final; (2) otherwise the
@@ -24,17 +28,20 @@ with a polar band scan of its own.
 
 from __future__ import annotations
 
+import functools
 from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from . import hgeom
 
 ROOT = -1
 FRONTIER = -2
 
 _K = 8  # pass-1 neighbours per point
 _K_WIDE = 64  # second pass-1 query for points the first left without a bound
-_CHUNK = 2048  # points per k-d query, which bounds the candidate lists held at once
+_CHUNK = 2048  # rows per k-d ball query or prefix scan, which bounds the candidate lists held at once
 # Search radii grow by this relative slack plus _ULPS per unit of chart
 # coordinate, so that rounding in distances, charts and cover balls costs
 # extra candidates, never a missed one.
@@ -57,34 +64,53 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 class ChartIndex:
     """A k-d tree over the Euclidean chart coordinates (n, m), n >= 1, of a
-    point set, each point's _K nearest chart neighbours, itself among them,
-    and the chart distance to the farthest of those (+inf when n <= _K, as
-    they are then every point), all in the set's own order. Every point
-    strictly closer than that distance is among the _K. They belong to the
-    point set: every search over it uses them, whatever key order it sorts
-    the points by (see KeyOrder). The _K_WIDE nearest are kept too, for the
-    few points that ask for them."""
+    point set, and its neighbour table, all in the set's own order: each
+    point's _K nearest chart neighbours, itself among them, their pair
+    distances, and the chart distance to the farthest of them (+inf when
+    n <= _K, as they are then every point). Every point strictly closer than
+    that distance is among the _K. The table is column-major: knn and dist
+    are (_K, n), row j holding every point's j-th nearest neighbour.
 
-    def __init__(self, coords: np.ndarray):
+    pair_dist(i, j) is the search metric over the points in this order,
+    index arrays broadcast, i the point and j its neighbour; it defaults to
+    the chart distance. The index belongs to the point set: every search
+    over it uses it, whatever key order it sorts the points by (see
+    KeyOrder). The _K_WIDE nearest and their distances are kept too, for
+    the few points that ask for them."""
+
+    def __init__(self, coords: np.ndarray, pair_dist=None):
+        n = coords.shape[0]
         self.coords = coords
         self.tree = cKDTree(coords)
         self.scale = float(np.abs(coords).max())
-        dist, self.knn = self.query(coords, _K)
-        self.kth = dist[:, -1] if coords.shape[0] > _K else np.full(coords.shape[0], np.inf)
-        self._wide: dict = {}  # point -> its _K_WIDE nearest
+        self.pair_dist = pair_dist
+        chart, self.knn, self.dist = self._query(np.arange(n), _K)
+        self.kth = chart[-1].copy() if n > _K else np.full(n, np.inf)
+        self._slot = np.full(n, -1)  # each point's column in the wide table, -1 until asked
+        self._wide = self._query(np.arange(0), _K_WIDE)[1:]
 
-    def query(self, pts: np.ndarray, k: int):
-        """(distances, indices) of the min(k, n) nearest chart neighbours of
-        each of pts."""
-        n = self.coords.shape[0]
-        return self.tree.query(pts, k=list(range(1, min(k, n) + 1)))
+    def _query(self, pts: np.ndarray, k: int):
+        """(chart distances, neighbours, pair distances), each
+        (min(k, n), len(pts)), of the nearest chart neighbours of pts."""
+        k = min(k, self.coords.shape[0])
+        chart, knn = self.tree.query(self.coords[pts], k=list(range(1, k + 1)))
+        chart, knn = chart.T, np.ascontiguousarray(knn.T)
+        return chart, knn, chart.copy() if self.pair_dist is None else self.pair_dist(pts, knn)
 
-    def wide(self, pts: np.ndarray) -> np.ndarray:
-        """query(pts, _K_WIDE) indices, with each point queried once per index."""
-        new = [p for p in dict.fromkeys(pts.tolist()) if p not in self._wide]
-        if new:
-            self._wide.update(zip(new, self.query(self.coords[new], _K_WIDE)[1]))
-        return np.array([self._wide[p] for p in pts.tolist()])
+    def table(self, pts: np.ndarray, wide: bool = False):
+        """(neighbours, distances), each (k, len(pts)), from the _K table, or
+        with wide the _K_WIDE one, where each point is queried once."""
+        if wide:
+            new = np.unique(pts[self._slot[pts] < 0])
+            if new.size:
+                self._slot[new] = self._wide[0].shape[1] + np.arange(new.size)
+                grown = zip(self._wide, self._query(new, _K_WIDE)[1:])
+                self._wide = tuple(np.concatenate(pair, axis=1) for pair in grown)
+            knn, dist, pts = *self._wide, self._slot[pts]
+        else:
+            knn, dist = self.knn, self.dist
+        # np.take keeps the columns contiguous; knn[:, pts] would not
+        return np.take(knn, pts, axis=1), np.take(dist, pts, axis=1)
 
 
 class KeyOrder:
@@ -111,11 +137,17 @@ class KeyOrder:
         """Chart distance from each of rows to its _K-th nearest neighbour."""
         return self.index.kth[self._points(rows)]
 
+    def table(self, rows: np.ndarray, wide: bool = False):
+        """(neighbours, distances), each (k, len(rows)): the rows of the _K
+        (with wide, _K_WIDE) nearest chart neighbours of each of rows, at
+        most n, nearest first, and their pair distances."""
+        knn, dist = self.index.table(self._points(rows), wide)
+        return self._rows(knn), dist
+
     def neighbours(self, rows: np.ndarray, wide: bool = False) -> np.ndarray:
-        """Rows of the _K (with wide, _K_WIDE) nearest chart neighbours of
-        each of rows, at most n."""
-        pts = self._points(rows)
-        return self._rows(self.index.wide(pts) if wide else self.index.knn[pts])
+        """The neighbour rows of table(rows, wide) as (len(rows), k): the
+        neighbours of rows[r] in row r, a view of the column-major table."""
+        return self.table(rows, wide)[0].T
 
     def ball(self, centres: np.ndarray, radii: np.ndarray):
         """(counts, rows): the rows in each chart ball, concatenated in ball order."""
@@ -143,8 +175,9 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
 
     Pass 1 bounds each parent distance by the nearest smaller-key point among
     the _K chart neighbours (_K_WIDE when the _K hold none), or by the root.
-    Each bounded row then takes one of two exact routes, each of which sees
-    every point of the metric ball of that radius:
+    It reads the index's neighbour table, one neighbour column at a time,
+    and evaluates no distance. Each bounded row then takes one of two exact
+    routes, each of which sees every point of the metric ball of that radius:
     1. when the padded chart ball that covers it lies strictly inside the
        row's _K-th neighbour distance, the _K neighbours hold the whole ball,
        and pass 1's best, or the root, is final;
@@ -157,47 +190,44 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
         return parent, pdist
     his = np.searchsorted(keys, keys, side="left")
     if not isinstance(chart, KeyOrder):
-        chart = KeyOrder(ChartIndex(chart))
-    scale = chart.index.scale
+        chart = KeyOrder(ChartIndex(chart, pair_dist))
 
     def pass1(rows, wide=False):
         """(near, best): the distance and row of the nearest smaller-key
         chart neighbour of each of rows, the lowest row on ties; near is
-        +inf when there is none."""
-        nb = chart.neighbours(rows, wide)
-        d = pair_dist(rows[:, None], nb)
-        d[nb >= his[rows, None]] = np.inf
-        near = d.min(axis=1)
-        return near, np.where(d == near[:, None], nb, n).min(axis=1)
+        +inf when there is none. Reductions run down the neighbour columns."""
+        nb, d = chart.table(rows, wide)
+        d = np.where(nb < his[rows], d, np.inf)
+        near = d.min(axis=0)
+        return near, np.where(d == near, nb, n).min(axis=0)
 
-    for a in range(0, n, _CHUNK):
-        rows = np.arange(a, min(a + _CHUNK, n))
-        near, best = pass1(rows)
-        miss = ~np.isfinite(near)
-        if np.any(miss):
-            near[miss], best[miss] = pass1(rows[miss], wide=True)
-        rho = np.minimum(pdist[rows], near)
-        open_ = ~np.isfinite(rho)
-        b = np.flatnonzero(~open_)  # bounded rows, as positions in the chunk
-        centre, radius = cover(rows[b], rho[b] * (1.0 + _REL))
-        slack = _ULPS * np.maximum(scale, np.abs(centre).max(axis=1))
-        radius = radius * (1.0 + _REL) + slack
-        # route 1: the cover ball lies inside the _K-NN ball
-        reach = np.linalg.norm(centre - chart.coords(rows[b]), axis=1) + radius
-        inside = reach * (1.0 + _REL) + slack < chart.kth(rows[b])
-        done = b[inside & (near[b] <= pdist[rows[b]])]
-        parent[rows[done]] = best[done]
-        pdist[rows[done]] = near[done]
-        # route 2: every smaller-key point in the chart ball
-        out = ~inside
-        if np.any(out):
-            counts, cand = chart.ball(centre[out], radius[out])
-            _take_nearest(parent, pdist, np.repeat(rows[b[out]], counts), cand, his, pair_dist)
-        unbounded = rows[open_]
-        if unbounded.size:
-            count = his[unbounded]
-            cand = concat_ranges(np.zeros_like(count), count)
-            _take_nearest(parent, pdist, np.repeat(unbounded, count), cand, his, pair_dist)
+    near, best = pass1(np.arange(n))
+    miss = np.flatnonzero(~np.isfinite(near))
+    if miss.size:
+        near[miss], best[miss] = pass1(miss, wide=True)
+    rho = np.minimum(pdist, near)
+    b = np.flatnonzero(np.isfinite(rho))  # bounded rows
+    centre, radius = cover(b, rho[b] * (1.0 + _REL))
+    slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
+    radius = radius * (1.0 + _REL) + slack
+    # route 1: the cover ball lies inside the _K-NN ball
+    reach = np.sqrt(hgeom.row_sumsq(centre - chart.coords(b))) + radius
+    inside = reach * (1.0 + _REL) + slack < chart.kth(b)
+    done = b[inside & (near[b] <= pdist[b])]
+    parent[done] = best[done]
+    pdist[done] = near[done]
+    # route 2: every smaller-key point in the chart ball
+    out = ~inside
+    rows, centre, radius = b[out], centre[out], radius[out]
+    for a in range(0, rows.size, _CHUNK):
+        counts, cand = chart.ball(centre[a : a + _CHUNK], radius[a : a + _CHUNK])
+        _take_nearest(parent, pdist, np.repeat(rows[a : a + _CHUNK], counts), cand, his, pair_dist)
+    unbounded = np.flatnonzero(~np.isfinite(rho))
+    for a in range(0, unbounded.size, _CHUNK):
+        rows = unbounded[a : a + _CHUNK]
+        count = his[rows]
+        cand = concat_ranges(np.zeros_like(count), count)
+        _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, pair_dist)
     return parent, pdist
 
 

@@ -212,9 +212,9 @@ def chart_builds(monkeypatch):
     built = []
 
     class CountingIndex(search.ChartIndex):
-        def __init__(self, coords):
+        def __init__(self, coords, pair_dist=None):
             built.append(len(coords))
-            super().__init__(coords)
+            super().__init__(coords, pair_dist)
 
     monkeypatch.setattr(search, "ChartIndex", CountingIndex)
     return built
@@ -273,6 +273,59 @@ class TestSharedIndex:
         # the -t point, which comes first among equal ordinates
         axis = forest.parent_in_input_order()[80:]
         assert np.array_equal(axis, np.arange(40, 80))
+
+
+class TestPointFacts:
+    """What the searches share is a fact of the point set: the table's pair
+    distances and the (y, x) sort must be what each search would compute in
+    its own key order, bit for bit."""
+
+    @staticmethod
+    def clouds():
+        d2 = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
+        x, y = half_cloud(4, lam=6.0)
+        return [
+            mirror_half_cloud(),
+            capped_clusters(),
+            half_cloud(0, lam=1.0, d=2, w=d2),
+            # every point twice: full (y, x) ties, kept in input order
+            (np.concatenate([x, x]), np.concatenate([y, y])),
+        ]
+
+    def test_orders_equal_lexsort(self):
+        for x, y in self.clouds():
+            cloud = dsf.HalfCloud(x, y)
+            cols = tuple(x[:, ::-1].T)
+            assert np.array_equal(dsf.build_dsf(cloud).order, np.lexsort(cols + (-y,)))
+            for h in (0.0, 2.0, 10.0):
+                c = dsf.origin_distances(h, x, y)
+                assert np.array_equal(dsf.build_rst_h(cloud, h).order, np.lexsort(cols + (y, c)))
+
+    def test_table_distances_are_pair_distances(self):
+        for x, y in self.clouds():
+            cloud = dsf.HalfCloud(x, y)
+            n = len(cloud)
+            orders = [cloud.ordered(-y)[0]] + [cloud.ordered(dsf.origin_distances(h, x, y))[0] for h in (0.0, 5.0)]
+            for order in orders:
+                chart = search.KeyOrder(cloud.index, order)
+                pair_dist = dsf._pair_dist(x[order], y[order])
+                rows = np.arange(n)
+                some = rows[::7]
+                for sel, wide in ((rows, False), (some, True), (rows, True)):
+                    nb, d = chart.table(sel, wide)
+                    assert nb.shape == d.shape == (min(n, search._K_WIDE if wide else search._K), sel.size)
+                    assert d.tobytes() == pair_dist(sel, nb).tobytes(), wide
+
+    def test_table_distances_of_a_ball_tree(self):
+        for d, lam, R in ((1, 10.0, 3.5), (2, 1.0, 3.5)):
+            cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=2))
+            pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+            chart = np.tanh(cloud.radii / 2.0)[:, None] * cloud.dirs
+            index = search.KeyOrder(search.ChartIndex(chart, pair_dist))
+            rows = np.arange(len(cloud))
+            for wide in (False, True):
+                nb, dist = index.table(rows, wide)
+                assert dist.tobytes() == pair_dist(rows, nb).tobytes()
 
 
 def brute_over(keys, pair_dist, root_dist=None):

@@ -115,6 +115,31 @@ def test_good_points_benchmark_agreement():
         assert 0.0 <= cell.params["benchmark"] <= 1.0
 
 
+def masked_good_points(cfg, replica):
+    """_rep_good_points by masking every (point, probe) pair in each cell."""
+    cloud = sampler.sample_ball(cfg.base, replica)
+    r0 = float(np.median(cfg.r0_grid))
+    dots = cloud.dirs @ experiments.probe_directions(cfg.base.d, experiments.GOOD_PROBES, cfg.base.seed).T
+    radii = cloud.radii
+    out = []
+    for a_, d_ in experiments.good_point_grid(cfg):
+        shell1 = (radii >= r0) & (radii < r0 + d_)
+        shell2 = (radii >= r0 - 1.0) & (radii < r0)
+        occupied1 = np.any(shell1[:, None] & (dots >= math.cos(min(3.0 * a_ * math.exp(-r0), math.pi))), axis=0)
+        occupied2 = np.any(shell2[:, None] & (dots >= math.cos(min(a_ * math.exp(-r0), math.pi))), axis=0)
+        out.append(float((~occupied1 & occupied2).mean()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d, lam, r0_grid", [(1, 30.0, (1.5, 2.0, 2.5)), (2, 1.0, (1.5, 2.0, 2.4)), (1, 8.0, (3.0,))])
+def test_good_points_shells_equal_masks(d, lam, r0_grid):
+    for seed in range(4):
+        cfg = default_config(seed=seed, base=CloudConfig(d=d, lam=lam, R=3.5, seed=seed), r0_grid=r0_grid)
+        for replica in range(2):
+            got = experiments._rep_good_points(cfg, replica)
+            assert got.tobytes() == masked_good_points(cfg, replica).tobytes()
+
+
 def test_good_points_zero_intensity_limit():
     # benchmark collapses when Psi2 is never occupied
     cfg = ExperimentConfig(
@@ -332,6 +357,25 @@ def test_report_bytes_pinned_d1(monkeypatch, tmp_path, threads):
         with open(json_path, "rb") as fj, open(csv_path, "rb") as fc:
             got[name] = hashlib.sha256(fj.read() + fc.read()).hexdigest()
     assert got == PINNED_D1_REPORTS
+
+
+def test_coupling_window_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a window over the cap")
+
+    monkeypatch.setattr(sampler, "sample_half_arrays", refuse)
+    cfg = default_config(base=CloudConfig(d=3, lam=0.3, R=5.0, seed=1), replicas=1)
+    count = cfg.base.lam * sampler.half_window_volume(3, experiments.coupling_window(cfg))
+    assert count > experiments.COUPLING_MAX_POINTS
+    for names in (["coupling"], list(experiments.EXPERIMENTS)):
+        with pytest.raises(GeometryError) as exc:
+            experiments.analyze(cfg, names)
+        assert f"about {count:.3g} points" in str(exc.value) and "cap of 1e+06" in str(exc.value)
+    # the defaults and d=2, lam=2 stay below the cap
+    for base in (default_config().base, CloudConfig(d=2, lam=2.0, R=5.0, seed=1)):
+        cfg = default_config(base=base)
+        assert base.lam * sampler.half_window_volume(base.d, experiments.coupling_window(cfg)) < 2e5
+        experiments._check(cfg, ["coupling"])
 
 
 def test_coupling_small():

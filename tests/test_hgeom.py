@@ -408,3 +408,29 @@ def test_invalid_inputs():
         HalfPoint(np.zeros(1), 0.0)
     with pytest.raises(GeometryError):
         BallPoint(np.array([1.0, 0.2]))
+
+
+class TestRowSumsq:
+    """row_sumsq must keep numpy's bits: np.sum(a * a, axis=1) and the square
+    of np.linalg.norm(a, axis=1), in either memory layout."""
+
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_bits_equal_numpy(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(20_000, m)) * rng.uniform(0.1, 10.0, (20_000, 1))
+        for arr in (a, np.asfortranarray(a)):
+            got = hgeom.row_sumsq(arr)
+            assert got.tobytes() == np.sum(arr * arr, axis=1).tobytes()
+            assert got.tobytes() == np.sum(arr**2, axis=1).tobytes()
+            assert np.sqrt(got).tobytes() == np.linalg.norm(arr, axis=1).tobytes()
+
+    def test_numpy_pairwise_from_8_columns(self):
+        # why row_sumsq calls numpy from 8 columns on: a left-to-right sum
+        # then differs from numpy's on a C-ordered array, and below 8 it never does
+        rng = np.random.default_rng(0)
+        for m in range(1, 10):
+            a = rng.normal(size=(20_000, m))
+            left = a[:, 0] * a[:, 0]
+            for j in range(1, m):
+                left = left + a[:, j] * a[:, j]
+            assert np.array_equal(left, np.sum(a * a, axis=1)) == (m < 8), m

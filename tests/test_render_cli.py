@@ -223,6 +223,15 @@ class TestCli:
             assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2, name
         assert not any(tmp_path.glob("*_*.*"))
 
+    def test_coupling_window_over_cap_exit_2(self, tmp_path, capsys):
+        # d=3, lambda=0.3 puts about 3.4M points in the coupling window
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"d": 3, "lambda": 0.3, "R": 3.5, "replicas": 1, "r0_grid": [1.5, 2.0]}))
+        for name in ("coupling", "all"):
+            assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2, name
+            assert "above the cap" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*_*.*"))
+
     def test_dsf_bytes_independent_of_number_type(self, tmp_path):
         written = []
         for number in (int, float):
