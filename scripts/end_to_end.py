@@ -1,8 +1,10 @@
-"""End-to-end record: `hyperrst analyze all` and the ten acceptance criteria, timed.
+"""End-to-end record: `hyperrst analyze` and the ten acceptance criteria, timed.
 
-Each run of a checkout runs `hyperrst analyze all --config defaults` once in a fresh process, then each
-acceptance criterion as its own `pytest tests/test_acceptance.py -k
-criterion_N_` from the checkout's own `tests`. It writes one JSON record
+Each run of a checkout runs `hyperrst analyze EXPERIMENT --config CONFIG`
+once in a fresh process (by default `analyze all --config defaults`), then
+each acceptance criterion as its own `pytest tests/test_acceptance.py -k
+criterion_N_` from the checkout's own `tests`. Runs of any other command
+skip the criteria, and the record says so. It writes one JSON record
 with, for every run, the command's wall time, peak RSS and a digest of its
 report bytes, and each criterion's wall time (interpreter start-up and
 collection included) and exit code, plus the machine and the numpy/scipy
@@ -12,6 +14,8 @@ shared.
 
     python3 scripts/end_to_end.py --checkout parent=../parent --checkout change=. \\
         --runs 1 --out BENCH_end_to_end.json
+    python3 scripts/end_to_end.py --checkout parent=../parent --checkout change=. \\
+        --config scripts/configs/bplus_d2.json --experiment bplus_volume --runs 2 --out d2.json
 
 A run takes about two minutes at the defaults, so this is not part of the
 test suite.
@@ -32,7 +36,8 @@ import time
 import numpy
 import scipy
 
-COMMAND = ["analyze", "all", "--config", "defaults"]
+DEFAULT_CONFIG = "defaults"
+DEFAULT_EXPERIMENT = "all"
 CRITERIA = range(1, 11)
 
 
@@ -85,12 +90,12 @@ def run_criterion(root: str, k: int) -> dict:
     return {"exit_code": proc.returncode, "wall_s": time.perf_counter() - start}
 
 
-def run_once(root: str) -> dict:
-    """One `hyperrst analyze all` in a fresh process importing root/src, then
-    each acceptance criterion."""
+def run_once(root: str, command: list, criteria: bool) -> dict:
+    """One `hyperrst <command>` in a fresh process importing root/src, then,
+    if criteria is set, each acceptance criterion."""
     env = checkout_env(root)
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = [sys.executable, "-m", "hyperrst.cli", *COMMAND, "--out", out_dir]
+        argv = [sys.executable, "-m", "hyperrst.cli", *command, "--out", out_dir]
         start = time.perf_counter()
         proc = subprocess.Popen(argv, env=env, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
@@ -103,7 +108,7 @@ def run_once(root: str) -> dict:
             "reports": len(os.listdir(out_dir)),
             "reports_sha256": reports_digest(out_dir),
         }
-    row["criteria"] = {str(k): run_criterion(root, k) for k in CRITERIA}
+    row["criteria"] = {str(k): run_criterion(root, k) for k in CRITERIA} if criteria else {}
     return row
 
 
@@ -111,6 +116,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a hyperrst checkout to run, under a label; repeat to compare")
+    ap.add_argument("--config", default=DEFAULT_CONFIG, help="config file for analyze, or 'defaults'")
+    ap.add_argument("--experiment", default=DEFAULT_EXPERIMENT, help="experiment for analyze, or 'all'")
     ap.add_argument("--runs", type=int, default=1, help="runs per checkout")
     ap.add_argument("--out", required=True, help="JSON record to write")
     args = ap.parse_args(argv)
@@ -121,11 +128,20 @@ def main(argv=None) -> int:
         if not sep or not os.path.isfile(os.path.join(root, "src", "hyperrst", "cli.py")):
             ap.error(f"--checkout {item!r}: expected LABEL=DIR with DIR/src/hyperrst")
         checkouts[label] = os.path.abspath(root)
+    config, config_values = args.config, None
+    if config != DEFAULT_CONFIG:
+        if not os.path.isfile(config):
+            ap.error(f"--config {config!r}: no such file")
+        config = os.path.abspath(config)  # each checkout runs in its own directory
+        with open(config) as fh:
+            config_values = json.load(fh)
+    command = ["analyze", args.experiment, "--config", config]
+    criteria = (args.config, args.experiment) == (DEFAULT_CONFIG, DEFAULT_EXPERIMENT)
 
     runs = {label: [] for label in checkouts}
     for k in range(args.runs):
         for label, root in checkouts.items():
-            row = run_once(root)
+            row = run_once(root, command, criteria)
             runs[label].append(row)
             crit = " ".join(f"c{c}={r['wall_s']:.1f}" + ("" if r["exit_code"] == 0 else "!")
                             for c, r in row["criteria"].items())
@@ -133,7 +149,11 @@ def main(argv=None) -> int:
                   f"{crit}", file=sys.stderr)
 
     record = {
-        "command": "hyperrst " + " ".join(COMMAND),
+        "command": "hyperrst " + " ".join(["analyze", args.experiment, "--config", args.config]),
+        "config": args.config,
+        "config_values": config_values,
+        "experiment": args.experiment,
+        "criteria_timed": criteria,
         "machine": {
             "nproc": os.cpu_count(),
             "cpu_model": cpu_model(),

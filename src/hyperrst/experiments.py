@@ -345,22 +345,127 @@ def _boosted_radius(r: float, rad: np.ndarray, cos0: np.ndarray) -> np.ndarray:
     return hgeom.stable_arccosh1p(t2 - 1.0)
 
 
+def _bplus_chain(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarray) -> np.ndarray:
+    """B+ membership of the draws (u01, cos0) in B(0, rho) boosted onto z at
+    radius r, by the radius chain: invert u01 to a radius, boost it, test
+    the boosted radius < r."""
+    if d == 1:
+        rad = np.arccosh(1.0 + u01 * (math.cosh(rho) - 1.0))
+    else:
+        rad = sampler.radial_law(d, rho).invert(u01)
+    return _boosted_radius(r, rad, cos0) < r
+
+
+# The band of `_bplus_members`, where its exact test may disagree with the
+# rounded chain of `_bplus_chain`. Write tau = tanh(rad/2) and
+# T = -cos0 tanh(r). In exact arithmetic the boosted radius is below r iff
+# t2 < cosh r, and t2 - cosh r = sinh(rad) cosh(r) (tau - T), so a draw is
+# in B+ iff tau < T: rad below the exit radius 2 artanh(T) of its direction.
+#   Chain rounding. t2 carries at most 16 ulps of each of its two terms,
+#   each at most cosh(r + rad) (math and SIMD cosh/sinh, three products, a
+#   sum); arccosh1p and the comparison carry at most 16 ulps of r, worth
+#   r sinh r in t2. So the chain's verdict is the exact one unless
+#   |tau - T| sinh(rad) cosh r <= 2^-53 32 (1 + r) cosh(r) e^rad, and as
+#   e^rad / sinh(rad) <= 2 / tau, unless tau |tau - T| <= 2 C with
+#   C = 2^-53 64 (1 + r) (a factor 2 of slack). For T >= 4 sqrt(C) that set
+#   lies in tau <= sqrt(C) and |tau - T| <= 4 C / T. For smaller T
+#   (cos0 -> 0-, or cos0 >= 0, which the chain can accept by an ulp when
+#   rad -> 0) it lies in tau <= 6 sqrt(C). T itself, artanh and the d = 1
+#   arccosh add relative errors worth at most 2^-48 in tau.
+#   Chain radius. At d >= 2 Newton stops once the largest step of the batch
+#   is below sampler.NEWTON_TOL, so the chain's radius is within
+#   2 NEWTON_TOL of the root of the tabulated CDF (a Newton step, or half a
+#   bisection bracket). A batch stops in 22-34 iterations; only a draw with
+#   u near 0, which lies in the band, can bisect on towards the cap of 100.
+#   At d = 1 the radius is closed form. The tabulated CDF is monotone up to
+#   a few ulps, and the d = 1 argument 1 + u (cosh rho - 1) is rounded; a
+#   slack of 2^-46 cosh(rho) / (cosh(rho) - 1) in u covers both.
+#   In u. The band is u at most the mass of tau <= 6 sqrt(C), or u within
+#   twice the mass's slope times dtau of the exit mass (plus the slacks).
+#   The mass P(rad < 2 artanh tau) has slope pdf(rad) drad/dtau, with
+#   sinh(rad) = 2 tau / (1 - tau^2) and drad/dtau = 2 / (1 - tau^2); it
+#   grows with tau, so its value at min(T + dtau, tanh(rho/2)) bounds it
+#   over the band.
+#   Draws in the band take the chain: at d = 1 draw by draw (the chain is
+#   elementwise), at d >= 2 the whole cell, because the batch stop rule
+#   makes a draw's radius depend on its batch.
+_BAND_ULPS = 64.0
+_BAND_TAU = 2.0**-48
+_BAND_U = 2.0**-46
+
+
+def _bplus_members(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarray):
+    """`_bplus_chain(d, r, rho, u01, cos0)` without inverting the draws.
+
+    A draw is in B+ iff its radius is below its direction's exit radius
+    2 artanh(-cos0 tanh r), that is iff u01 is below the radial CDF there.
+    Draws in a rounding band around that boundary (see the comment above)
+    are decided by the chain itself. Returns the membership mask and the
+    number of draws in the band.
+    """
+    half = math.tanh(0.5 * rho)
+    cm1 = math.cosh(rho) - 1.0
+    if d == 1:
+        norm = cm1
+
+        def mass(tau):
+            # P(rad < 2 artanh tau), as cosh(2 artanh tau) - 1 = 2 tau^2 / (1 - tau^2)
+            return 2.0 * tau * tau / ((1.0 - tau * tau) * cm1)
+
+    else:
+        law = sampler.radial_law(d, rho)
+        norm = law.total
+
+        def mass(tau):
+            return law.cdf(2.0 * np.arctanh(tau))
+
+    c_tau = 2.0**-53 * _BAND_ULPS * (1.0 + r)
+    pad = 0.0 if d == 1 else 2.0 * sampler.NEWTON_TOL
+    slack = _BAND_U * (cm1 + 1.0) / cm1
+
+    def width(dtau, tau_hi):
+        # half-width in u of a band of half-width dtau in tau, below tau_hi
+        inv = 1.0 / (1.0 - tau_hi * tau_hi)
+        pdf = (2.0 * tau_hi * inv) ** d / norm
+        return 2.0 * (2.0 * inv * pdf * dtau + pdf * pad) + slack
+
+    t = np.maximum(-cos0 * math.tanh(r), 0.0)
+    # directions with cos0 >= 0 leave at once: their exit mass is 0
+    exit_mass = np.zeros_like(t)
+    out = np.flatnonzero(t > 0.0)
+    exit_mass[out] = mass(np.minimum(t[out], half))
+    inside = u01 < exit_mass
+    tau0 = min(6.0 * math.sqrt(c_tau), half)
+    band = u01 <= float(mass(np.array([tau0]))[0]) + width(0.0, tau0)
+    # the widest band (the largest dtau, the slope at tanh(rho/2)) leaves a
+    # few candidates, and each one's own band decides
+    gap = np.abs(u01 - exit_mass)
+    cand = np.flatnonzero(gap <= width(math.sqrt(c_tau) + _BAND_TAU, half))
+    tc = t[cand]
+    dtau = 4.0 * c_tau / np.maximum(tc, 4.0 * math.sqrt(c_tau)) + _BAND_TAU
+    band[cand] |= gap[cand] <= width(dtau, np.minimum(tc + dtau, half))
+    n_band = int(np.count_nonzero(band))
+    if n_band and d == 1:
+        inside[band] = _bplus_chain(d, r, rho, u01[band], cos0[band])
+    elif n_band:
+        inside = _bplus_chain(d, r, rho, u01, cos0)
+    return inside, n_band
+
+
 def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     """Monte Carlo rejection estimate of Vol(B+(z, rho)) for z at radius r.
 
     Uniform points in B(z, rho) come from sampling B(0, rho) and boosting the
-    origin onto z; acceptance tests radius < r.
+    origin onto z. A draw is accepted when its boosted radius is below r,
+    which `_bplus_members` decides at each direction's exit radius, without
+    inverting the radial CDF.
     """
     d = cfg.base.d
     rng = sampler.stream(cfg.base.seed, cell_id, "bplus")
     u01 = rng.uniform(size=BPLUS_SAMPLES)
-    if d == 1:
-        rad = np.arccosh(1.0 + u01 * (math.cosh(rho) - 1.0))
-    else:
-        rad = sampler._radial_inverter(d, rho)(u01)
     g = rng.normal(size=(BPLUS_SAMPLES, d + 1))
     cos0 = g[:, 0] / np.sqrt(hgeom.row_sumsq(g))
-    frac = float(np.mean(_boosted_radius(r, rad, cos0) < r))
+    frac = float(np.mean(_bplus_members(d, r, rho, u01, cos0)[0]))
     total = hgeom.ball_volume(d, rho)
     se = total * math.sqrt(max(frac * (1.0 - frac), 1e-12) / BPLUS_SAMPLES)
     return frac * total, se

@@ -14,14 +14,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import hgeom
 from .hgeom import GeometryError, PolarPoint
 
 RADIAL_KNOTS = 4096
+# Newton stops once no draw of the batch moves by this much
+NEWTON_TOL = 1e-13
 
 
 def stream(seed: int, replica: int = 0, role: str = "points") -> np.random.Generator:
@@ -89,57 +91,115 @@ _GL_WEIGHTS = np.array(
     [0.11846344252809454, 0.23931433524968324, 0.28444444444444444, 0.23931433524968324, 0.11846344252809454]
 )
 
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the abscissae
+# xgk >= 0 of its symmetric pairs and their Kronrod weights wgk, the centre last
+_K21_NODES = np.array(
+    [
+        0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0,
+    ]
+)
+_K21_WEIGHTS = np.array(
+    [
+        0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821,
+    ]
+)
+# dqk21 adds the symmetric pairs at the Gauss abscissae first, then the rest
+_K21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 
-@lru_cache(maxsize=32)
-def _radial_inverter(d: int, R: float):
-    """Inverse CDF of the sinh^d radial law on (0, R] for d >= 2.
 
-    CDF knot values on RADIAL_KNOTS knots by adaptive quadrature; between
-    knots the CDF is completed with a local Gauss rule, and Newton iteration
-    with a bisection guard inverts it to better than 1e-10.
+def _knot_integrals(d: int, knots: np.ndarray) -> np.ndarray:
+    """Integral of sinh(s)^d over each knot interval, as scipy's quad gives it.
+
+    On intervals this short QUADPACK's qagse accepts its first 21-point
+    Gauss-Kronrod estimate, so one pass of dqk21 over all intervals, with
+    its constants and its order of operations, has quad's bits. The
+    integrand stays math.sinh(s) ** d (libm sinh and pow): numpy's
+    vectorized sinh and its square differ from them in the last bit on
+    some nodes.
     """
-    knots = np.linspace(0.0, R, RADIAL_KNOTS)
-    step = knots[1] - knots[0]
-    increments = [0.0]
-    for a, b in zip(knots[:-1], knots[1:]):
-        val, _ = quad(lambda s: math.sinh(s) ** d, a, b)
-        increments.append(val)
-    cdf_vals = np.cumsum(increments)
-    total = cdf_vals[-1]
-    cdf_vals = cdf_vals / total
 
-    def cdf(r):
+    def f(s):
+        return np.fromiter(map(pow, map(math.sinh, s.tolist()), repeat(float(d))), float, s.size)
+
+    centr = 0.5 * (knots[:-1] + knots[1:])
+    hlgth = 0.5 * (knots[1:] - knots[:-1])
+    resk = _K21_WEIGHTS[10] * f(centr)
+    for j in _K21_ORDER:
+        absc = hlgth * _K21_NODES[j]
+        resk = resk + _K21_WEIGHTS[j] * (f(centr - absc) + f(centr + absc))
+    return resk * hlgth
+
+
+class RadialLaw:
+    """The sinh^d radial law on (0, R] for d >= 2: its CDF, density and inverse.
+
+    CDF knot values on RADIAL_KNOTS knots come from one Gauss-Kronrod pass
+    (`_knot_integrals`); between knots the CDF is completed with a local
+    Gauss rule, and Newton iteration with a bisection guard inverts it to
+    better than 1e-10.
+    """
+
+    def __init__(self, d: int, R: float):
+        self.d = d
+        self.R = R
+        self.knots = np.linspace(0.0, R, RADIAL_KNOTS)
+        self.step = self.knots[1] - self.knots[0]
+        cdf_vals = np.cumsum(np.concatenate(([0.0], _knot_integrals(d, self.knots))))
+        self.total = cdf_vals[-1]
+        self.cdf_vals = cdf_vals / self.total
+        # one law is shared by every caller through `radial_law`
+        self.knots.setflags(write=False)
+        self.cdf_vals.setflags(write=False)
+
+    def cdf(self, r):
         r = np.asarray(r, dtype=float)
-        k = np.clip((r // step).astype(int), 0, RADIAL_KNOTS - 2)
-        base = knots[k]
+        k = np.clip((r // self.step).astype(int), 0, RADIAL_KNOTS - 2)
+        base = self.knots[k]
         span = r - base
-        local = (np.sinh(base[:, None] + span[:, None] * _GL_NODES) ** d) @ _GL_WEIGHTS
-        return cdf_vals[k] + span * local / total
+        local = (np.sinh(base[:, None] + span[:, None] * _GL_NODES) ** self.d) @ _GL_WEIGHTS
+        return self.cdf_vals[k] + span * local / self.total
 
-    def pdf(r):
-        return np.sinh(r) ** d / total
+    def pdf(self, r):
+        return np.sinh(r) ** self.d / self.total
 
-    def invert(targets: np.ndarray) -> np.ndarray:
+    def invert(self, targets: np.ndarray) -> np.ndarray:
+        """Radii with CDF equal to targets. The loop stops when the largest
+        step of the whole batch is below NEWTON_TOL, so a draw's bits depend
+        on the batch it is inverted in."""
         targets = np.asarray(targets, dtype=float)
-        r = np.interp(targets, cdf_vals, knots)
+        r = np.interp(targets, self.cdf_vals, self.knots)
         lo = np.zeros_like(r)
-        hi = np.full_like(r, R)
+        hi = np.full_like(r, self.R)
         for _ in range(100):
-            f = cdf(r) - targets
+            f = self.cdf(r) - targets
             hi = np.where(f > 0, r, hi)
             lo = np.where(f <= 0, r, lo)
-            dp = pdf(r)
+            dp = self.pdf(r)
             with np.errstate(divide="ignore", invalid="ignore"):
                 r_new = r - np.where(dp > 0, f / np.where(dp > 0, dp, 1.0), 0.0)
             bad = (r_new <= lo) | (r_new >= hi) | ~np.isfinite(r_new)
             r_new = np.where(bad, 0.5 * (lo + hi), r_new)
-            if np.max(np.abs(r_new - r), initial=0.0) < 1e-13:
+            if np.max(np.abs(r_new - r), initial=0.0) < NEWTON_TOL:
                 r = r_new
                 break
             r = r_new
         return r
 
-    return invert
+
+@lru_cache(maxsize=32)
+def radial_law(d: int, R: float) -> RadialLaw:
+    """The tabulated sinh^d radial law on (0, R], built once per (d, R)."""
+    return RadialLaw(d, R)
 
 
 def _uniform_directions(rng: np.random.Generator, n: int, ambient: int) -> np.ndarray:
@@ -161,7 +221,7 @@ def sample_ball(cfg: CloudConfig, replica: int = 0) -> PointCloud:
     if cfg.d == 1:
         radii = np.arccosh(1.0 + u01 * (math.cosh(cfg.R) - 1.0))
     else:
-        radii = _radial_inverter(cfg.d, cfg.R)(u01)
+        radii = radial_law(cfg.d, cfg.R).invert(u01)
     dirs = _uniform_directions(rng, n, cfg.d + 1)
     radii = np.minimum(np.maximum(radii, 1e-12), cfg.R)
     order = np.lexsort(tuple(dirs[:, k] for k in range(cfg.d, -1, -1)) + (radii,))

@@ -1,8 +1,11 @@
-"""Slow reference searches that the fast code is checked against."""
+"""Slow references that the fast code is checked against."""
+
+import math
 
 import numpy as np
+from scipy.integrate import quad
 
-from hyperrst import rst, search
+from hyperrst import hgeom, rst, sampler, search
 
 _BLOCK = 128
 _BATCH = 128
@@ -91,3 +94,20 @@ def validate_reference(tree):
     max_degree = int(degrees.max()) if n else 0
     counts = {"radius": len(bad), "frontier": frontier, "cycle": cycles, "bplus": len(worse)}
     return violations, counts, max_degree
+
+
+def knot_integrals_quad(d: int, knots: np.ndarray) -> np.ndarray:
+    """Integral of sinh(s)^d over each knot interval, one `quad` call each."""
+    return np.array([quad(lambda s: math.sinh(s) ** d, a, b)[0] for a, b in zip(knots[:-1], knots[1:])])
+
+
+def bplus_chain(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarray) -> np.ndarray:
+    """B+ membership of draws in B(0, rho) boosted onto z at radius r: invert
+    u01 to a radius (closed form at d = 1, the batch's Newton inversion
+    otherwise), take the boosted radius and compare it with r."""
+    if d == 1:
+        rad = np.arccosh(1.0 + u01 * (math.cosh(rho) - 1.0))
+    else:
+        rad = sampler.radial_law(d, rho).invert(u01)
+    t2 = math.cosh(r) * np.cosh(rad) + math.sinh(r) * (np.sinh(rad) * cos0)
+    return hgeom.stable_arccosh1p(t2 - 1.0) < r

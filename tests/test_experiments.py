@@ -17,6 +17,7 @@ from hyperrst import experiments, hgeom, rst, sampler
 from hyperrst.experiments import ExperimentConfig, default_config
 from hyperrst.hgeom import GeometryError
 from hyperrst.sampler import CloudConfig
+from oracles import bplus_chain
 
 SMALL = ExperimentConfig(
     base=CloudConfig(d=1, lam=8.0, R=3.5, seed=101),
@@ -344,19 +345,111 @@ PINNED_D1_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
-def test_report_bytes_pinned_d1(monkeypatch, tmp_path, threads):
+# the eight ball experiments at d = 2 and 3, recorded before the radial
+# law's knot table lost its per-knot quad and the B+ cells their inversion
+BALL_EXPERIMENTS = [name for name in experiments.EXPERIMENTS if name != "coupling"]
+PINNED_D2 = dataclasses.replace(PINNED_D1, base=CloudConfig(d=2, lam=1.0, R=3.5, seed=11))
+PINNED_D2_REPORTS = {
+    "straightness": "1e4a826dc7e637829d1ec73e21628cf22721afde60b5248843f9d6d8c384a284",
+    "mbd_moment": "f5e17b880ed7d7d6d44673984af4e03ec55076d514980324d0956ce53e67d938",
+    "annulus": "ff724e7bbbe764d88f96524ec4999c8e8ea0064c4913ad3def5e85205c182c4c",
+    "good_points": "5202bc53da4de918ecc66ecf22e7197101938a9527c836052cb8f0b79f94bdbb",
+    "level_counts": "4bfc4de35cdc5af4e5f6ab780f40e3b9c5536dac898fed08f983ec835388941d",
+    "bplus_volume": "da82f1fa8ba3ab19845e6a34255cb33a600f9ad45322bbaac892f586186dcd59",
+    "confinement": "2ee46c40b68a5a06b46cd7ef767f2b42c707bc16ac649a39f31360f34870c3cd",
+    "direction_convergence": "c0d11ff8abae66cce512e47670cbf20aa4766b83ac6a6e589cb9c29bc599f8ab",
+}
+PINNED_D3 = dataclasses.replace(PINNED_D1, base=CloudConfig(d=3, lam=0.3, R=3.5, seed=11))
+PINNED_D3_REPORTS = {
+    "straightness": "c6bafbf22ffee91b85659251e4ceb5f9ea0f87bdc48a5ef1846ab06004a22b3d",
+    "mbd_moment": "6eb33a38f55c6247c61e67bf65ed6e9bac071d653331f0ae912a0a396b08dbac",
+    "annulus": "f772396d2397893fc4106aa37e9b93539adeab985c92f98896d261fe013ee729",
+    "good_points": "3e9debb00b85dcabfc88cf64ab3069eb88d737211d551f8b6b73153bd57f4857",
+    "level_counts": "5bdb3b279fa89534e93865bf0febaf01241037cd889cf2ca28b7d718ac31e2ab",
+    "bplus_volume": "0fb3713064d8d3bcfa1cf38240450cc79e85a45a5c7547aa4da6d76580b87f82",
+    "confinement": "6d227892c6549cff474b06f18799c0c51e913e7b6f44b16ca782a07c52e77d2c",
+    "direction_convergence": "0c67251b697979d9aba41f61b2139bcdc3c1028cd3eb375240cf86d52a77d736",
+}
+
+
+def _report_digests(monkeypatch, tmp_path, threads, cfg, names):
     if threads is None:
         monkeypatch.delenv("HYPERRST_THREADS", raising=False)
     else:
         monkeypatch.setenv("HYPERRST_THREADS", threads)
-    reports = experiments.analyze(PINNED_D1, list(experiments.EXPERIMENTS))
+    reports = experiments.analyze(cfg, names)
     got = {}
     for name, report in reports.items():
         json_path, csv_path = experiments.write_report(report, str(tmp_path))
         with open(json_path, "rb") as fj, open(csv_path, "rb") as fc:
             got[name] = hashlib.sha256(fj.read() + fc.read()).hexdigest()
+    return got
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_report_bytes_pinned_d1(monkeypatch, tmp_path, threads):
+    got = _report_digests(monkeypatch, tmp_path, threads, PINNED_D1, list(experiments.EXPERIMENTS))
     assert got == PINNED_D1_REPORTS
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_report_bytes_pinned_d2(monkeypatch, tmp_path, threads):
+    assert _report_digests(monkeypatch, tmp_path, threads, PINNED_D2, BALL_EXPERIMENTS) == PINNED_D2_REPORTS
+
+
+def test_report_bytes_pinned_d3(monkeypatch, tmp_path):
+    assert _report_digests(monkeypatch, tmp_path, None, PINNED_D3, BALL_EXPERIMENTS) == PINNED_D3_REPORTS
+
+
+def _bplus_draws(d, seed, cell_id):
+    """The draws of `_bplus_cell`: radial uniforms, then cos0 of a direction."""
+    rng = sampler.stream(seed, cell_id, "bplus")
+    u01 = rng.uniform(size=experiments.BPLUS_SAMPLES)
+    g = rng.normal(size=(experiments.BPLUS_SAMPLES, d + 1))
+    return u01, g[:, 0] / np.sqrt(hgeom.row_sumsq(g))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bplus_members_match_chain(d):
+    # every cell of the grid at R = 5, three seeds: the exit-radius test
+    # gives the radius chain's verdict on every draw
+    grid = experiments.bplus_grid(default_config(base=CloudConfig(d=d, lam=1.0, R=5.0, seed=0)))
+    assert len(grid) == 24
+    for seed in (0, 1, 29):
+        for k, (r, rho) in enumerate(grid):
+            u01, cos0 = _bplus_draws(d, seed, k)
+            inside, _ = experiments._bplus_members(d, r, rho, u01, cos0)
+            assert np.array_equal(inside, bplus_chain(d, r, rho, u01, cos0)), (seed, r, rho)
+
+
+def _exit_mass(d, r, rho, cos0):
+    """P(rad < exit radius) computed straight, with no rounding band."""
+    tau = np.minimum(np.maximum(-cos0 * math.tanh(r), 0.0), math.tanh(0.5 * rho))
+    if d == 1:
+        return 2.0 * tau * tau / ((1.0 - tau * tau) * (math.cosh(rho) - 1.0))
+    return sampler.radial_law(d, rho).cdf(2.0 * np.arctanh(tau))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r, rho", [(1.5, 2.0), (3.5, 7.0), (0.5, 0.5)])
+def test_bplus_members_band_takes_the_chain(d, r, rho):
+    # draws on the boundary (u at the exit mass and one ulp either side), a
+    # draw at u = 0, and c = +-0.0 at u = 0, where the chain may accept a
+    # draw with c >= 0 by an ulp (it does at r = 0.5), among ordinary draws
+    u01, cos0 = _bplus_draws(d, 7, 0)
+    c = -np.linspace(0.05, 0.95, 64)
+    m = _exit_mass(d, r, rho, c)
+    fu = np.concatenate([np.nextafter(m, 0.0), m, np.nextafter(m, 2.0), [0.0, 0.0, 0.0]])
+    fc = np.concatenate([c, c, c, [-0.5, 0.0, -0.0]])
+    u01 = np.concatenate([u01[:2000], fu])
+    cos0 = np.concatenate([cos0[:2000], fc])
+    inside, n_band = experiments._bplus_members(d, r, rho, u01, cos0)
+    chain = bplus_chain(d, r, rho, u01, cos0)
+    assert n_band >= fu.size
+    assert np.array_equal(inside, chain)
+    # the straight test disagrees with the chain on some forced draw, so the
+    # band is what makes the two agree
+    assert np.any((u01 < _exit_mass(d, r, rho, cos0)) != chain)
 
 
 def test_coupling_window_cap(monkeypatch):

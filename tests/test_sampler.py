@@ -9,6 +9,7 @@ from scipy import stats
 from hyperrst import hgeom, sampler
 from hyperrst.hgeom import GeometryError
 from hyperrst.sampler import CloudConfig, HalfWindow
+from oracles import knot_integrals_quad
 
 
 def test_determinism_bit_for_bit():
@@ -67,12 +68,26 @@ def test_radial_law_ks_d2():
 
 
 def test_radial_inverter_accuracy():
-    inv = sampler._radial_inverter(2, 4.0)
-    total = hgeom.ball_volume(2, 4.0)
-    targets = np.linspace(0.001, 0.999, 41)
-    rs = inv(targets)
-    back = np.array([hgeom.ball_volume(2, float(r)) / total for r in rs])
-    assert np.max(np.abs(back - targets)) < 1e-10
+    for d, R in [(2, 4.0), (3, 4.0), (4, 4.0), (2, 0.5), (3, 0.5), (2, 7.0), (3, 7.0)]:
+        law = sampler.radial_law(d, R)
+        total = hgeom.ball_volume(d, R)
+        targets = np.linspace(0.001, 0.999, 41)
+        rs = law.invert(targets)
+        back = np.array([hgeom.ball_volume(d, float(r)) / total for r in rs])
+        assert np.max(np.abs(back - targets)) < 1e-10, (d, R)
+
+
+# (d, R) pairs on which the vectorized knot table must carry quad's bits
+KNOT_TABLE_CASES = [(2, 4.0), (3, 3.5), (2, 0.5), (2, 7.0), (3, 7.0), (4, 5.0), (2, 9.0), (5, 2.0)]
+
+
+@pytest.mark.parametrize("d, R", KNOT_TABLE_CASES)
+def test_knot_table_equals_quad(d, R):
+    law = sampler.radial_law(d, R)
+    increments = knot_integrals_quad(d, law.knots)
+    assert np.array_equal(sampler._knot_integrals(d, law.knots), increments)
+    cdf_vals = np.cumsum([0.0] + list(increments))
+    assert np.array_equal(law.cdf_vals, cdf_vals / cdf_vals[-1])
 
 
 def test_isotropy_chi_square():
