@@ -602,12 +602,49 @@ def _edge_angular_intervals(tree: RadialTree):
     return start, theta
 
 
+def _edge_radial_extents(a: np.ndarray, b: np.ndarray):
+    """Padded [low, high] Klein radii of the chords [a, b]: low is the
+    distance from the origin to the chord, high its farther endpoint.
+
+    Chords that meet at X have |X| in both exact extents, and the extents
+    come from the same Klein points that the orient test of
+    `planarity_check` reads. With u = 2^-53 and coordinates below 1, two
+    roundings separate that from the count:
+    - the extents' own. high is within 2u relative of max(|a|, |b|). The
+      foot a + t (b - a) is on the chord for any t in [0, 1], an error in t
+      raises |foot| only to second order, and the foot and its norm round
+      by under 8u;
+    - orient's. Its value is within 3u (|A| + |B|) <= 3u |q - p| |r - p|
+      of (q - p) x (r - p), so a wrong sign puts r within 3u |r - p| <= 6u
+      of the line pq. A pair counted whose chords do not meet thus has an
+      endpoint within 6u of the other chord's line, and so within about
+      6u / sin(phi) of the other chord, where phi is their angle.
+    Each end moves out by _REL relative plus _ABS = 128u, which leaves a
+    dropped pair at least 246u apart. So no pair that orient counts is
+    dropped unless its chords are within about 1/40 radian of parallel and
+    a few ulps of one line, where orient's signs are rounding noise: two
+    separated chords on one ray through the origin can come out crossed.
+    """
+    ab = b - a
+    len2 = hgeom.row_sumsq(ab)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-(a[:, 0] * ab[:, 0] + a[:, 1] * ab[:, 1]) / len2, 0.0, 1.0)
+    foot = a + np.where(len2 > 0.0, t, 0.0)[:, None] * ab
+    low = np.sqrt(hgeom.row_sumsq(foot)) * (1.0 - _REL) - _ABS
+    high = np.sqrt(np.maximum(hgeom.row_sumsq(a), hgeom.row_sumsq(b))) * (1.0 + _REL) + _ABS
+    return low, high
+
+
 def planarity_check(tree: RadialTree) -> int:
     """Count proper crossings between geodesic edges [z, A(z)] in the disc.
 
     Geodesics are chords in the Klein model, so the test reduces to segment
-    intersection; edges are prefiltered by their angular intervals (the
-    angular coordinate is monotone along a geodesic not through the origin).
+    intersection. Two keys prefilter the pairs: the angular intervals of the
+    edges (the angular coordinate is monotone along a geodesic not through
+    the origin) are enumerated for overlap, and pairs whose radial extents
+    (`_edge_radial_extents`: the distance from the origin to the chord up to
+    its farther endpoint, padded by the rounding of the extents and of the
+    orient test) do not overlap are dropped before the orient test.
     """
     if tree.cloud.config.d != 1:
         raise GeometryError("planarity is defined for d = 1 only")
@@ -622,21 +659,23 @@ def planarity_check(tree: RadialTree) -> int:
     start, width = _edge_angular_intervals(tree)
     order = np.argsort(start, kind="stable")
     s_sorted = start[order]
-    # duplicate the circle once so intervals crossing 2*pi see early starts
+    # edges go by rank in start order; duplicate the circle once so that
+    # intervals crossing 2*pi see early starts: the starts of ranks
+    # [lo[k], hi[k]) of the doubled circle lie in interval k
     s_ext = np.concatenate([s_sorted, s_sorted + 2.0 * math.pi])
-    idx_ext = np.concatenate([order, order])
-    lo = np.searchsorted(s_ext, start, side="left")
-    hi = np.searchsorted(s_ext, start + width, side="right")
-    pi_ = np.repeat(np.arange(n), hi - lo)
-    pj_ = idx_ext[search.concat_ranges(lo, hi)]
+    lo = np.searchsorted(s_ext, s_sorted, side="left")
+    hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
+    ext = search.concat_ranges(lo, hi)
+    ri = np.repeat(np.arange(n), hi - lo)
+    # chords that meet do so at a radius inside both radial extents
+    low, high = (np.tile(e[order], 2) for e in _edge_radial_extents(a, b))
+    near = (low[ext] <= high[ri]) & (low[ri] <= high[ext])
+    ri, rj = ri[near], ext[near] % n
     # a pair found from both edges (each start lies in the other's interval)
-    # is kept from the lower index only
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    mine = rank[pi_]
-    back = ((lo[pj_] <= mine) & (mine < hi[pj_])) | ((lo[pj_] <= mine + n) & (mine + n < hi[pj_]))
-    keep = (pi_ != pj_) & (~back | (pi_ < pj_))
-    pi_, pj_ = pi_[keep], pj_[keep]
+    # is kept from the lower rank only
+    back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
+    keep = (ri != rj) & (~back | (ri < rj))
+    pi_, pj_ = order[ri[keep]], order[rj[keep]]
     # drop pairs sharing a vertex (adjacent edges meet at endpoints by design)
     share = (
         (parent[pi_] == pj_)

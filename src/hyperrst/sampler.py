@@ -175,8 +175,12 @@ class RadialLaw:
     def invert(self, targets: np.ndarray) -> np.ndarray:
         """Radii with CDF equal to targets. The loop stops when the largest
         step of the whole batch is below NEWTON_TOL, so a draw's bits depend
-        on the batch it is inverted in."""
+        on the batch it is inverted in. A target of 0 has radius 0 and stays
+        out of the batch: pdf(0) = 0 would stall Newton there."""
         targets = np.asarray(targets, dtype=float)
+        live = targets != 0.0
+        radii = np.zeros_like(targets)
+        targets = targets[live]
         r = np.interp(targets, self.cdf_vals, self.knots)
         lo = np.zeros_like(r)
         hi = np.full_like(r, self.R)
@@ -193,7 +197,8 @@ class RadialLaw:
                 r = r_new
                 break
             r = r_new
-        return r
+        radii[live] = r
+        return radii
 
 
 @lru_cache(maxsize=32)

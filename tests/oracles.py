@@ -111,3 +111,28 @@ def bplus_chain(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarray)
         rad = sampler.radial_law(d, rho).invert(u01)
     t2 = math.cosh(r) * np.cosh(rad) + math.sinh(r) * (np.sinh(rad) * cos0)
     return hgeom.stable_arccosh1p(t2 - 1.0) < r
+
+
+def planarity_reference(tree) -> int:
+    """`rst.planarity_check` as a blocked all-pairs count: every pair of edges
+    that shares no vertex takes the orient sign test on its Klein chords, and
+    counts when each chord's endpoints lie strictly on opposite sides of the
+    other's line."""
+    n = len(tree)
+    klein = np.tanh(tree.radii)[:, None] * tree.dirs
+    parent = tree.parent
+    tail = np.where((parent >= 0)[:, None], klein[np.maximum(parent, 0)], 0.0)
+
+    def orient(p, q, r):
+        return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0])
+
+    j = np.arange(n)[None, :]
+    a2, b2, pj = klein[None, :], tail[None, :], parent[None, :]
+    crossings = 0
+    for lo in range(0, n, _BLOCK):
+        i = np.arange(lo, min(lo + _BLOCK, n))[:, None]
+        a1, b1, pi = klein[i], tail[i], parent[i]
+        share = (pi == j) | (pj == i) | ((pi == pj) & (pi != search.ROOT)) | ((pi == search.ROOT) & (pj == search.ROOT))
+        proper = (orient(a1, b1, a2) * orient(a1, b1, b2) < 0) & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0)
+        crossings += int(np.count_nonzero(proper & (i < j) & ~share))
+    return crossings

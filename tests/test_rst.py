@@ -12,7 +12,7 @@ from hyperrst import hgeom, rst, sampler, search
 from hyperrst.hgeom import GeometryError
 from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
-from oracles import nearest_lower_scan, validate_reference
+from oracles import nearest_lower_scan, planarity_reference, validate_reference
 
 
 def make_cloud(radii, angles, d=1, lam=1.0, R=None, seed=0):
@@ -909,29 +909,75 @@ class TestValidate:
         assert got == pins[name]
 
 
+def crossings(tree):
+    """planarity_check's count, asserted equal to the all-pairs oracle's."""
+    got = rst.planarity_check(tree)
+    assert got == planarity_reference(tree)
+    return got
+
+
 class TestPlanarity:
     def test_disjoint_radial_edges(self):
         cloud = make_cloud([1.0, 1.5], [0.0, 2.0])
         tree = rst.build(cloud)
-        assert rst.planarity_check(tree) == 0
+        assert crossings(tree) == 0
 
     def test_forced_crossing(self):
         # hand-made non-RST parents: two chords that cross
         cloud = make_cloud([2.0, 2.1, 2.2, 2.3], [0.0, 1.2, 0.6, 1.8])
         parent = np.array([ROOT, ROOT, 1, 0])  # 2->1 and 3->0 cross
         tree = rst.RadialTree(cloud, parent, np.ones(4))
-        assert rst.planarity_check(tree) == 1
+        assert crossings(tree) == 1
         # 2->1 and 3->0 cross and start at the same angle, so each start lies
         # in the other's interval and the pair is found from both edges
         cloud = make_cloud([1.0, 1.9, 2.0, 2.5], [0.3, 1.0, 0.0, 0.0])
         parent = np.array([ROOT, ROOT, 1, 0])
         tree = rst.RadialTree(cloud, parent, np.ones(4))
-        assert rst.planarity_check(tree) == 1
+        assert crossings(tree) == 1
+
+    def test_crossing_below_both_endpoints(self):
+        # the wide chord 3 -> 2 (Klein radii 0.964 and 0.963) comes within
+        # 0.52 of the origin near angle 0, where the short chord 1 -> 0
+        # (Klein radii 0.45 to 0.6) crosses it
+        cloud = make_cloud([math.atanh(0.45), math.atanh(0.6), 1.99, 2.0], [0.0, 0.02, 1.0, -1.0])
+        tree = rst.RadialTree(cloud, np.array([ROOT, 0, ROOT, 2]), np.ones(4))
+        assert crossings(tree) == 1
+
+    def test_root_edges(self):
+        # root edges meet only at the origin, which they share; the chord
+        # 2 -> 1 near x = 0.054 crosses root edge 3 at radius 0.054
+        cloud = make_cloud([0.5, 0.99, 1.0, 2.0], [math.pi, -1.5, 1.5, 0.0])
+        tree = rst.RadialTree(cloud, np.array([ROOT, ROOT, 1, ROOT]), np.ones(4))
+        assert crossings(tree) == 1
+        tree = rst.RadialTree(cloud, np.array([ROOT, ROOT, ROOT, ROOT]), np.ones(4))
+        assert crossings(tree) == 0
+
+    def test_t_junction(self):
+        # node 1 lies on root edge 2 (both on the x-axis, where orient is
+        # exact): its edge meets that chord at an endpoint, no crossing
+        cloud = make_cloud([0.5, 1.0, 2.0], [math.pi / 2, 0.0, 0.0])
+        tree = rst.RadialTree(cloud, np.array([ROOT, 0, ROOT]), np.ones(3))
+        assert crossings(tree) == 0
+
+    def test_interval_past_two_pi(self):
+        # chord 2 -> 1 spans angles -0.3 .. 0.3, so its interval starts near
+        # 2 pi; chord 3 -> 0 at angles 0.05 .. 0.1 crosses it
+        cloud = make_cloud([1.0, 2.0, 2.01, 2.5], [0.05, -0.3, 0.3, 0.1])
+        tree = rst.RadialTree(cloud, np.array([ROOT, ROOT, 1, 0]), np.ones(4))
+        assert crossings(tree) == 1
+
+    def test_rerouted_trees_match_reference(self):
+        # 5 to 20 parents moved each, some of them to farther points
+        counts = []
+        for seed in range(20):
+            tree = sample_tree(seed + 70, lam=10.0, R=4.0)
+            counts.append(crossings(scrambled(tree, seed, frac=(5.5 + seed % 16) / len(tree))))
+        assert max(counts) >= 10
 
     def test_simulated_trees_planar(self):
         for seed in range(5):
-            tree = sample_tree(seed + 40, lam=15.0, R=3.5)
-            assert rst.planarity_check(tree) == 0
+            assert crossings(sample_tree(seed + 40, lam=15.0, R=3.5)) == 0
+            assert crossings(sample_tree(seed + 60, lam=10.0, R=4.0)) == 0
 
     def test_rejects_d2(self):
         cloud = sampler.sample_ball(CloudConfig(d=2, lam=1.0, R=2.0, seed=17))

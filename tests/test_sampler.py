@@ -77,6 +77,24 @@ def test_radial_inverter_accuracy():
         assert np.max(np.abs(back - targets)) < 1e-10, (d, R)
 
 
+@pytest.mark.parametrize("d, R", [(2, 5.0), (3, 5.0), (3, 0.5)])
+def test_invert_zero_target(d, R, monkeypatch):
+    # a target of 0 gets radius 0 without joining the Newton batch, whose
+    # global stop rule it would otherwise hold to the iteration cap
+    law = sampler.radial_law(d, R)
+    u01 = np.random.default_rng(d).uniform(size=40_000)
+    calls = []
+    cdf = law.cdf
+    monkeypatch.setattr(law, "cdf", lambda r: calls.append(r.size) or cdf(r))
+    want = law.invert(u01)
+    alone = len(calls)
+    calls.clear()
+    got = law.invert(np.append(u01, 0.0))
+    assert got[-1] == 0.0
+    assert np.array_equal(got[:-1], want)
+    assert len(calls) <= alone
+
+
 # (d, R) pairs on which the vectorized knot table must carry quad's bits
 KNOT_TABLE_CASES = [(2, 4.0), (3, 3.5), (2, 0.5), (2, 7.0), (3, 7.0), (4, 5.0), (2, 9.0), (5, 2.0)]
 
