@@ -8,9 +8,11 @@ skip the criteria, and the record says so. It writes one JSON record
 with, for every run, the command's wall time, peak RSS and a digest of its
 report bytes, and each criterion's wall time (interpreter start-up and
 collection included) and exit code, plus the machine and the numpy/scipy
-versions. Each checkout is imported from its own `src`. Comparing two
-checkouts alternates their runs, so that a slow spell of the machine is
-shared.
+versions. For each checkout it also records the start-up cost that every
+`hyperrst` process pays: the best of 5 wall times and the peak RSS of a
+fresh `python -c "import hyperrst.cli"`. Each checkout is imported from its
+own `src`. Comparing two checkouts alternates their runs, so that a slow
+spell of the machine is shared.
 
     python3 scripts/end_to_end.py --checkout parent=../parent --checkout change=. \\
         --runs 1 --out BENCH_end_to_end.json
@@ -39,6 +41,7 @@ import scipy
 DEFAULT_CONFIG = "defaults"
 DEFAULT_EXPERIMENT = "all"
 CRITERIA = range(1, 11)
+IMPORT_RUNS = 5
 
 
 def cpu_model() -> str:
@@ -90,24 +93,28 @@ def run_criterion(root: str, k: int) -> dict:
     return {"exit_code": proc.returncode, "wall_s": time.perf_counter() - start}
 
 
+def run_child(root: str, argv: list) -> dict:
+    """Exit code, wall time and peak RSS of argv in a fresh process importing root/src."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=checkout_env(root), cwd=root, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
+    return {
+        "exit_code": proc.returncode,
+        "wall_s": wall,
+        "peak_rss_mb": usage.ru_maxrss / 1024.0,  # kilobytes on Linux
+    }
+
+
 def run_once(root: str, command: list, criteria: bool) -> dict:
     """One `hyperrst <command>` in a fresh process importing root/src, then,
     if criteria is set, each acceptance criterion."""
-    env = checkout_env(root)
     with tempfile.TemporaryDirectory() as out_dir:
-        argv = [sys.executable, "-m", "hyperrst.cli", *command, "--out", out_dir]
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, env=env, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4
-        row = {
-            "exit_code": proc.returncode,
-            "wall_s": wall,
-            "peak_rss_mb": usage.ru_maxrss / 1024.0,  # kilobytes on Linux
-            "reports": len(os.listdir(out_dir)),
-            "reports_sha256": reports_digest(out_dir),
-        }
+        row = run_child(root, [sys.executable, "-m", "hyperrst.cli", *command, "--out", out_dir])
+        row["reports"] = len(os.listdir(out_dir))
+        row["reports_sha256"] = reports_digest(out_dir)
     row["criteria"] = {str(k): run_criterion(root, k) for k in CRITERIA} if criteria else {}
     return row
 
@@ -138,6 +145,23 @@ def main(argv=None) -> int:
     command = ["analyze", args.experiment, "--config", config]
     criteria = (args.config, args.experiment) == (DEFAULT_CONFIG, DEFAULT_EXPERIMENT)
 
+    imports = {label: [] for label in checkouts}
+    for _ in range(IMPORT_RUNS):
+        for label, root in checkouts.items():
+            imports[label].append(run_child(root, [sys.executable, "-c", "import hyperrst.cli"]))
+    startup = {
+        label: {
+            "exit_code": max(r["exit_code"] for r in rows),
+            "wall_s_best": min(r["wall_s"] for r in rows),
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in rows),
+            "runs": len(rows),
+        }
+        for label, rows in imports.items()
+    }
+    for label, row in startup.items():
+        print(f"{label} import hyperrst.cli: best {row['wall_s_best']:.3f} s, {row['peak_rss_mb']:.1f} MB, "
+              f"exit {row['exit_code']}", file=sys.stderr)
+
     runs = {label: [] for label in checkouts}
     for k in range(args.runs):
         for label, root in checkouts.items():
@@ -163,7 +187,8 @@ def main(argv=None) -> int:
             "scipy": scipy.__version__,
         },
         "checkouts": {
-            label: {**git_state(root), "runs": runs[label]} for label, root in checkouts.items()
+            label: {**git_state(root), "import_cli": startup[label], "runs": runs[label]}
+            for label, root in checkouts.items()
         },
     }
     with open(args.out, "w") as fh:
@@ -171,6 +196,7 @@ def main(argv=None) -> int:
         fh.write("\n")
     failed = any(r["exit_code"] != 0 for rows in runs.values() for row in rows
                  for r in (row, *row["criteria"].values()))
+    failed = failed or any(row["exit_code"] != 0 for row in startup.values())
     return 1 if failed else 0
 
 

@@ -91,53 +91,21 @@ _GL_WEIGHTS = np.array(
     [0.11846344252809454, 0.23931433524968324, 0.28444444444444444, 0.23931433524968324, 0.11846344252809454]
 )
 
-# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the abscissae
-# xgk >= 0 of its symmetric pairs and their Kronrod weights wgk, the centre last
-_K21_NODES = np.array(
-    [
-        0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-        0.0,
-    ]
-)
-_K21_WEIGHTS = np.array(
-    [
-        0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821,
-    ]
-)
-# dqk21 adds the symmetric pairs at the Gauss abscissae first, then the rest
-_K21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
-
 
 def _knot_integrals(d: int, knots: np.ndarray) -> np.ndarray:
     """Integral of sinh(s)^d over each knot interval, as scipy's quad gives it.
 
     On intervals this short QUADPACK's qagse accepts its first 21-point
-    Gauss-Kronrod estimate, so one pass of dqk21 over all intervals, with
-    its constants and its order of operations, has quad's bits. The
-    integrand stays math.sinh(s) ** d (libm sinh and pow): numpy's
-    vectorized sinh and its square differ from them in the last bit on
-    some nodes.
+    Gauss-Kronrod estimate, so one pass of `hgeom.kronrod21` over all
+    intervals has quad's bits. The integrand stays math.sinh(s) ** d (libm
+    sinh and pow): numpy's vectorized sinh and its square differ from them
+    in the last bit on some nodes.
     """
 
     def f(s):
         return np.fromiter(map(pow, map(math.sinh, s.tolist()), repeat(float(d))), float, s.size)
 
-    centr = 0.5 * (knots[:-1] + knots[1:])
-    hlgth = 0.5 * (knots[1:] - knots[:-1])
-    resk = _K21_WEIGHTS[10] * f(centr)
-    for j in _K21_ORDER:
-        absc = hlgth * _K21_NODES[j]
-        resk = resk + _K21_WEIGHTS[j] * (f(centr - absc) + f(centr + absc))
-    return resk * hlgth
+    return hgeom.kronrod21(f, knots[:-1], knots[1:])[0]
 
 
 class RadialLaw:

@@ -96,6 +96,16 @@ def validate_reference(tree):
     return violations, counts, max_degree
 
 
+def ball_volume_quad(d: int, r: float) -> float:
+    """Hyperbolic ball volume for d >= 2, as S_d times one `quad` of sinh^d."""
+    return hgeom.sphere_surface(d) * quad(lambda s: math.sinh(s) ** d, 0.0, r, limit=200)[0]
+
+
+def sphere_cap_quad(d: int, theta: float) -> float:
+    """Cap measure on S^d for d >= 2, as S_(d-1) times one `quad` of sin^(d-1)."""
+    return hgeom.sphere_surface(d - 1) * quad(lambda t: math.sin(t) ** (d - 1), 0.0, theta, limit=200)[0]
+
+
 def knot_integrals_quad(d: int, knots: np.ndarray) -> np.ndarray:
     """Integral of sinh(s)^d over each knot interval, one `quad` call each."""
     return np.array([quad(lambda s: math.sinh(s) ** d, a, b)[0] for a, b in zip(knots[:-1], knots[1:])])

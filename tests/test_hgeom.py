@@ -1,11 +1,17 @@
 """Geometry oracles: distances, angles, conversions, star paths, volumes."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import ball_volume_quad, sphere_cap_quad
 
 from hyperrst import hgeom
 from hyperrst.hgeom import (
@@ -318,6 +324,71 @@ class TestVolumes:
     def test_sphere_cap_d1(self):
         assert hgeom.sphere_cap(1, 0.3) == pytest.approx(0.6)
         assert hgeom.sphere_cap(1, 10.0) == pytest.approx(2 * math.pi)
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """Counts the calls of the lazily imported `scipy.integrate.quad` fallback."""
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    return calls
+
+
+class TestVolumeQuadBits:
+    """ball_volume and sphere_cap carry the bits of one `quad(limit=200)`
+    call, by one 21-point Gauss-Kronrod pass where QUADPACK accepts it and
+    by quad itself beyond."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_ball_volume_grid(self, d):
+        for r in np.linspace(0.0, 12.0, 97)[1:]:
+            assert ball_volume(d, float(r)) == ball_volume_quad(d, float(r))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_sphere_cap_grid(self, d):
+        for theta in np.linspace(0.0, math.pi, 65)[1:]:
+            assert hgeom.sphere_cap(d, float(theta)) == sphere_cap_quad(d, float(theta))
+
+    # (d, r, fallback) on both sides of where QUADPACK stops accepting the
+    # first estimate: r of about 8.6 at d=2, 5.7 at d=3, 4.3 at d=4
+    @pytest.mark.parametrize(
+        "d, r, fallback",
+        [(2, 4.0, False), (2, 8.5, False), (2, 9.0, True), (3, 5.5, False), (3, 6.0, True),
+         (4, 4.0, False), (4, 4.5, True)],
+    )
+    def test_ball_volume_path(self, quad_calls, d, r, fallback):
+        assert ball_volume(d, r) == ball_volume_quad(d, r)
+        assert quad_calls == ([(0.0, r)] if fallback else [])
+
+    # only d=6 near a half turn falls back, from theta of about 3.05
+    @pytest.mark.parametrize(
+        "d, theta, fallback",
+        [(2, math.pi, False), (4, math.pi, False), (6, 3.0, False), (6, math.pi, True)],
+    )
+    def test_sphere_cap_path(self, quad_calls, d, theta, fallback):
+        assert hgeom.sphere_cap(d, theta) == sphere_cap_quad(d, theta)
+        assert quad_calls == ([(0.0, theta)] if fallback else [])
+
+    def test_validate_d2_path_leaves_integrate_unimported(self):
+        # a fresh interpreter: the CLI import and a d=2 sample, build and validate
+        code = (
+            "import sys, hyperrst.cli\n"
+            "from hyperrst import rst, sampler\n"
+            "cloud = sampler.sample_ball(sampler.CloudConfig(d=2, lam=1.0, R=4.0, seed=29))\n"
+            "assert rst.validate(rst.build(cloud)).ok\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestBPlus:
