@@ -6,9 +6,10 @@ ordinate. RST(h) is the radial tree with origin O(h) = (0, e^h); as h grows
 its parents couple with the DSF parents on compact sets.
 
 Both search the same (x, y) chart and differ only in the key order. What
-depends only on the points belongs to a HalfCloud: the chart's k-d tree,
-each point's 8 nearest chart neighbours with their hyperbolic distances,
-and one sort of the points by (y, x). Every forest built on one HalfCloud
+depends only on the points belongs to a HalfCloud: the hyperbolic metric
+and its chart cover balls, the chart's k-d tree, each point's 8 nearest
+chart neighbours with their hyperbolic distances, and one sort of the
+points by (y, x). Every forest built on one HalfCloud
 shares them, and sorts by its own key with a stable sort of that (y, x)
 order. Points given as a list or an (x, y) pair get a fresh HalfCloud per
 call. coupling_fraction wraps its points once, so the DSF and the RST(h)
@@ -37,10 +38,10 @@ class MarginError(RuntimeError):
 class HalfCloud:
     """Half-space points x (n, d), y (n,), finite with y > 0 (GeometryError
     otherwise), that own what their searches share, each built on first
-    use: the chart index (a k-d tree over (x, y), each point's nearest
-    chart neighbours and their pair distances) and the (y, x) sort. The DSF
-    and every RST(h) built on one HalfCloud map that index through their
-    own key orders."""
+    use: the chart index (the hyperbolic metric and its chart cover, a k-d
+    tree over (x, y), each point's nearest chart neighbours and their pair
+    distances) and the (y, x) sort. The DSF and every RST(h) built on one
+    HalfCloud map that index through their own key orders."""
 
     x: np.ndarray
     y: np.ndarray
@@ -60,7 +61,15 @@ class HalfCloud:
 
     @functools.cached_property
     def index(self) -> search.ChartIndex:
-        return search.ChartIndex(np.column_stack([self.x, self.y]), _pair_dist(self.x, self.y))
+        """The chart index of the points; the hyperbolic ball B(z, rho) is
+        the Euclidean ball with centre (x, y cosh rho) and radius y sinh rho."""
+        x, y = self.x, self.y
+
+        def cover(pts, rho):
+            yp = y[pts]
+            return np.column_stack([x[pts], yp * np.cosh(rho)]), yp * np.sinh(rho)
+
+        return search.ChartIndex(np.column_stack([x, y]), _pair_dist(x, y), cover)
 
     @functools.cached_property
     def by_height(self) -> np.ndarray:
@@ -135,35 +144,6 @@ def _pair_dist(x, y):
     return pair_dist
 
 
-def _ordered(cloud: HalfCloud, *keys):
-    """(order, x, y) with the points sorted by keys, the last one primary as in
-    np.lexsort, then by the columns of x in turn: the oracles' own sort,
-    independent of HalfCloud.ordered."""
-    order = np.lexsort(tuple(cloud.x[:, ::-1].T) + keys)
-    return order, cloud.x[order], cloud.y[order]
-
-
-def _dist_matrix(x, y):
-    """All pairwise distances, for the O(n^2) oracles."""
-    s = (
-        np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2) + (y[:, None] - y[None, :]) ** 2
-    ) / (2.0 * np.outer(y, y))
-    return hgeom.stable_arccosh1p(s)
-
-
-def _nearest_lower(cloud: HalfCloud, order, x, y, keys, root_dist):
-    """search.nearest_lower over the cloud's chart index seen in the key order
-    `order`, with x, y the points in that order; B(z, rho) is the Euclidean
-    ball with centre (x, y cosh rho) and radius y sinh rho."""
-
-    def cover(rows, rho):
-        yr = y[rows]
-        return np.column_stack([x[rows], yr * np.cosh(rho)]), yr * np.sinh(rho)
-
-    chart = search.KeyOrder(cloud.index, order)
-    return search.nearest_lower(keys, chart, _pair_dist(x, y), cover, root_dist)
-
-
 def build_dsf(points) -> HalfForest:
     """Parent = nearest point of strictly larger ordinate, else FRONTIER.
 
@@ -174,15 +154,7 @@ def build_dsf(points) -> HalfForest:
     if len(cloud) == 0:
         raise GeometryError("empty point list")
     order, xs, ys = cloud.ordered(-cloud.y)
-    parent, pdist = _nearest_lower(cloud, order, xs, ys, -np.log(ys), root_dist=None)
-    return HalfForest(xs, ys, parent, pdist, order)
-
-
-def build_dsf_brute(points) -> HalfForest:
-    """O(n^2) oracle built directly from the definition."""
-    cloud = _as_cloud(points)
-    order, xs, ys = _ordered(cloud, -cloud.y)
-    parent, pdist = search.nearest_lower_brute(-np.log(ys), _dist_matrix(xs, ys), root_dist=None)
+    parent, pdist = search.nearest_lower(-np.log(ys), search.KeyOrder(cloud.index, order))
     return HalfForest(xs, ys, parent, pdist, order)
 
 
@@ -205,16 +177,7 @@ def build_rst_h(points, h: float) -> HalfForest:
     c = origin_distances(h, cloud.x, cloud.y)
     order, xs, ys = cloud.ordered(c)
     cs = c[order]
-    parent, pdist = _nearest_lower(cloud, order, xs, ys, cs, root_dist=cs)
-    return HalfForest(xs, ys, parent, pdist, order, h=h)
-
-
-def build_rst_h_brute(points, h: float) -> HalfForest:
-    cloud = _as_cloud(points)
-    c = origin_distances(h, cloud.x, cloud.y)
-    order, xs, ys = _ordered(cloud, cloud.y, c)
-    cs = c[order]
-    parent, pdist = search.nearest_lower_brute(cs, _dist_matrix(xs, ys), root_dist=cs)
+    parent, pdist = search.nearest_lower(cs, search.KeyOrder(cloud.index, order), root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
 

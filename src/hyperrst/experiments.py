@@ -602,6 +602,9 @@ def _check(cfg: ExperimentConfig, names):
         raise GeometryError("r0_grid must stay inside (1, R-1), away from the window boundary")
     if "annulus" in names and not cfg.delta > 0:
         raise GeometryError("delta must be > 0")
+    # confinement sweeps from the median of r0_grid out to r_prime
+    if "confinement" in names and float(np.median(cfg.r0_grid)) > r_prime(cfg):
+        raise GeometryError(f"the median of r0_grid must be <= R - 0.5 = {r_prime(cfg):g} for confinement")
     if "coupling" in names:
         if not cfg.h_grid:
             raise GeometryError("h_grid must be nonempty")

@@ -166,56 +166,34 @@ def angle_between_arrays(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.where(d2 <= 2.0, near, far)
 
 
-def polar_cosh_excess(r1, u1, r2, u2):
-    """cosh d(z1,z2) - 1 without cancellation.
-
-    Uses cosh d - 1 = 2 sinh^2((r1-r2)/2) + (1 - <u1,u2>) sinh r1 sinh r2 with
-    1 - <u1,u2> = |u1-u2|^2 / 2 for unit vectors.
-    """
-    du2 = np.sum((np.asarray(u1) - np.asarray(u2)) ** 2, axis=-1)
-    return (
-        2.0 * np.sinh((np.asarray(r1) - np.asarray(r2)) / 2.0) ** 2
-        + 0.5 * du2 * np.sinh(r1) * np.sinh(r2)
-    )
-
-
-def polar_dist_arrays(r1, u1, r2, u2):
-    return stable_arccosh1p(polar_cosh_excess(r1, u1, r2, u2))
-
-
 def dist_polar(z1: PolarPoint, z2: PolarPoint) -> float:
-    """Hyperbolic distance from the law of cosines in polar coordinates."""
-    return float(polar_dist_arrays(z1.r, z1.u.components, z2.r, z2.u.components))
+    """Hyperbolic distance from the law of cosines in polar coordinates.
 
-
-def half_cosh_excess(x1, y1, x2, y2):
-    """cosh d - 1 in the half-space model: (|x1-x2|^2 + (y1-y2)^2) / (2 y1 y2)."""
-    dx2 = np.sum((np.asarray(x1) - np.asarray(x2)) ** 2, axis=-1)
-    return (dx2 + (np.asarray(y1) - np.asarray(y2)) ** 2) / (2.0 * np.asarray(y1) * y2)
-
-
-def half_dist_arrays(x1, y1, x2, y2):
-    return stable_arccosh1p(half_cosh_excess(x1, y1, x2, y2))
+    Takes cosh d - 1 = 2 sinh^2((r1-r2)/2) + (1 - <u1,u2>) sinh r1 sinh r2,
+    without cancellation, with 1 - <u1,u2> = |u1-u2|^2 / 2 for unit vectors.
+    """
+    du2 = np.sum((z1.u.components - z2.u.components) ** 2, axis=-1)
+    excess = 2.0 * np.sinh((z1.r - z2.r) / 2.0) ** 2 + 0.5 * du2 * np.sinh(z1.r) * np.sinh(z2.r)
+    return float(stable_arccosh1p(excess))
 
 
 def dist_half(z1: HalfPoint, z2: HalfPoint) -> float:
     """Half-space distance 2 atanh sqrt((k^2+(v-1)^2)/(k^2+(v+1)^2)).
 
-    Evaluated through the equivalent cosh form, which is exact for identical
-    points and keeps precision when k, v-1 are tiny.
+    Evaluated through the equivalent cosh form, cosh d - 1 =
+    (|x1-x2|^2 + (y1-y2)^2) / (2 y1 y2), which is exact for identical points
+    and keeps precision when k, v-1 are tiny.
     """
-    return float(half_dist_arrays(z1.x, z1.y, z2.x, z2.y))
-
-
-def ball_cosh_excess(c1, c2):
-    n1 = np.sum(np.asarray(c1) ** 2, axis=-1)
-    n2 = np.sum(np.asarray(c2) ** 2, axis=-1)
-    d2 = np.sum((np.asarray(c1) - np.asarray(c2)) ** 2, axis=-1)
-    return 2.0 * d2 / ((1.0 - n1) * (1.0 - n2))
+    dx2 = np.sum((z1.x - z2.x) ** 2, axis=-1)
+    return float(stable_arccosh1p((dx2 + (z1.y - z2.y) ** 2) / (2.0 * z1.y * z2.y)))
 
 
 def dist_ball(b1: BallPoint, b2: BallPoint) -> float:
-    return float(stable_arccosh1p(ball_cosh_excess(b1.coords, b2.coords)))
+    c1, c2 = b1.coords, b2.coords
+    n1 = np.sum(c1**2, axis=-1)
+    n2 = np.sum(c2**2, axis=-1)
+    d2 = np.sum((c1 - c2) ** 2, axis=-1)
+    return float(stable_arccosh1p(2.0 * d2 / ((1.0 - n1) * (1.0 - n2))))
 
 
 def apex_angle_arrays(h: float, xnorm, y):

@@ -169,36 +169,19 @@ def build(cloud: PointCloud) -> RadialTree:
     sinh(rho/2) sech(r/2) sech(max(r - rho, 0)/2).
     """
     radii, dirs = cloud.radii, cloud.dirs
+    if len(cloud) == 0:
+        return RadialTree(cloud, np.empty(0, dtype=np.int64), np.empty(0))
     half = radii / 2.0
     chart = np.tanh(half)[:, None] * dirs
 
-    def cover(rows, rho):
-        far = np.maximum(radii[rows] - rho, 0.0) / 2.0
-        return chart[rows], np.sinh(rho / 2.0) / (np.cosh(half[rows]) * np.cosh(far))
+    def cover(pts, rho):
+        far = np.maximum(radii[pts] - rho, 0.0) / 2.0
+        return chart[pts], np.sinh(rho / 2.0) / (np.cosh(half[pts]) * np.cosh(far))
 
-    parent, pdist = search.nearest_lower(radii, chart, _pair_dist(radii, dirs), cover, root_dist=radii)
+    # the cloud is sorted by radius, so the key order is the point order
+    index = search.ChartIndex(chart, _pair_dist(radii, dirs), cover)
+    parent, pdist = search.nearest_lower(radii, search.KeyOrder(index), root_dist=radii)
     return RadialTree(cloud, parent, pdist)
-
-
-def brute_force_parents(cloud: PointCloud) -> np.ndarray:
-    """O(n^2) parent assignment straight from the definition (test oracle)."""
-    radii, dirs = cloud.radii, cloud.dirs
-    n = len(cloud)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    sh = np.sinh(radii)
-    dist = np.empty((n, n))
-    chunk = max(1, 2**22 // max(n, 1))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        du2 = np.sum((dirs[lo:hi, None, :] - dirs[None, :, :]) ** 2, axis=2)
-        s = (
-            2.0 * np.sinh((radii[lo:hi, None] - radii[None, :]) / 2.0) ** 2
-            + 0.5 * du2 * np.outer(sh[lo:hi], sh)
-        )
-        dist[lo:hi] = hgeom.stable_arccosh1p(s)
-    parent, _ = search.nearest_lower_brute(radii, dist, root_dist=radii)
-    return parent
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 Points are sorted by a key (distance to the tree origin, or minus the log
 ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
-over a Euclidean chart of the model (Bentley, CACM 1975);
-`nearest_lower_brute` is the O(n^2) oracle over a distance matrix. The tree,
-each point's nearest chart neighbours, their distances in the search metric
-and the chart distance to the farthest of them belong to the point set (a
-`ChartIndex`), so searches that sort one set by different keys share them
-and none evaluates them again.
+over a Euclidean chart of the model (Bentley, CACM 1975). The model belongs
+to the point set (a `ChartIndex`): its metric, the chart ball that covers
+each metric ball, the tree, each point's nearest chart neighbours, their
+distances in the metric and the chart distance to the farthest of them. A
+search sees the index through its own key order (a `KeyOrder`), so searches
+that sort one set by different keys share it and none evaluates it again.
+The O(n^2) oracles the search is checked against live in the tests.
 
 Pass 1 bounds each parent distance by the nearest smaller-key point among
 the point's chart neighbours, or by the root; it runs over the whole key
@@ -63,27 +64,31 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 class ChartIndex:
-    """A k-d tree over the Euclidean chart coordinates (n, m), n >= 1, of a
-    point set, and its neighbour table, all in the set's own order: each
+    """A point set's model and its k-d search, all in the set's own order.
+
+    coords: the Euclidean chart coordinates (n, m), n >= 1.
+    pair_dist(i, j): the model's metric between points i and j, index arrays
+        broadcast, i the point and j its neighbour.
+    cover(pts, rho): (centres, radii) of chart balls that contain the closed
+        metric ball of radius rho[k] around point pts[k].
+
+    The index holds a k-d tree over the chart and its neighbour table: each
     point's _K nearest chart neighbours, itself among them, their pair
     distances, and the chart distance to the farthest of them (+inf when
     n <= _K, as they are then every point). Every point strictly closer than
     that distance is among the _K. The table is column-major: knn and dist
-    are (_K, n), row j holding every point's j-th nearest neighbour.
+    are (_K, n), row j holding every point's j-th nearest neighbour. The
+    _K_WIDE nearest and their distances are kept too, for the few points
+    that ask for them. Every search over the set uses this one index,
+    whatever key order it sorts the points by (see KeyOrder)."""
 
-    pair_dist(i, j) is the search metric over the points in this order,
-    index arrays broadcast, i the point and j its neighbour; it defaults to
-    the chart distance. The index belongs to the point set: every search
-    over it uses it, whatever key order it sorts the points by (see
-    KeyOrder). The _K_WIDE nearest and their distances are kept too, for
-    the few points that ask for them."""
-
-    def __init__(self, coords: np.ndarray, pair_dist=None):
+    def __init__(self, coords: np.ndarray, pair_dist, cover):
         n = coords.shape[0]
         self.coords = coords
         self.tree = cKDTree(coords)
         self.scale = float(np.abs(coords).max())
         self.pair_dist = pair_dist
+        self.cover = cover
         chart, self.knn, self.dist = self._query(np.arange(n), _K)
         self.kth = chart[-1].copy() if n > _K else np.full(n, np.inf)
         self._slot = np.full(n, -1)  # each point's column in the wide table, -1 until asked
@@ -95,7 +100,7 @@ class ChartIndex:
         k = min(k, self.coords.shape[0])
         chart, knn = self.tree.query(self.coords[pts], k=list(range(1, k + 1)))
         chart, knn = chart.T, np.ascontiguousarray(knn.T)
-        return chart, knn, chart.copy() if self.pair_dist is None else self.pair_dist(pts, knn)
+        return chart, knn, self.pair_dist(pts, knn)
 
     def table(self, pts: np.ndarray, wide: bool = False):
         """(neighbours, distances), each (k, len(pts)), from the _K table, or
@@ -115,7 +120,8 @@ class ChartIndex:
 
 class KeyOrder:
     """A ChartIndex seen in a search's key order: row r is point order[r], or
-    point r when order is None. Neighbours and ball hits come back as rows."""
+    point r when order is None. Every method takes rows and maps them to
+    points; neighbours and ball hits come back as rows."""
 
     def __init__(self, index: ChartIndex, order: np.ndarray | None = None):
         self.index = index
@@ -132,6 +138,15 @@ class KeyOrder:
 
     def coords(self, rows: np.ndarray) -> np.ndarray:
         return self.index.coords[self._points(rows)]
+
+    def pair_dist(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The model's metric between rows i and j, index arrays broadcast."""
+        return self.index.pair_dist(self._points(i), self._points(j))
+
+    def cover(self, rows: np.ndarray, rho: np.ndarray):
+        """(centres, radii) of chart balls that contain the closed metric
+        ball of radius rho[k] around each of rows."""
+        return self.index.cover(self._points(rows), rho)
 
     def kth(self, rows: np.ndarray) -> np.ndarray:
         """Chart distance from each of rows to its _K-th nearest neighbour."""
@@ -157,16 +172,12 @@ class KeyOrder:
         return counts, self._rows(hits)
 
 
-def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
+def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
     """Parent of each point among points with strictly smaller key.
 
     keys: (n,) sorted ascending.
-    chart: the points' Euclidean chart, either as (n, m) coordinates in key
-        order, indexed afresh, or as a KeyOrder of the point set's shared
-        ChartIndex.
-    pair_dist(i, j): distances between points i and j, index arrays broadcast.
-    cover(rows, rho): (centres, radii) of chart balls that contain the closed
-        metric ball of radius rho[k] around point rows[k].
+    chart: the point set's ChartIndex seen in the order of keys; its metric
+        gives the distances and its cover the chart balls.
     root_dist: optional (n,) distances to a virtual root that always competes;
         when None, points with no candidate are marked FRONTIER.
 
@@ -186,11 +197,7 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
     """
     n = keys.shape[0]
     parent, pdist = _start(n, root_dist)
-    if n == 0:
-        return parent, pdist
     his = np.searchsorted(keys, keys, side="left")
-    if not isinstance(chart, KeyOrder):
-        chart = KeyOrder(ChartIndex(chart, pair_dist))
 
     def pass1(rows, wide=False):
         """(near, best): the distance and row of the nearest smaller-key
@@ -207,7 +214,7 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
         near[miss], best[miss] = pass1(miss, wide=True)
     rho = np.minimum(pdist, near)
     b = np.flatnonzero(np.isfinite(rho))  # bounded rows
-    centre, radius = cover(b, rho[b] * (1.0 + _REL))
+    centre, radius = chart.cover(b, rho[b] * (1.0 + _REL))
     slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
     radius = radius * (1.0 + _REL) + slack
     # route 1: the cover ball lies inside the _K-NN ball
@@ -221,13 +228,13 @@ def nearest_lower(keys: np.ndarray, chart, pair_dist, cover, root_dist=None):
     rows, centre, radius = b[out], centre[out], radius[out]
     for a in range(0, rows.size, _CHUNK):
         counts, cand = chart.ball(centre[a : a + _CHUNK], radius[a : a + _CHUNK])
-        _take_nearest(parent, pdist, np.repeat(rows[a : a + _CHUNK], counts), cand, his, pair_dist)
+        _take_nearest(parent, pdist, np.repeat(rows[a : a + _CHUNK], counts), cand, his, chart.pair_dist)
     unbounded = np.flatnonzero(~np.isfinite(rho))
     for a in range(0, unbounded.size, _CHUNK):
         rows = unbounded[a : a + _CHUNK]
         count = his[rows]
         cand = concat_ranges(np.zeros_like(count), count)
-        _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, pair_dist)
+        _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, chart.pair_dist)
     return parent, pdist
 
 
@@ -248,23 +255,3 @@ def _take_nearest(parent, pdist, qi, cand, his, pair_dist):
     take = best <= pdist[q]
     parent[q[take]] = j[take]
     pdist[q[take]] = best[take]
-
-
-def nearest_lower_brute(keys: np.ndarray, dist_matrix: np.ndarray, root_dist=None):
-    """O(n^2) oracle with the same candidate rule and tie-breaking."""
-    n = keys.shape[0]
-    parent = np.full(n, FRONTIER, dtype=np.int64)
-    pdist = np.full(n, np.inf)
-    for i in range(n):
-        cand = np.nonzero(keys < keys[i])[0]
-        best = float(root_dist[i]) if root_dist is not None else np.inf
-        bestj = ROOT if root_dist is not None else FRONTIER
-        if cand.size:
-            d = dist_matrix[i, cand]
-            k = int(np.argmin(d))
-            if d[k] <= best:
-                best = float(d[k])
-                bestj = int(cand[k])
-        parent[i] = bestj
-        pdist[i] = best
-    return parent, pdist

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from hyperrst import hgeom, rst, sampler, search
+from hyperrst import dsf, hgeom, rst, sampler, search
 
 _BLOCK = 128
 _BATCH = 128
@@ -49,6 +49,81 @@ def nearest_lower_scan(keys: np.ndarray, pair_dist, root_dist=None):
             rows = rows[lo < lo_blk]
             top = lo_blk
     return parent, pdist
+
+
+def nearest_lower_brute(keys: np.ndarray, dist_matrix: np.ndarray, root_dist=None):
+    """O(n^2) oracle with the same candidate rule and tie-breaking."""
+    n = keys.shape[0]
+    parent = np.full(n, search.FRONTIER, dtype=np.int64)
+    pdist = np.full(n, np.inf)
+    for i in range(n):
+        cand = np.nonzero(keys < keys[i])[0]
+        best = float(root_dist[i]) if root_dist is not None else np.inf
+        bestj = search.ROOT if root_dist is not None else search.FRONTIER
+        if cand.size:
+            d = dist_matrix[i, cand]
+            k = int(np.argmin(d))
+            if d[k] <= best:
+                best = float(d[k])
+                bestj = int(cand[k])
+        parent[i] = bestj
+        pdist[i] = best
+    return parent, pdist
+
+
+def brute_force_parents(cloud: sampler.PointCloud) -> np.ndarray:
+    """O(n^2) parent assignment straight from the definition."""
+    radii, dirs = cloud.radii, cloud.dirs
+    n = len(cloud)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    sh = np.sinh(radii)
+    dist = np.empty((n, n))
+    chunk = max(1, 2**22 // max(n, 1))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        du2 = np.sum((dirs[lo:hi, None, :] - dirs[None, :, :]) ** 2, axis=2)
+        s = (
+            2.0 * np.sinh((radii[lo:hi, None] - radii[None, :]) / 2.0) ** 2
+            + 0.5 * du2 * np.outer(sh[lo:hi], sh)
+        )
+        dist[lo:hi] = hgeom.stable_arccosh1p(s)
+    parent, _ = nearest_lower_brute(radii, dist, root_dist=radii)
+    return parent
+
+
+def _ordered(cloud: dsf.HalfCloud, *keys):
+    """(order, x, y) with the points sorted by keys, the last one primary as in
+    np.lexsort, then by the columns of x in turn: the oracles' own sort,
+    independent of HalfCloud.ordered."""
+    order = np.lexsort(tuple(cloud.x[:, ::-1].T) + keys)
+    return order, cloud.x[order], cloud.y[order]
+
+
+def _dist_matrix(x, y):
+    """All pairwise distances, for the O(n^2) oracles."""
+    s = (
+        np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2) + (y[:, None] - y[None, :]) ** 2
+    ) / (2.0 * np.outer(y, y))
+    return hgeom.stable_arccosh1p(s)
+
+
+def build_dsf_brute(points) -> dsf.HalfForest:
+    """O(n^2) oracle built directly from the definition."""
+    cloud = dsf._as_cloud(points)
+    order, xs, ys = _ordered(cloud, -cloud.y)
+    parent, pdist = nearest_lower_brute(-np.log(ys), _dist_matrix(xs, ys), root_dist=None)
+    return dsf.HalfForest(xs, ys, parent, pdist, order)
+
+
+def build_rst_h_brute(points, h: float) -> dsf.HalfForest:
+    """O(n^2) oracle for dsf.build_rst_h, built directly from the definition."""
+    cloud = dsf._as_cloud(points)
+    c = dsf.origin_distances(h, cloud.x, cloud.y)
+    order, xs, ys = _ordered(cloud, cloud.y, c)
+    cs = c[order]
+    parent, pdist = nearest_lower_brute(cs, _dist_matrix(xs, ys), root_dist=cs)
+    return dsf.HalfForest(xs, ys, parent, pdist, order, h=h)
 
 
 def validate_reference(tree):

@@ -15,6 +15,7 @@ from hyperrst import dsf, experiments, hgeom, rst, sampler
 from hyperrst.experiments import ExperimentConfig, default_config
 from hyperrst.hgeom import Direction, HalfPoint, PolarPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
+from oracles import brute_force_parents, build_dsf_brute
 
 ACCEPT_SEED = 424242
 
@@ -98,14 +99,14 @@ def test_criterion_2_construction_oracles():
     for seed in range(25):
         cloud = sampler.sample_ball(CloudConfig(d=1, lam=lam_ball, R=4.4, seed=ACCEPT_SEED + seed))
         tree = rst.build(cloud)
-        if not np.array_equal(tree.parent, rst.brute_force_parents(cloud)):
+        if not np.array_equal(tree.parent, brute_force_parents(cloud)):
             mismatches += 1
         if seed < 5 and not rst.validate(tree).ok:
             violations += 1
     for seed in range(25):
         x, y = sampler.sample_half_arrays(lam_half, 1, w, seed=ACCEPT_SEED + 100 + seed)
         fast = dsf.build_dsf((x, y))
-        brute = dsf.build_dsf_brute((x, y))
+        brute = build_dsf_brute((x, y))
         if not np.array_equal(fast.parent, brute.parent):
             mismatches += 1
     elapsed = time.time() - t0

@@ -10,7 +10,13 @@ from hyperrst import dsf, experiments, hgeom, rst, sampler, search
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
 from hyperrst.hgeom import GeometryError, HalfPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
-from oracles import nearest_lower_scan
+from oracles import (
+    brute_force_parents,
+    build_dsf_brute,
+    build_rst_h_brute,
+    nearest_lower_brute,
+    nearest_lower_scan,
+)
 
 WINDOW = HalfWindow(half_width=4.0, y_min=0.05, y_max=4.0)
 
@@ -67,7 +73,7 @@ class TestBuildDsf:
         for h in (0.0, 2.0):
             for k in (1, 2):
                 a = dsf.build_rst_h(pts[:k], h)
-                b = dsf.build_rst_h_brute(pts[:k], h)
+                b = build_rst_h_brute(pts[:k], h)
                 assert np.array_equal(a.parent, b.parent)
                 assert np.array_equal(a.parent_dist, b.parent_dist)
         with pytest.raises(GeometryError):
@@ -99,7 +105,7 @@ class TestBuildDsf:
         clouds = [half_cloud(seed, lam=6.0) for seed in range(5)] + [capped_clusters()]
         for x, y in clouds:
             a = dsf.build_dsf((x, y))
-            b = dsf.build_dsf_brute((x, y))
+            b = build_dsf_brute((x, y))
             assert np.array_equal(a.parent, b.parent)
             parent, pdist = scan_parents(a, -np.log(a.y))
             assert np.array_equal(a.parent, parent)
@@ -116,7 +122,7 @@ class TestBuildDsf:
         for seed in range(3):
             x, y = half_cloud(seed, lam=1.0, d=2, w=w)
             a = dsf.build_dsf((x, y))
-            b = dsf.build_dsf_brute((x, y))
+            b = build_dsf_brute((x, y))
             assert np.array_equal(a.parent, b.parent)
 
     def test_empty_region_property(self):
@@ -161,7 +167,7 @@ class TestBuildRstH:
         for seed, h in ((6, 0.0), (7, 1.0), (8, 3.0), (9, 10.0)):
             x, y = half_cloud(seed)
             a = dsf.build_rst_h((x, y), h)
-            b = dsf.build_rst_h_brute((x, y), h)
+            b = build_rst_h_brute((x, y), h)
             assert np.array_equal(a.parent, b.parent)
             c = dsf.origin_distances(h, a.x, a.y)
             parent, pdist = scan_parents(a, c, root_dist=c)
@@ -212,9 +218,9 @@ def chart_builds(monkeypatch):
     built = []
 
     class CountingIndex(search.ChartIndex):
-        def __init__(self, coords, pair_dist=None):
+        def __init__(self, coords, pair_dist, cover):
             built.append(len(coords))
-            super().__init__(coords, pair_dist)
+            super().__init__(coords, pair_dist, cover)
 
     monkeypatch.setattr(search, "ChartIndex", CountingIndex)
     return built
@@ -251,9 +257,27 @@ class TestSharedIndex:
         rng = np.random.default_rng(3)
         coords = rng.uniform(0.0, 1.0, (500, 2))
         order = rng.permutation(500)
-        mapped = search.KeyOrder(search.ChartIndex(coords), order)
-        fresh = search.KeyOrder(search.ChartIndex(coords[order]))
+
+        def index(pts):
+            """The Euclidean metric on pts, covered by balls that grow with
+            the first coordinate, so that a wrong point map shows."""
+
+            def pair_dist(i, j):
+                return np.sqrt(((pts[i] - pts[j]) ** 2).sum(axis=-1))
+
+            return search.ChartIndex(pts, pair_dist, lambda k, rho: (pts[k], rho * (1.0 + pts[k, 0])))
+
+        mapped = search.KeyOrder(index(coords), order)
+        fresh = search.KeyOrder(index(coords[order]))
         rows = np.arange(0, 500, 7)
+        # the model maps too: the metric between rows and the rows' cover balls
+        others = rng.permutation(500)[: rows.size]
+        assert mapped.pair_dist(rows, others).tobytes() == fresh.pair_dist(rows, others).tobytes()
+        block = (rows[:, None], others[None, :5])
+        assert mapped.pair_dist(*block).tobytes() == fresh.pair_dist(*block).tobytes()
+        rho = rng.uniform(0.0, 0.2, rows.size)
+        for got, want in zip(mapped.cover(rows, rho), fresh.cover(rows, rho)):
+            assert got.tobytes() == want.tobytes()
         for wide in (False, True):
             got, want = mapped.neighbours(rows, wide), fresh.neighbours(rows, wide)
             assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
@@ -266,9 +290,9 @@ class TestSharedIndex:
         x, y = mirror_half_cloud()
         cloud = dsf.HalfCloud(x, y)
         forest = dsf.build_dsf(cloud)
-        assert np.array_equal(forest.parent, dsf.build_dsf_brute((x, y)).parent)
+        assert np.array_equal(forest.parent, build_dsf_brute((x, y)).parent)
         for h in (0.0, 2.0, 10.0):
-            assert np.array_equal(dsf.build_rst_h(cloud, h).parent, dsf.build_rst_h_brute((x, y), h).parent)
+            assert np.array_equal(dsf.build_rst_h(cloud, h).parent, build_rst_h_brute((x, y), h).parent)
         # each axis point is tied between its pair and takes the lower index,
         # the -t point, which comes first among equal ordinates
         axis = forest.parent_in_input_order()[80:]
@@ -321,7 +345,7 @@ class TestPointFacts:
             cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=2))
             pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
             chart = np.tanh(cloud.radii / 2.0)[:, None] * cloud.dirs
-            index = search.KeyOrder(search.ChartIndex(chart, pair_dist))
+            index = search.KeyOrder(search.ChartIndex(chart, pair_dist, None))  # the table reads no cover
             rows = np.arange(len(cloud))
             for wide in (False, True):
                 nb, dist = index.table(rows, wide)
@@ -329,9 +353,9 @@ class TestPointFacts:
 
 
 def brute_over(keys, pair_dist, root_dist=None):
-    """search.nearest_lower_brute over the matrix of pair_dist."""
+    """nearest_lower_brute over the matrix of pair_dist."""
     idx = np.arange(keys.shape[0])
-    return search.nearest_lower_brute(keys, pair_dist(idx[:, None], idx), root_dist)
+    return nearest_lower_brute(keys, pair_dist(idx[:, None], idx), root_dist)
 
 
 @pytest.fixture
@@ -342,18 +366,18 @@ def routes(monkeypatch):
     ball query are the ones route 1 settled."""
     seen = dict.fromkeys(("bounded", "ball", "prefix"), 0)
     nearest_lower, concat_ranges = search.nearest_lower, search.concat_ranges
-    ball = search.KeyOrder.ball
+    ball, cover = search.KeyOrder.ball, search.KeyOrder.cover
 
-    def counting_search(keys, chart, pair_dist, cover, root_dist=None):
-        def counting_cover(rows, rho):
-            seen["bounded"] += rows.size
-            return cover(rows, rho)
-
+    def counting_search(keys, chart, root_dist=None):
         monkeypatch.setattr(search, "concat_ranges", counting_ranges)
         try:
-            return nearest_lower(keys, chart, pair_dist, counting_cover, root_dist)
+            return nearest_lower(keys, chart, root_dist)
         finally:
             monkeypatch.setattr(search, "concat_ranges", concat_ranges)
+
+    def counting_cover(self, rows, rho):
+        seen["bounded"] += rows.size
+        return cover(self, rows, rho)
 
     def counting_ranges(lo, hi):
         seen["prefix"] += lo.size
@@ -365,6 +389,7 @@ def routes(monkeypatch):
 
     monkeypatch.setattr(search, "nearest_lower", counting_search)
     monkeypatch.setattr(search.KeyOrder, "ball", counting_ball)
+    monkeypatch.setattr(search.KeyOrder, "cover", counting_cover)
     return seen
 
 
@@ -374,10 +399,10 @@ def check_forests(x, y, hs=(0.0, 2.0, 10.0)):
     cloud = dsf.HalfCloud(x, y)
     for h in (None, *hs):
         if h is None:
-            forest, brute = dsf.build_dsf(cloud), dsf.build_dsf_brute((x, y))
+            forest, brute = dsf.build_dsf(cloud), build_dsf_brute((x, y))
             keys, root_dist = -np.log(forest.y), None
         else:
-            forest, brute = dsf.build_rst_h(cloud, h), dsf.build_rst_h_brute((x, y), h)
+            forest, brute = dsf.build_rst_h(cloud, h), build_rst_h_brute((x, y), h)
             keys = root_dist = dsf.origin_distances(h, forest.x, forest.y)
         assert np.array_equal(forest.parent, brute.parent), h
         parent, pdist = brute_over(keys, dsf._pair_dist(forest.x, forest.y), root_dist)
@@ -389,7 +414,7 @@ def check_tree(cloud):
     """rst.build equals brute_force_parents, and nearest_lower_brute over its
     own pair distances bit for bit."""
     tree = rst.build(cloud)
-    assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+    assert np.array_equal(tree.parent, brute_force_parents(cloud))
     parent, pdist = brute_over(cloud.radii, rst._pair_dist(cloud.radii, cloud.dirs), cloud.radii)
     assert np.array_equal(tree.parent, parent)
     assert tree.parent_dist.tobytes() == pdist.tobytes()
@@ -440,7 +465,8 @@ class TestRoutes:
         cases = [(None, True), (np.full(n, math.sqrt(2.0)), True), (np.ones(n), False), (keys / 100.0 + 0.5, True)]
         for root_dist, searched in cases:
             routes.update(dict.fromkeys(routes, 0))
-            parent, pdist = search.nearest_lower(keys, grid, euclid, lambda rows, rho: (grid[rows], rho), root_dist)
+            chart = search.KeyOrder(search.ChartIndex(grid, euclid, lambda rows, rho: (grid[rows], rho)))
+            parent, pdist = search.nearest_lower(keys, chart, root_dist)
             want_parent, want_dist = brute_over(keys, euclid, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
@@ -474,6 +500,40 @@ class TestRoutes:
             dsf.build_rst_h(cloud, h)
         assert routes["bounded"] > 5 * len(cloud)
         assert routes["ball"] < 0.25 * routes["bounded"]
+
+
+def test_oracles_independent_of_the_search(monkeypatch):
+    # the O(n^2) oracles must not lean on the code they check: with the k-d
+    # search, the chart index and the builders' key sort refused, each gives
+    # what it gave before
+    import scipy.spatial
+
+    d2 = HalfWindow(half_width=2.0, y_min=0.2, y_max=2.5)
+    halves = [half_cloud(1, lam=3.0), half_cloud(2, lam=0.5, d=2, w=d2)]
+    balls = [sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=1)) for d, lam, R in ((1, 3.0, 3.0), (2, 0.5, 2.5))]
+
+    def results():
+        out = []
+        for x, y in halves:
+            for f in [build_dsf_brute((x, y))] + [build_rst_h_brute((x, y), h) for h in (0.0, 2.0, 10.0)]:
+                out.append((f.parent, f.parent_dist, f.order))
+        for cloud in balls:
+            out.append((brute_force_parents(cloud),))
+            dist = rst._pair_dist(cloud.radii, cloud.dirs)(np.arange(len(cloud))[:, None], np.arange(len(cloud)))
+            out.append(nearest_lower_brute(cloud.radii, dist, cloud.radii))
+        return [b"".join(a.tobytes() for a in arrays) for arrays in out]
+
+    want = results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle used the code it checks")
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", refuse)
+    monkeypatch.setattr(search, "cKDTree", refuse)
+    monkeypatch.setattr(search, "nearest_lower", refuse)
+    monkeypatch.setattr(search, "ChartIndex", refuse)
+    monkeypatch.setattr(dsf.HalfCloud, "ordered", refuse)
+    assert results() == want
 
 
 # SHA-256 of (parent, parent_dist) bytes at d=2, lambda=0.2, seed 11 in the
@@ -573,10 +633,10 @@ def brute_fractions(x, y, K, hs):
     """Per h, the agreement fraction over K from the O(n^2) oracle parents,
     with K membership from region_contains; and the size of K."""
     idx = [i for i in range(len(y)) if dsf.region_contains(K, HalfPoint(x[i], float(y[i])))]
-    dsf_parent = dsf.build_dsf_brute((x, y)).parent_in_input_order()[idx]
+    dsf_parent = build_dsf_brute((x, y)).parent_in_input_order()[idx]
     fractions = []
     for h in hs:
-        rst_parent = dsf.build_rst_h_brute((x, y), h).parent_in_input_order()[idx]
+        rst_parent = build_rst_h_brute((x, y), h).parent_in_input_order()[idx]
         fractions.append(float(np.mean((dsf_parent == rst_parent) & (dsf_parent >= 0))))
     return fractions, len(idx)
 

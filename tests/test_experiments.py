@@ -471,6 +471,21 @@ def test_coupling_window_cap(monkeypatch):
         experiments._check(cfg, ["coupling"])
 
 
+def test_confinement_median_past_r_prime(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a cloud for a config that cannot run")
+
+    monkeypatch.setattr(sampler, "sample_ball", refuse)
+    base = CloudConfig(d=1, lam=30.0, R=5.0, seed=1)
+    for grid in ((4.8,), (1.5, 4.6, 4.7)):
+        cfg = default_config(base=base, replicas=1, r0_grid=grid)
+        assert np.median(grid) > experiments.r_prime(cfg)
+        with pytest.raises(GeometryError, match="median of r0_grid must be <= R - 0.5 = 4.5"):
+            experiments.analyze(cfg, ["confinement"])
+    # a median at r_prime is a one-level sweep, and runs
+    experiments._check(default_config(base=base, r0_grid=(4.5,)), ["confinement"])
+
+
 def test_coupling_small():
     cfg = ExperimentConfig(
         base=CloudConfig(d=1, lam=10.0, R=3.5, seed=5),

@@ -232,6 +232,17 @@ class TestCli:
             assert "above the cap" in capsys.readouterr().err
         assert not any(tmp_path.glob("*_*.*"))
 
+    def test_confinement_median_past_r_prime_exit_2(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a cloud for a config that cannot run")
+
+        monkeypatch.setattr(sampler, "sample_ball", refuse)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"R": 5, "r0_grid": [4.8], "replicas": 1}))
+        assert cli.main(["analyze", "confinement", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "r0_grid" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*_*.*"))
+
     def test_dsf_bytes_independent_of_number_type(self, tmp_path):
         written = []
         for number in (int, float):

@@ -12,7 +12,13 @@ from hyperrst import hgeom, rst, sampler, search
 from hyperrst.hgeom import GeometryError
 from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
-from oracles import nearest_lower_scan, planarity_reference, validate_reference
+from oracles import (
+    brute_force_parents,
+    nearest_lower_brute,
+    nearest_lower_scan,
+    planarity_reference,
+    validate_reference,
+)
 
 
 def make_cloud(radii, angles, d=1, lam=1.0, R=None, seed=0):
@@ -72,7 +78,7 @@ class TestBuild:
         clouds.append(mirror_cloud())
         for cloud in clouds:
             tree = rst.build(cloud)
-            assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+            assert np.array_equal(tree.parent, brute_force_parents(cloud))
             parent, pdist = scan_parents(cloud)
             assert np.array_equal(tree.parent, parent)
             assert np.array_equal(tree.parent_dist, pdist)
@@ -86,7 +92,7 @@ class TestBuild:
             for seed in range(3):
                 cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=seed))
                 tree = rst.build(cloud)
-                assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+                assert np.array_equal(tree.parent, brute_force_parents(cloud))
                 parent, pdist = scan_parents(cloud)
                 assert np.array_equal(tree.parent, parent)
                 assert np.array_equal(tree.parent_dist, pdist)
@@ -100,7 +106,7 @@ class TestBuild:
         dist = 1.0 + (j[:, None] + j[None, :]) % 3
         for root_dist in (None, np.ones(n)):
             parent, pdist = nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
-            want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
+            want_parent, want_dist = nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
 
@@ -114,7 +120,7 @@ class TestBuild:
         dist[-1, 170] = np.nextafter(keys[-1] - keys[170], 0.0)
         for root_dist in (None, np.ones(n)):
             parent, pdist = nearest_lower_scan(keys, lambda i, j: dist[i, j], root_dist)
-            want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
+            want_parent, want_dist = nearest_lower_brute(keys, dist, root_dist)
             assert want_parent[-1] == 170
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
@@ -132,8 +138,9 @@ class TestBuild:
 
         dist = l1(np.arange(n)[:, None], np.arange(n))
         for root_dist in (None, np.ones(n), keys + 0.5):
-            parent, pdist = search.nearest_lower(keys, grid, l1, lambda rows, rho: (grid[rows], rho), root_dist)
-            want_parent, want_dist = search.nearest_lower_brute(keys, dist, root_dist)
+            chart = search.KeyOrder(search.ChartIndex(grid, l1, lambda rows, rho: (grid[rows], rho)))
+            parent, pdist = search.nearest_lower(keys, chart, root_dist)
+            want_parent, want_dist = nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
             scan_parent, scan_dist = nearest_lower_scan(keys, l1, root_dist)
@@ -168,7 +175,7 @@ class TestTrajectory:
         # three nearly-aligned points at close angles chain up
         cloud = make_cloud([1.0, 1.3, 1.6], [0.0, 0.02, 0.04])
         tree = rst.build(cloud)
-        assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+        assert np.array_equal(tree.parent, brute_force_parents(cloud))
         assert rst.trajectory(tree, 2) == [2, 1, 0, ROOT]
 
 
@@ -329,7 +336,7 @@ class TestCfd:
         angles = [0.0, 0.15, 0.05, 2.5]
         cloud = make_cloud(radii, angles)
         tree = rst.build(cloud)
-        assert np.array_equal(tree.parent, rst.brute_force_parents(cloud))
+        assert np.array_equal(tree.parent, brute_force_parents(cloud))
         i3 = int(np.argmin(np.abs(cloud.radii - 3.0)))
         i2 = int(np.argmin(np.abs(cloud.radii - 2.0)))
         i1 = int(np.argmin(np.abs(cloud.radii - 1.0)))
