@@ -403,20 +403,32 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
 # validation and planarity
 
 
-_BANDS = 8  # equal-count radius bands of the empty-B+ check
-_PAIRS = 2**16  # candidate pairs taken at once, which bounds memory
+_BANDS = 8  # at most this many equal-count radius bands in the empty-B+ check
+_PAIRS = 2**15  # candidate pairs (and query ranges) taken at once, which bounds memory
 # Ball radii grow by _REL relative plus _REL per unit of radius, direction
 # coordinates by _ABS: rounding then costs extra candidates, never a missed one.
 _REL = 1e-9
 _ABS = 64 * np.finfo(float).eps
 
 
+def _cells(x: np.ndarray, cells: int) -> np.ndarray:
+    """Cell of each coordinate x among `cells` equal cells of [-1, 1]; monotone
+    in x, so a box's end cells hold every point between its ends."""
+    return np.minimum(np.maximum(((x + 1.0) * (cells / 2.0)).astype(np.int64), 0), cells - 1)
+
+
 def _direction_index(u: np.ndarray):
-    """Unit vectors of one band, sorted by (cell of u1, rank of u0), beside
-    the sorted u0."""
-    m = u.shape[0]
-    cells = max(1, int(math.sqrt(m)))
-    cell = np.clip(((u[:, 1] + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
+    """Unit vectors of one band (m, d+1), sorted by (cell of u1..ud, rank of
+    u0), beside the sorted u0.
+
+    About m^(1/(d+1)) cells per axis leave about as many points in a cell,
+    and the u0 rank splits each cell's two mirror patches in u0.
+    """
+    m, dim = u.shape
+    cells = max(1, int(m ** (1.0 / dim)))
+    cell = 0
+    for col in u[:, :0:-1].T:
+        cell = cell * cells + _cells(col, cells)
     by_u0 = np.argsort(u[:, 0], kind="stable")
     rank = np.empty(m, dtype=np.int64)
     rank[by_u0] = np.arange(m)
@@ -426,20 +438,39 @@ def _direction_index(u: np.ndarray):
 
 
 def _band_ranges(index, u: np.ndarray, chord: np.ndarray):
-    """(query, lo, hi): ranges of the sorted band holding every direction that
-    differs from query direction u[query] by at most chord in u0 and u1;
-    grouped by query, ascending."""
+    """Yield (query, lo, hi) for groups of queries with about _PAIRS ranges
+    each: ranges of the sorted band holding every direction that differs from
+    query direction u[query] by at most chord in each coordinate; grouped by
+    query, ascending."""
     keys, pos, u0s, cells = index
     m = pos.shape[0]
-    c_lo = np.clip(((u[:, 1] - chord + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
-    c_hi = np.clip(((u[:, 1] + chord + 1.0) * (cells / 2.0)).astype(np.int64), 0, cells - 1)
-    r_lo = np.searchsorted(u0s, u[:, 0] - chord, side="left")
-    r_hi = np.searchsorted(u0s, u[:, 0] + chord, side="right")
-    k = np.repeat(np.arange(u.shape[0]), c_hi - c_lo + 1)
-    cell = search.concat_ranges(c_lo, c_hi + 1)
-    lo = np.searchsorted(keys, cell * m + r_lo[k], side="left")
-    hi = np.searchsorted(keys, cell * m + r_hi[k], side="left")
-    return k, lo, hi
+    # the box's end cells, axis by axis in the index's order (u_d varies slowest)
+    axes = u[:, :0:-1]
+    c_lo = _cells(axes - chord[:, None], cells)
+    c_hi = _cells(axes + chord[:, None], cells) + 1
+    nq = u.shape[0]
+    ranks = np.empty((nq, 2), dtype=np.int64)
+    ranks[:, 0] = np.searchsorted(u0s, u[:, 0] - chord, side="left")
+    ranks[:, 1] = np.searchsorted(u0s, u[:, 0] + chord, side="right")
+    # a wide ball's box holds up to cells^d cells, so the queries go in
+    # groups when their boxes may hold more than _PAIRS cells in all
+    bounds = [0, nq]
+    if nq * cells ** axes.shape[1] > _PAIRS:
+        ends = (c_hi - c_lo).prod(axis=1).cumsum()
+        cuts = np.searchsorted(ends, np.arange(_PAIRS, int(ends[-1]), _PAIRS), side="right")
+        bounds = sorted({0, *cuts.tolist(), nq})
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        k = np.arange(s, e)
+        cell = 0
+        for lo_c, hi_c in zip(c_lo.T, c_hi.T):
+            lo_c, hi_c = lo_c[k], hi_c[k]
+            cell = search.concat_ranges(cell * cells + lo_c, cell * cells + hi_c)
+            k = np.repeat(k, hi_c - lo_c)
+        # (lo, hi) pairs ascend within a query, which speeds up the search
+        lo, hi = np.searchsorted(keys, (cell * m)[:, None] + ranks[k], side="left").T
+        # only the ranges stay alive while the caller scans them
+        del cell, lo_c, hi_c
+        yield k, lo, hi
 
 
 def _merge_nearest(parent, pdist, qi, j, d):
@@ -468,9 +499,11 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
     index, and a point beats the root at equal distance. Elsewhere the
     distance returned is no smaller than the nearest one's.
 
-    Points are split into equal-count radius bands; a query visits the bands
-    that meet [r_i - rho_i, r_i). Within a band, by the hyperbolic law of
-    cosines, a point at distance <= rho has a chord |u_i - u_j| with
+    Points are split into equal-count radius bands, each about as large as
+    the median ball's radial window (the points in [r_i - rho_i, r_i)), and
+    at most _BANDS of them; a query visits the bands that meet its window.
+    Within a band, by the hyperbolic law of cosines, a point at distance
+    <= rho has a chord |u_i - u_j| with
     |u_i - u_j|^2 <= 2 (cosh rho - cosh(r_i - r_j)) / (sinh r_i sinh r_j),
     largest at cosh r* = cosh r_i / cosh rho, clamped into the band.
     """
@@ -484,7 +517,12 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
     lows = np.searchsorted(radii, radii - reach, side="left")
     sh = np.sinh(radii)
     r_star = np.arccosh(np.maximum(np.cosh(radii) / np.cosh(reach), 1.0))
-    edges = np.unique(np.linspace(0, n, _BANDS + 1).round().astype(np.int64))
+    # a query pays a fixed cost in each band it visits, and a band costs
+    # wasted candidates in proportion to its size: bands of about the
+    # (upper) median window
+    window = int(np.partition(his - lows, n // 2)[n // 2])
+    bands = min(_BANDS, max(1, n // max(1, window)))
+    edges = np.unique(np.linspace(0, n, bands + 1).round().astype(np.int64))
     for a, b in zip(edges[:-1].tolist(), edges[1:].tolist()):
         q = np.flatnonzero((lows < b) & (his > a) & (lows < his))
         if q.size == 0:
@@ -496,20 +534,24 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
         num = 2.0 * np.sinh((rq + gap) / 2.0) * np.sinh(np.maximum(rq - gap, 0.0) / 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             chord2 = np.where(rj > 0.0, 2.0 * num / (sh[q] * np.sinh(rj)), np.inf)
-        chord = np.sqrt(chord2) * (1.0 + _REL) + _ABS
+        # no chord of unit vectors is longer than 2, up to their rounding;
+        # the clamp also keeps the cell bounds' integer cast finite
+        chord = np.minimum(np.sqrt(chord2) * (1.0 + _REL) + _ABS, 2.0 + _ABS)
         index = _direction_index(dirs[a:b])
-        k, lo, hi = _band_ranges(index, dirs[q], chord)
-        # at most about _PAIRS candidates at once; a query's ranges may span
-        # two pieces, since each piece is merged into the best so far
-        ends = np.cumsum(hi - lo)
-        cuts = np.searchsorted(ends, np.arange(_PAIRS, int(ends[-1]), _PAIRS), side="left")
-        for c, e in zip([0, *cuts.tolist()], [*cuts.tolist(), k.size]):
-            qi = q[np.repeat(k[c:e], hi[c:e] - lo[c:e])]
-            j = index[1][search.concat_ranges(lo[c:e], hi[c:e])] + a
-            keep = (j >= lows[qi]) & (j < his[qi])
-            qi, j = qi[keep], j[keep]
-            if qi.size:
-                _merge_nearest(parent, pdist, qi, j, pair_dist(qi, j))
+        for k, lo, hi in _band_ranges(index, dirs[q], chord):
+            # at most about _PAIRS candidates at once; a query's ranges may
+            # span two pieces, since each piece is merged into the best so far
+            ends = np.cumsum(hi - lo)
+            cuts = np.searchsorted(ends, np.arange(_PAIRS, int(ends[-1]), _PAIRS), side="left")
+            for c, e in zip([0, *cuts.tolist()], [*cuts.tolist(), k.size]):
+                j = index[1][search.concat_ranges(lo[c:e], hi[c:e])]
+                j += a
+                qi = q[np.repeat(k[c:e], hi[c:e] - lo[c:e])]
+                keep = j >= lows[qi]
+                keep &= j < his[qi]
+                qi, j = qi[keep], j[keep]
+                if qi.size:
+                    _merge_nearest(parent, pdist, qi, j, pair_dist(qi, j))
     return parent, pdist
 
 

@@ -732,6 +732,46 @@ class TestValidate:
         assert rst.validate(trees[0]).ok
         assert not rst.validate(trees[1]).ok
 
+    def test_band_check_pairs_capped(self, monkeypatch):
+        # the candidate pairs of the d3_n9k cloud's check: 719,998 (81 per
+        # point) when the index held cells of u1 and ranks of u0 alone
+        tree = rst.build(sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=3.5, seed=0)))
+        pairs = []
+        band_ranges = rst._band_ranges
+
+        def counting(index, u, chord):
+            for k, lo, hi in band_ranges(index, u, chord):
+                pairs.append(int((hi - lo).sum()))
+                yield k, lo, hi
+
+        monkeypatch.setattr(rst, "_band_ranges", counting)
+        assert rst.validate(tree).ok
+        assert sum(pairs) <= 719_998 // 2
+
+    def test_wide_balls_take_query_groups(self, monkeypatch):
+        # every parent the root, so each ball holds every lower point and a
+        # box covers most of its band's cells: the (query, cell) ranges then
+        # come in groups of about _PAIRS, and the check is still exact
+        monkeypatch.setattr(rst, "_PAIRS", 2**12)
+        cloud = sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=2.6, seed=2))
+        radii, dirs = cloud.radii, cloud.dirs
+        pair_dist = rst._pair_dist(radii, dirs)
+        sizes = []
+        band_ranges = rst._band_ranges
+
+        def counting(index, u, chord):
+            for k, lo, hi in band_ranges(index, u, chord):
+                sizes.append(k.size)
+                yield k, lo, hi
+
+        monkeypatch.setattr(rst, "_band_ranges", counting)
+        got_parent, got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, radii.copy())
+        want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
+        assert np.array_equal(got_parent, want_parent)
+        assert np.array_equal(got_dist, want_dist)
+        # a group overshoots _PAIRS by less than one query's box of cells
+        assert len(sizes) > 4 and max(sizes) < 2 * rst._PAIRS
+
     @pytest.mark.parametrize("d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 2.5), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"])
     def test_second_nearest_parent_caught(self, d, lam, R):
         tree = sample_tree(5, lam=lam, R=R, d=d)
@@ -758,9 +798,9 @@ class TestValidate:
 
     @staticmethod
     def _one_ulp_inside(rng, place, precondition):
-        """Clouds of a lower point w (index 0) and a point z (index 1) with
-        d(z, w) one ulp under the ball radius rho, where an unpadded bound
-        would drop w: the band check still finds w."""
+        """Clouds of a lower point w (index 0), a point z (index 1) and maybe
+        points above them, with d(z, w) one ulp under the ball radius rho,
+        where an unpadded bound would drop w: the band check still finds w."""
         found = 0
         for _ in range(20000):
             cloud = place(rng)
@@ -769,7 +809,10 @@ class TestValidate:
             rho = np.nextafter(d, np.inf)
             if not precondition(cloud, rho):
                 continue
-            parent, pdist = rst._nearest_lower_in_balls(cloud.radii, cloud.dirs, pair_dist, np.array([0.0, rho]))
+            # any further points lie above z, with empty balls
+            balls = np.zeros(len(cloud))
+            balls[1] = rho
+            parent, pdist = rst._nearest_lower_in_balls(cloud.radii, cloud.dirs, pair_dist, balls)
             assert parent[1] == 0
             assert pdist[1] == d
             found += 1
@@ -791,7 +834,7 @@ class TestValidate:
 
     @staticmethod
     def _unpadded_chord(cloud, rho):
-        rw, rz = cloud.radii
+        rw, rz = cloud.radii[:2]
         return math.sqrt(2.0 * (math.cosh(rho) - math.cosh(rz - rw)) / (math.sinh(rz) * math.sinh(rw)))
 
     def test_one_ulp_inside_at_angle_edge_d1(self):
@@ -817,6 +860,45 @@ class TestValidate:
             return self._unpadded_chord(cloud, rho) < cloud.dirs[0, 0] - cloud.dirs[1, 0]
 
         self._one_ulp_inside(np.random.default_rng(5), place, precondition)
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["d2", "d3"])
+    def test_one_ulp_inside_at_last_coordinate_cell_edge(self, d, monkeypatch):
+        # w and z differ in u_d alone, and w sits just under the u_d cell edge
+        # -1/2 of a band index with 4 cells per axis: an unpadded chord would
+        # start z's box of cells one cell above w's. The other points lie
+        # above z with empty balls, so the median radial window is empty and
+        # the check splits the 8m points into 8 bands of m, w and z in the first.
+        m = {2: 100, 3: 400}[d]
+        far = np.random.default_rng(d).normal(size=(8 * m - 2, d + 1))
+        far /= np.linalg.norm(far, axis=1, keepdims=True)
+        direction_index = rst._direction_index
+
+        def indexed(u):
+            index = direction_index(u)
+            assert u.shape[0] == m and index[3] == 4
+            return index
+
+        monkeypatch.setattr(rst, "_direction_index", indexed)
+
+        def place(rng):
+            # w low enough to be nearer to z than the root is
+            rw = rng.uniform(0.1, 0.6)
+            rz = rw + rng.uniform(0.5, 2.0)
+            s = 0.5 + rng.integers(1, 4) * np.finfo(float).eps / 2.0
+            v = rng.normal(size=d)
+            v *= math.sqrt(1.0 - s * s) / np.linalg.norm(v)
+            dirs = np.vstack([np.r_[v, -s], np.r_[v, s], far])
+            radii = np.r_[rw, rz, np.linspace(rz + 0.01, rz + 1.0, far.shape[0])]
+            return PointCloud(CloudConfig(d=d, lam=1.0, R=5.0, seed=0), radii, dirs)
+
+        def precondition(cloud, rho):
+            (rw, rz), (w, z) = cloud.radii[:2], cloud.dirs[:2, -1]
+            assert rst._cells(w, 4) == 0
+            # the band's chord is then taken at r_w, where it is d(z, w)'s
+            at_rw = math.cosh(rz) <= math.cosh(rho) * math.cosh(rw) and rho <= rz
+            return at_rw and rst._cells(z - self._unpadded_chord(cloud, rho), 4) == 1
+
+        self._one_ulp_inside(np.random.default_rng(7 + d), place, precondition)
 
     def test_one_ulp_inside_at_angle_edge_far_out(self):
         # near r = 30 the allowed angle is ~1e-13, below the rounding of
