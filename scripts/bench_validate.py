@@ -89,18 +89,23 @@ def measure(name: str) -> dict:
     }
 
 
-def run_child(root: str) -> dict:
-    """Every cloud measured in one fresh process importing root/src."""
+def run_child(root: str, module: str) -> dict:
+    """Every cloud of the script `module` measured in one fresh process
+    importing root/src."""
     here = os.path.dirname(os.path.abspath(__file__))
-    code = f"import json, sys; sys.path.insert(0, {here!r}); import bench_validate as b; " \
+    code = f"import json, sys; sys.path.insert(0, {here!r}); import {module} as b; " \
            "print(json.dumps({k: b.measure(k) for k in b.CLOUDS}))"
     proc = subprocess.run([sys.executable, "-c", code], env=checkout_env(root), cwd=root,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def compare(argv, doc: str, module: str, clouds: dict, time_key: str, work: str) -> int:
+    """The command line of a layer record: run the checkouts' children in
+    alternating rounds, keep the best of `time_key` per cloud over rounds and
+    check that every other count repeats exactly, print `work` per point next
+    to the best times, and write the record."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a hyperrst checkout to run, under a label; repeat to compare")
     ap.add_argument("--rounds", type=int, default=5, help="children per checkout, alternated")
@@ -118,37 +123,37 @@ def main(argv=None) -> int:
     for k in range(args.rounds):
         # alternate which checkout goes first
         for label in list(checkouts)[:: 1 if k % 2 == 0 else -1]:
-            row = run_child(checkouts[label])
+            row = run_child(checkouts[label], module)
             rounds[label].append(row)
-            line = " ".join(f"{c}={r['validate_s_best'] * 1e3:.1f}ms" for c, r in row.items())
+            line = " ".join(f"{c}={r[time_key] * 1e3:.1f}ms" for c, r in row.items())
             print(f"{label} round {k}: {line}", file=sys.stderr)
 
     summary = {}
     for label, rows in rounds.items():
         summary[label] = {}
-        for c in CLOUDS:
+        for c in clouds:
             first = rows[0][c]
-            counts = {key: v for key, v in first.items() if key != "validate_s_best"}
+            counts = {key: v for key, v in first.items() if key != time_key}
             # the counts repeat exactly; only the times vary between rounds
-            if any({key: v for key, v in r[c].items() if key != "validate_s_best"} != counts for r in rows):
-                raise SystemExit(f"{label} {c}: band scan counts differ between rounds")
-            summary[label][c] = {**counts, "validate_s_best": min(r[c]["validate_s_best"] for r in rows),
-                                 "validate_s_rounds": [r[c]["validate_s_best"] for r in rows]}
+            if any({key: v for key, v in r[c].items() if key != time_key} != counts for r in rows):
+                raise SystemExit(f"{label} {c}: counts differ between rounds")
+            summary[label][c] = {**counts, time_key: min(r[c][time_key] for r in rows),
+                                 time_key.replace("_best", "_rounds"): [r[c][time_key] for r in rows]}
     base = next(iter(summary))
     for s in summary.values():
-        for c in CLOUDS:
-            s[c][f"speedup_vs_{base}"] = summary[base][c]["validate_s_best"] / s[c]["validate_s_best"]
-    for c in CLOUDS:
-        line = " ".join(f"{label} {s[c]['validate_s_best'] * 1e3:.1f} ms, {s[c]['pairs_per_point']:.1f} pairs/pt;"
+        for c in clouds:
+            s[c][f"speedup_vs_{base}"] = summary[base][c][time_key] / s[c][time_key]
+    for c in clouds:
+        line = " ".join(f"{label} {s[c][time_key] * 1e3:.1f} ms, {s[c][work + '_per_point']:.2f} {work}/pt;"
                         for label, s in summary.items())
         print(f"{c}: {line}", file=sys.stderr)
 
     record = {
         # checkouts by label: their directories are local, their commits are below
-        "command": "python3 scripts/bench_validate.py " + " ".join(
+        "command": f"python3 scripts/{module}.py " + " ".join(
             [*(f"--checkout {label}=DIR" for label in checkouts), f"--rounds {args.rounds}"]),
         "seed": SEED,
-        "clouds": CLOUDS,
+        "clouds": clouds,
         "machine": {
             "nproc": os.cpu_count(),
             "cpu_model": cpu_model(),
@@ -166,6 +171,10 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return 0
+
+
+def main(argv=None) -> int:
+    return compare(argv, __doc__, "bench_validate", CLOUDS, "validate_s_best", "pairs")
 
 
 if __name__ == "__main__":

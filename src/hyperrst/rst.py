@@ -160,27 +160,45 @@ def _pair_dist(radii, dirs):
     return pair_dist
 
 
-def build(cloud: PointCloud) -> RadialTree:
-    """Exact k-d search in the Poincare chart tanh(r/2) u; identical to the O(n^2) oracle.
-
-    In the chart |x - y|^2 = (cosh d - 1)(1 - |x|^2)(1 - |y|^2) / 2, where
-    1 - |x|^2 = sech^2(r/2). A point within rho of z has r' >= r - rho, so
-    B(z, rho) lies in the chart ball around z of radius
-    sinh(rho/2) sech(r/2) sech(max(r - rho, 0)/2).
-    """
-    radii, dirs = cloud.radii, cloud.dirs
-    if len(cloud) == 0:
-        return RadialTree(cloud, np.empty(0, dtype=np.int64), np.empty(0))
-    half = radii / 2.0
-    chart = np.tanh(half)[:, None] * dirs
+def _chart_index(radii, dirs) -> search.ChartIndex:
+    """The k-d search index of a cloud in the Poincare chart tanh(r/2) u,
+    with the exact chart image of B(z, rho) as its cover (see build)."""
+    chart = np.tanh(radii / 2.0)[:, None] * dirs
+    ch, sh = np.cosh(radii), np.sinh(radii)
 
     def cover(pts, rho):
-        far = np.maximum(radii[pts] - rho, 0.0) / 2.0
-        return chart[pts], np.sinh(rho / 2.0) / (np.cosh(half[pts]) * np.cosh(far))
+        den = ch[pts] + np.cosh(rho)
+        return (sh[pts] / den)[:, None] * dirs[pts], np.sinh(rho) / den
 
+    return search.ChartIndex(chart, _pair_dist(radii, dirs), cover)
+
+
+def build(cloud: PointCloud) -> RadialTree:
+    """Exact k-d search in the Poincare chart tanh(r/2) u; identical to the
+    O(n^2) oracle.
+
+    The search covers B(z, rho) by its chart image, a Euclidean ball
+    symmetric about the ray of z that meets it at the signed chart radii
+    tanh(a) and tanh(b), a = (r - rho)/2, b = (r + rho)/2 (the ball holds
+    the origin when rho > r). As tanh a + tanh b = sinh r / (cosh a cosh b)
+    and 2 cosh a cosh b = cosh r + cosh rho, its centre and radius are
+
+        sinh(r) u / (cosh r + cosh rho)  and  sinh(rho) / (cosh r + cosh rho),
+
+    and its point farthest from z lies sinh(rho/2) sech(r/2) sech(a) away,
+    the radius a ball centred on z would need.
+    Sums, products and quotients of positive terms, they are within a few
+    ulps: the centre is off by a few eps times |centre| <= tanh(r/2), within
+    the search's absolute slack (_ULPS per unit of the chart's scale), and
+    the radius by a few ulps of itself, within its relative padding _REL.
+    The image grows with rho, so padding rho by _REL covers the metric's
+    rounding.
+    """
+    if len(cloud) == 0:
+        return RadialTree(cloud, np.empty(0, dtype=np.int64), np.empty(0))
     # the cloud is sorted by radius, so the key order is the point order
-    index = search.ChartIndex(chart, _pair_dist(radii, dirs), cover)
-    parent, pdist = search.nearest_lower(radii, search.KeyOrder(index), root_dist=radii)
+    index = search.KeyOrder(_chart_index(cloud.radii, cloud.dirs))
+    parent, pdist = search.nearest_lower(cloud.radii, index, root_dist=cloud.radii)
     return RadialTree(cloud, parent, pdist)
 
 

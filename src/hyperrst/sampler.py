@@ -144,7 +144,12 @@ class RadialLaw:
         """Radii with CDF equal to targets. The loop stops when the largest
         step of the whole batch is below NEWTON_TOL, so a draw's bits depend
         on the batch it is inverted in. A target of 0 has radius 0 and stays
-        out of the batch: pdf(0) = 0 would stall Newton there."""
+        out of the batch: pdf(0) = 0 would stall Newton there.
+
+        FOUND: cdf's `@ _GL_WEIGHTS` goes to BLAS (a gemv), and a row's bits
+        can depend on the batch it sits in: cdf over one-row batches differs
+        in the last bit from one batch of the same rows on 36 of 30,000 radii
+        (d=2, R=4). So an active-set or chunked Newton would change radii."""
         targets = np.asarray(targets, dtype=float)
         live = targets != 0.0
         radii = np.zeros_like(targets)

@@ -5,19 +5,24 @@ ordinate for the forest) and each point picks its nearest neighbor among
 those with a strictly smaller key. `nearest_lower` finds it with a k-d tree
 over a Euclidean chart of the model (Bentley, CACM 1975). The model belongs
 to the point set (a `ChartIndex`): its metric, the chart ball that covers
-each metric ball, the tree, each point's nearest chart neighbours, their
-distances in the metric and the chart distance to the farthest of them. A
-search sees the index through its own key order (a `KeyOrder`), so searches
-that sort one set by different keys share it and none evaluates it again.
-The O(n^2) oracles the search is checked against live in the tests.
+each metric ball (in both models the metric ball's exact image, a Euclidean
+ball whose centre is shifted off the point), the tree, each point's nearest
+chart neighbours, their distances in the metric and the chart distance to
+the farthest of them. A search sees the index through its own key order (a
+`KeyOrder`), so searches that sort one set by different keys share it and
+none evaluates it again. The O(n^2) oracles the search is checked against
+live in the tests.
 
 Pass 1 bounds each parent distance by the nearest smaller-key point among
 the point's chart neighbours, or by the root; it runs over the whole key
 order at once, reducing the neighbour table one column of neighbours at a
-time, which numpy does about 5x faster than along short rows. Each bounded
-point then takes
-one of two routes, each of which sees a superset of the metric ball of that
-radius: (1) when the ball's padded chart cover lies strictly inside the
+time, which numpy does about 5x faster than along short rows. A point whose
+neighbours all have larger keys looks again among the points nearest to
+the centre of its cover ball, which lies toward the origin in the Poincare
+chart and above the point in the half-space chart: toward smaller radii
+and the DSF's smaller keys. Each bounded point then takes one of two
+routes, each of which sees a superset of the metric ball of that radius:
+(1) when the ball's padded chart cover lies strictly inside the
 neighbours' farthest distance, pass 1's answer is final; (2) otherwise the
 point takes its chart ball from the k-d tree. A point left without a bound
 scans its smaller-key prefix.
@@ -41,7 +46,7 @@ ROOT = -1
 FRONTIER = -2
 
 _K = 8  # pass-1 neighbours per point
-_K_WIDE = 64  # second pass-1 query for points the first left without a bound
+_K_WIDE = 40  # second pass-1 query for points the first left without a bound
 _CHUNK = 2048  # rows per k-d ball query or prefix scan, which bounds the candidate lists held at once
 # Search radii grow by this relative slack plus _ULPS per unit of chart
 # coordinate, so that rounding in distances, charts and cover balls costs
@@ -77,10 +82,14 @@ class ChartIndex:
     distances, and the chart distance to the farthest of them (+inf when
     n <= _K, as they are then every point). Every point strictly closer than
     that distance is among the _K. The table is column-major: knn and dist
-    are (_K, n), row j holding every point's j-th nearest neighbour. The
-    _K_WIDE nearest and their distances are kept too, for the few points
-    that ask for them. Every search over the set uses this one index,
-    whatever key order it sorts the points by (see KeyOrder)."""
+    are (_K, n), row j holding every point's j-th nearest neighbour. For the
+    few points that ask for it, a wide table holds the _K_WIDE chart-nearest
+    points to the centre of the cover ball of radius rho_K, the pair
+    distance to the point's _K-th neighbour, and their pair distances. That
+    ball holds the _K-th neighbour and is shifted toward smaller keys; a
+    point found there only bounds a search, so where the wide table looks
+    never changes a parent. Every search over the set uses this one index, whatever key
+    order it sorts the points by (see KeyOrder)."""
 
     def __init__(self, coords: np.ndarray, pair_dist, cover):
         n = coords.shape[0]
@@ -89,27 +98,30 @@ class ChartIndex:
         self.scale = float(np.abs(coords).max())
         self.pair_dist = pair_dist
         self.cover = cover
-        chart, self.knn, self.dist = self._query(np.arange(n), _K)
+        chart, self.knn, self.dist = self._query(np.arange(n), _K, coords)
         self.kth = chart[-1].copy() if n > _K else np.full(n, np.inf)
         self._slot = np.full(n, -1)  # each point's column in the wide table, -1 until asked
-        self._wide = self._query(np.arange(0), _K_WIDE)[1:]
+        self._wide = self._query(np.arange(0), _K_WIDE, coords[:0])[1:]
 
-    def _query(self, pts: np.ndarray, k: int):
-        """(chart distances, neighbours, pair distances), each
-        (min(k, n), len(pts)), of the nearest chart neighbours of pts."""
+    def _query(self, pts: np.ndarray, k: int, at: np.ndarray):
+        """(chart distances, neighbours, pair distances from pts), each
+        (min(k, n), len(pts)), of the nearest chart points to at[i] for each
+        pts[i]."""
         k = min(k, self.coords.shape[0])
-        chart, knn = self.tree.query(self.coords[pts], k=list(range(1, k + 1)))
+        chart, knn = self.tree.query(at, k=list(range(1, k + 1)))
         chart, knn = chart.T, np.ascontiguousarray(knn.T)
         return chart, knn, self.pair_dist(pts, knn)
 
     def table(self, pts: np.ndarray, wide: bool = False):
         """(neighbours, distances), each (k, len(pts)), from the _K table, or
-        with wide the _K_WIDE one, where each point is queried once."""
+        with wide the _K_WIDE one, where each point is queried once, around
+        the centre of the cover ball of its _K-th neighbour's pair distance."""
         if wide:
             new = np.unique(pts[self._slot[pts] < 0])
             if new.size:
                 self._slot[new] = self._wide[0].shape[1] + np.arange(new.size)
-                grown = zip(self._wide, self._query(new, _K_WIDE)[1:])
+                centre = self.cover(new, self.dist[-1, new])[0]
+                grown = zip(self._wide, self._query(new, _K_WIDE, centre)[1:])
                 self._wide = tuple(np.concatenate(pair, axis=1) for pair in grown)
             knn, dist, pts = *self._wide, self._slot[pts]
         else:
@@ -154,8 +166,9 @@ class KeyOrder:
 
     def table(self, rows: np.ndarray, wide: bool = False):
         """(neighbours, distances), each (k, len(rows)): the rows of the _K
-        (with wide, _K_WIDE) nearest chart neighbours of each of rows, at
-        most n, nearest first, and their pair distances."""
+        nearest chart neighbours of each of rows (with wide, the _K_WIDE
+        points of the wide table, see ChartIndex), at most n, nearest
+        first, and their pair distances."""
         knn, dist = self.index.table(self._points(rows), wide)
         return self._rows(knn), dist
 
@@ -185,7 +198,8 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
     parent_dist is +inf for frontier points.
 
     Pass 1 bounds each parent distance by the nearest smaller-key point among
-    the _K chart neighbours (_K_WIDE when the _K hold none), or by the root.
+    the _K chart neighbours (when the _K hold none, among the wide table's
+    _K_WIDE, around the centre of the row's cover ball), or by the root.
     It reads the index's neighbour table, one neighbour column at a time,
     and evaluates no distance. Each bounded row then takes one of two exact
     routes, each of which sees every point of the metric ball of that radius:
@@ -214,9 +228,7 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         near[miss], best[miss] = pass1(miss, wide=True)
     rho = np.minimum(pdist, near)
     b = np.flatnonzero(np.isfinite(rho))  # bounded rows
-    centre, radius = chart.cover(b, rho[b] * (1.0 + _REL))
-    slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
-    radius = radius * (1.0 + _REL) + slack
+    centre, radius, slack = padded_cover(chart, b, rho[b])
     # route 1: the cover ball lies inside the _K-NN ball
     reach = np.sqrt(hgeom.row_sumsq(centre - chart.coords(b))) + radius
     inside = reach * (1.0 + _REL) + slack < chart.kth(b)
@@ -236,6 +248,15 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         cand = concat_ranges(np.zeros_like(count), count)
         _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, chart.pair_dist)
     return parent, pdist
+
+
+def padded_cover(chart: KeyOrder, rows: np.ndarray, rho: np.ndarray):
+    """(centres, radii, slack): the chart balls nearest_lower searches for
+    the metric balls of radius rho around rows, padded for rounding by _REL
+    and by slack, the absolute part."""
+    centre, radius = chart.cover(rows, rho * (1.0 + _REL))
+    slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
+    return centre, radius * (1.0 + _REL) + slack, slack
 
 
 def _take_nearest(parent, pdist, qi, cand, his, pair_dist):

@@ -344,12 +344,19 @@ class TestPointFacts:
         for d, lam, R in ((1, 10.0, 3.5), (2, 1.0, 3.5)):
             cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=2))
             pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
-            chart = np.tanh(cloud.radii / 2.0)[:, None] * cloud.dirs
-            index = search.KeyOrder(search.ChartIndex(chart, pair_dist, None))  # the table reads no cover
+            index = search.KeyOrder(rst._chart_index(cloud.radii, cloud.dirs))
             rows = np.arange(len(cloud))
             for wide in (False, True):
                 nb, dist = index.table(rows, wide)
                 assert dist.tobytes() == pair_dist(rows, nb).tobytes()
+            # the wide table holds the points chart-nearest to the centre of
+            # the cover ball of each point's _K-th neighbour distance
+            some = rows[::7]
+            centre = index.cover(some, index.table(some)[1][-1])[0]
+            coords = index.coords(rows)
+            near = np.argsort(((centre[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1), axis=1)
+            wide = np.sort(index.table(some, wide=True)[0].T, axis=1)
+            assert np.array_equal(wide, np.sort(near[:, : search._K_WIDE], axis=1))
 
 
 def brute_over(keys, pair_dist, root_dist=None):

@@ -97,6 +97,55 @@ class TestBuild:
                 assert np.array_equal(tree.parent, parent)
                 assert np.array_equal(tree.parent_dist, pdist)
 
+    def test_matches_brute_force_far_out(self):
+        # d=1 clusters between r = 19 and R = 30, each spread over a few e^-r
+        # of angle, so that most parents are points, not the root, where the
+        # chart keeps only about e^-r of relative precision
+        rng = np.random.default_rng(30)
+        centres = rng.uniform(20.0, 29.0, 40)
+        radii = np.minimum(np.repeat(centres, 25) + rng.uniform(-1.0, 1.0, 1000), 30.0)
+        angles = np.repeat(rng.uniform(0.0, 2.0 * math.pi, 40), 25) + rng.uniform(-4.0, 4.0, 1000) * np.exp(-radii)
+        cloud = make_cloud(radii, angles, R=30.0)
+        tree = rst.build(cloud)
+        assert np.array_equal(tree.parent, brute_force_parents(cloud))
+        parent, pdist = scan_parents(cloud)
+        assert np.array_equal(tree.parent, parent)
+        assert tree.parent_dist.tobytes() == pdist.tobytes()
+        assert np.count_nonzero(tree.parent >= 0) > 500
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cover_holds_points_one_ulp_inside(self, d):
+        # w one ulp inside the metric sphere of radius rho around z, for radii
+        # up to 30 and rho below and above r_z: w lies in the padded chart
+        # ball that nearest_lower searches for B(z, rho)
+        rng = np.random.default_rng(d)
+        for k in range(300):
+            rz = rng.uniform(0.0, 30.0) if k % 4 else math.exp(rng.uniform(-7.0, 3.4))
+            if k % 3 == 0:  # rho above r_z: the ball holds the origin
+                rw = rng.uniform(0.0, 30.0)
+                t = rng.uniform(max(rz, abs(rz - rw)), rz + rw)
+            elif k % 3 == 1:  # rho below r_z
+                rw = rng.uniform(0.0, min(2.0 * rz, 30.0))
+                t = rng.uniform(abs(rz - rw), rz)
+            else:  # a small ball far out, about e^-r_z wide in the chart
+                rz = rng.uniform(15.0, 30.0)
+                rw = rz + rng.uniform(-1.0, 1.0)
+                t = abs(rz - rw) + rng.uniform(0.0, 2.0)
+            # the angle at which w lies at distance t from z, without cancellation:
+            # sin^2(theta/2) = sinh((t + gap)/2) sinh((t - gap)/2) / (sinh r_z sinh r_w)
+            gap = rz - rw
+            s2 = math.sinh((t + gap) / 2.0) * math.sinh((t - gap) / 2.0) / (math.sinh(rz) * math.sinh(rw))
+            theta = 2.0 * math.asin(min(1.0, math.sqrt(s2)))
+            u, v = rng.normal(size=(2, d + 1))
+            u /= np.linalg.norm(u)
+            v -= (v @ u) * u
+            v /= np.linalg.norm(v)
+            radii, dirs = np.array([rz, rw]), np.array([u, math.cos(theta) * u + math.sin(theta) * v])
+            rho = np.nextafter(rst._pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
+            chart = search.KeyOrder(rst._chart_index(radii, dirs))
+            centre, radius, _ = search.padded_cover(chart, np.array([0]), rho)
+            assert 1 in chart.ball(centre, radius)[1], (rz, rw, rho)
+
     def test_search_tie_rule_across_blocks(self):
         # distances 1, 2, 3 repeat along the index, so ties span many blocks;
         # keys stay below 1, so the pruning bound never cuts a candidate
@@ -834,19 +883,33 @@ class TestValidate:
 
     @staticmethod
     def _unpadded_chord(cloud, rho):
+        """The chord bound of B(z, rho) at r_w, without padding, evaluated as
+        the check does: from cosh rho - cosh(r_z - r_w), without cancellation."""
         rw, rz = cloud.radii[:2]
-        return math.sqrt(2.0 * (math.cosh(rho) - math.cosh(rz - rw)) / (math.sinh(rz) * math.sinh(rw)))
+        gap = rz - rw
+        num = 2.0 * math.sinh((rho + gap) / 2.0) * math.sinh(max(rho - gap, 0.0) / 2.0)
+        return math.sqrt(2.0 * num / (math.sinh(rz) * math.sinh(rw)))
+
+    @classmethod
+    def _u0_slab_misses(cls, cloud, rho):
+        """Whether w is nearer to z than the root is and z's unpadded u0 slab
+        leaves it out, for w and z that differ in u0 alone."""
+        return rho <= cloud.radii[1] and cls._unpadded_chord(cloud, rho) < cloud.dirs[0, 0] - cloud.dirs[1, 0]
+
+    @staticmethod
+    def _mirrored_across_u1(rw, rz, h):
+        """d=1 points w = (sin h, cos h) and z = (-sin h, cos h). They differ
+        in u0 alone, and each is its own band, with one u1 cell, so the u0
+        slab is as tight as the chord."""
+        dirs = np.array([[math.sin(h), math.cos(h)], [-math.sin(h), math.cos(h)]])
+        return PointCloud(CloudConfig(d=1, lam=1.0, R=rz, seed=0), np.array([rw, rz]), dirs)
 
     def test_one_ulp_inside_at_angle_edge_d1(self):
         def place(rng):
             rw = rng.uniform(0.5, 3.0)
-            return make_cloud([rw, rw + rng.uniform(0.01, 1.0)], [rng.uniform(0.001, 0.5), 0.0])
+            return self._mirrored_across_u1(rw, rw + rng.uniform(0.01, 1.0), rng.uniform(0.001, 0.5))
 
-        def precondition(cloud, rho):
-            theta = 2.0 * math.asin(min(1.0, self._unpadded_chord(cloud, rho) / 2.0))
-            return theta < math.atan2(cloud.dirs[0, 1], cloud.dirs[0, 0])
-
-        self._one_ulp_inside(np.random.default_rng(4), place, precondition)
+        self._one_ulp_inside(np.random.default_rng(4), place, self._u0_slab_misses)
 
     def test_one_ulp_inside_at_angle_edge_d2(self):
         # w and z differ in u0 alone, so the u0 slab is as tight as the chord
@@ -856,19 +919,16 @@ class TestValidate:
             dirs = np.array([[math.sin(h), 0.0, math.cos(h)], [-math.sin(h), 0.0, math.cos(h)]])
             return PointCloud(CloudConfig(d=2, lam=1.0, R=4.0, seed=0), np.array([rw, rw + rng.uniform(0.01, 1.0)]), dirs)
 
-        def precondition(cloud, rho):
-            return self._unpadded_chord(cloud, rho) < cloud.dirs[0, 0] - cloud.dirs[1, 0]
+        self._one_ulp_inside(np.random.default_rng(5), place, self._u0_slab_misses)
 
-        self._one_ulp_inside(np.random.default_rng(5), place, precondition)
-
-    @pytest.mark.parametrize("d", [2, 3], ids=["d2", "d3"])
+    @pytest.mark.parametrize("d", [1, 2, 3], ids=["d1", "d2", "d3"])
     def test_one_ulp_inside_at_last_coordinate_cell_edge(self, d, monkeypatch):
         # w and z differ in u_d alone, and w sits just under the u_d cell edge
         # -1/2 of a band index with 4 cells per axis: an unpadded chord would
         # start z's box of cells one cell above w's. The other points lie
         # above z with empty balls, so the median radial window is empty and
         # the check splits the 8m points into 8 bands of m, w and z in the first.
-        m = {2: 100, 3: 400}[d]
+        m = {1: 16, 2: 100, 3: 400}[d]
         far = np.random.default_rng(d).normal(size=(8 * m - 2, d + 1))
         far /= np.linalg.norm(far, axis=1, keepdims=True)
         direction_index = rst._direction_index
@@ -901,22 +961,14 @@ class TestValidate:
         self._one_ulp_inside(np.random.default_rng(7 + d), place, precondition)
 
     def test_one_ulp_inside_at_angle_edge_far_out(self):
-        # near r = 30 the allowed angle is ~1e-13, below the rounding of
-        # atan2 and of the unit vectors: the relative padding alone drops w
+        # near r = 30 the chord is about e^-r, and the u0 slab of the mirrored
+        # pair is still as tight as the chord
         def place(rng):
-            rw, a0 = rng.uniform(25.0, 30.0), rng.uniform(1.0, 3.0)
-            return make_cloud([rw, rw + rng.uniform(0.01, 1.0)], [a0 + rng.uniform(1e-15, 1e-12), a0])
+            rw = rng.uniform(25.0, 30.0)
+            rz = rw + rng.uniform(0.01, 1.0)
+            return self._mirrored_across_u1(rw, rz, rng.uniform(0.5, 4.0) * math.exp(-(rw + rz) / 2.0))
 
-        def precondition(cloud, rho):
-            (rw, rz), (w, z) = cloud.radii, cloud.dirs
-            reach = rho * (1.0 + rst._REL) + rst._REL * rz
-            cosh_gap = 2.0 * math.sinh((reach + rz - rw) / 2.0) * math.sinh((reach - rz + rw) / 2.0)
-            chord = math.sqrt(2.0 * cosh_gap / (math.sinh(rz) * math.sinh(rw))) * (1.0 + rst._REL)
-            theta = 2.0 * math.asin(min(1.0, chord / 2.0))
-            start = math.atan2(z[1], z[0]) - theta
-            return not start <= math.atan2(w[1], w[0]) <= start + 2.0 * theta
-
-        self._one_ulp_inside(np.random.default_rng(6), place, precondition)
+        self._one_ulp_inside(np.random.default_rng(6), place, self._u0_slab_misses)
 
     def test_ties_across_bands_and_with_the_root(self):
         # few points, so each is its own radius band: the mirror pair
