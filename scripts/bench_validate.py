@@ -100,11 +100,11 @@ def run_child(root: str, module: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def compare(argv, doc: str, module: str, clouds: dict, time_key: str, work: str) -> int:
+def compare(argv, doc: str, module: str, clouds: dict, time_key: str, work: str | None) -> int:
     """The command line of a layer record: run the checkouts' children in
     alternating rounds, keep the best of `time_key` per cloud over rounds and
-    check that every other count repeats exactly, print `work` per point next
-    to the best times, and write the record."""
+    check that every other count repeats exactly, print `work` per point (if
+    given) next to the best times, and write the record."""
     ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR",
                     help="a hyperrst checkout to run, under a label; repeat to compare")
@@ -144,7 +144,8 @@ def compare(argv, doc: str, module: str, clouds: dict, time_key: str, work: str)
         for c in clouds:
             s[c][f"speedup_vs_{base}"] = summary[base][c][time_key] / s[c][time_key]
     for c in clouds:
-        line = " ".join(f"{label} {s[c][time_key] * 1e3:.1f} ms, {s[c][work + '_per_point']:.2f} {work}/pt;"
+        line = " ".join(f"{label} {s[c][time_key] * 1e3:.1f} ms"
+                        + (f", {s[c][work + '_per_point']:.2f} {work}/pt;" if work else ";")
                         for label, s in summary.items())
         print(f"{c}: {line}", file=sys.stderr)
 

@@ -216,7 +216,7 @@ def _rep_straightness(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     rp = r_prime(cfg)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = rst.deviation_sweep(tree, r0, rp)
+        sweep = tree.sweep(r0, rp)
         out.append(float(sweep.mbd.max()) if sweep.mbd.size else 0.0)
     return np.array(out)
 
@@ -231,7 +231,7 @@ def _rep_mbd_moment(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = rst.deviation_sweep(tree, r0, rp)
+        sweep = tree.sweep(r0, rp)
         out.append(_ball_sums(sweep, probes, cfg.A * math.exp(-r0), cfg.p))
     return np.array(out)
 
@@ -246,7 +246,7 @@ def _rep_annulus(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = rst.deviation_sweep(tree, r0, r0 + cfg.delta)
+        sweep = tree.sweep(r0, r0 + cfg.delta)
         out.append(_ball_sums(sweep, probes, cfg.theta, cfg.p))
     return np.array(out)
 
@@ -417,7 +417,12 @@ def _bplus_members(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarr
         norm = law.total
 
         def mass(tau):
-            return law.cdf(2.0 * np.arctanh(tau))
+            # tau = 0 has mass 0; the cdf is costly, and its bits may depend
+            # on its batch, so only tau > 0 is evaluated, as one batch
+            out = np.zeros_like(tau)
+            pos = np.flatnonzero(tau > 0.0)
+            out[pos] = law.cdf(2.0 * np.arctanh(tau[pos]))
+            return out
 
     c_tau = 2.0**-53 * _BAND_ULPS * (1.0 + r)
     pad = 0.0 if d == 1 else 2.0 * sampler.NEWTON_TOL
@@ -429,30 +434,50 @@ def _bplus_members(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarr
         pdf = (2.0 * tau_hi * inv) ** d / norm
         return 2.0 * (2.0 * inv * pdf * dtau + pdf * pad) + slack
 
-    t = np.maximum(-cos0 * math.tanh(r), 0.0)
-    # directions with cos0 >= 0 leave at once: their exit mass is 0
-    exit_mass = np.zeros_like(t)
-    out = np.flatnonzero(t > 0.0)
-    exit_mass[out] = mass(np.minimum(t[out], half))
+    # -cos0 tanh r clipped to [0, tanh(rho/2)]: directions with cos0 >= 0
+    # leave at once, with exit mass 0
+    neg_tanh = -math.tanh(r)
+    tau = np.clip(cos0 * neg_tanh, 0.0, half)
+    exit_mass = mass(tau)
     inside = u01 < exit_mass
-    tau0 = min(6.0 * math.sqrt(c_tau), half)
-    band = u01 <= float(mass(np.array([tau0]))[0]) + width(0.0, tau0)
     # the widest band (the largest dtau, the slope at tanh(rho/2)) leaves a
     # few candidates, and each one's own band decides
     gap = np.abs(u01 - exit_mass)
     cand = np.flatnonzero(gap <= width(math.sqrt(c_tau) + _BAND_TAU, half))
-    tc = t[cand]
+    tc = np.maximum(cos0[cand] * neg_tanh, 0.0)
     dtau = 4.0 * c_tau / np.maximum(tc, 4.0 * math.sqrt(c_tau)) + _BAND_TAU
-    band[cand] |= gap[cand] <= width(dtau, np.minimum(tc + dtau, half))
-    n_band = int(np.count_nonzero(band))
-    if n_band and d == 1:
+    cand = cand[gap[cand] <= width(dtau, np.minimum(tc + dtau, half))]
+    tau0 = min(6.0 * math.sqrt(c_tau), half)
+    low = np.flatnonzero(u01 <= float(mass(np.array([tau0]))[0]) + width(0.0, tau0))
+    band = np.union1d(low, cand)
+    if band.size and d == 1:
         inside[band] = _bplus_chain(d, r, rho, u01[band], cos0[band])
-    elif n_band:
+    elif band.size:
         inside = _bplus_chain(d, r, rho, u01, cos0)
-    return inside, n_band
+    return inside, int(band.size)
 
 
-def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
+class _BplusDraws:
+    """One cell's draws, in arrays that the cells of a grid reuse: radial
+    uniforms u01, and cos0 = <u, e0> of directions u = g / |g| with g
+    standard normal in R^(d+1). Their bits are those of
+    rng.uniform(size=n) and rng.normal(size=(n, d + 1)). Inside a
+    `suite_d1` body, fresh draws for each of the 24 cells made the grid
+    take 47 ms instead of 34 (raw, 2-core Xeon)."""
+
+    def __init__(self, n: int, d: int):
+        self.u01, self.cos0 = np.empty(n), np.empty(n)
+        self.g = np.empty((n, d + 1))
+
+    def fill(self, seed: int, cell_id: int):
+        rng = sampler.stream(seed, cell_id, "bplus")
+        rng.random(out=self.u01)
+        rng.standard_normal(out=self.g)
+        np.divide(self.g[:, 0], np.sqrt(hgeom.row_sumsq(self.g)), out=self.cos0)
+        return self.u01, self.cos0
+
+
+def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int, draws: _BplusDraws):
     """Monte Carlo rejection estimate of Vol(B+(z, rho)) for z at radius r.
 
     Uniform points in B(z, rho) come from sampling B(0, rho) and boosting the
@@ -461,10 +486,7 @@ def _bplus_cell(cfg: ExperimentConfig, r: float, rho: float, cell_id: int):
     inverting the radial CDF.
     """
     d = cfg.base.d
-    rng = sampler.stream(cfg.base.seed, cell_id, "bplus")
-    u01 = rng.uniform(size=BPLUS_SAMPLES)
-    g = rng.normal(size=(BPLUS_SAMPLES, d + 1))
-    cos0 = g[:, 0] / np.sqrt(hgeom.row_sumsq(g))
+    u01, cos0 = draws.fill(cfg.base.seed, cell_id)
     frac = float(np.mean(_bplus_members(d, r, rho, u01, cos0)[0]))
     total = hgeom.ball_volume(d, rho)
     se = total * math.sqrt(max(frac * (1.0 - frac), 1e-12) / BPLUS_SAMPLES)
@@ -476,8 +498,9 @@ def _summary_bplus_volume(cfg: ExperimentConfig, values: None) -> StatReport:
     cells = []
     xs = []
     logs = []
+    draws = _BplusDraws(BPLUS_SAMPLES, cfg.base.d)
     for k, (r, rho) in enumerate(grid):
-        vol, se = _bplus_cell(cfg, r, rho, k)
+        vol, se = _bplus_cell(cfg, r, rho, k, draws)
         cells.append(
             Cell(params={"r": r, "rho": rho, "min_rho_r": min(rho, r)}, estimate=vol, stderr=se, n=BPLUS_SAMPLES)
         )
@@ -533,7 +556,7 @@ def _rep_confinement(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     h = float(np.median(cfg.r0_grid))
     rp = r_prime(cfg)
-    sweep = rst.deviation_sweep(tree, h, rp)
+    sweep = tree.sweep(h, rp)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for scale in CONFINEMENT_SCALES:

@@ -114,6 +114,21 @@ class RadialTree:
             layer = np.sort(nodes[search.concat_ranges(start[layer], start[layer + 1])])
         return layers
 
+    @functools.cached_property
+    def _sweeps(self) -> dict:
+        return {}
+
+    def sweep(self, r0: float, r1: float) -> LevelSweep:
+        """deviation_sweep(self, r0, r1), computed once per (r0, r1) and kept
+        with read-only arrays, so that kernels sharing a level share its sweep."""
+        key = (float(r0), float(r1))
+        if key not in self._sweeps:
+            found = deviation_sweep(self, r0, r1)
+            for arr in (found.children, found.cross_dirs, found.mbd):
+                arr.setflags(write=False)
+            self._sweeps[key] = found
+        return self._sweeps[key]
+
 
 class LevelCrossing(NamedTuple):
     """Crossing of the edge (edge_child, parent) with the sphere S(level); its
@@ -423,8 +438,9 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
 
 _BANDS = 8  # at most this many equal-count radius bands in the empty-B+ check
 _PAIRS = 2**15  # candidate pairs (and query ranges) taken at once, which bounds memory
-# Ball radii grow by _REL relative plus _REL per unit of radius, direction
-# coordinates by _ABS: rounding then costs extra candidates, never a missed one.
+# Ball radii grow by _REL relative plus _REL per unit of radius: rounding then
+# costs extra candidates, never a missed one. _ABS pads the radial extents of
+# planarity_check only (see _edge_radial_extents).
 _REL = 1e-9
 _ABS = 64 * np.finfo(float).eps
 
@@ -552,9 +568,17 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
         num = 2.0 * np.sinh((rq + gap) / 2.0) * np.sinh(np.maximum(rq - gap, 0.0) / 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             chord2 = np.where(rj > 0.0, 2.0 * num / (sh[q] * np.sinh(rj)), np.inf)
-        # no chord of unit vectors is longer than 2, up to their rounding;
-        # the clamp also keeps the cell bounds' integer cast finite
-        chord = np.minimum(np.sqrt(chord2) * (1.0 + _REL) + _ABS, 2.0 + _ABS)
+        # The chord needs no absolute padding. The box test reads the same
+        # rounded coordinates as pair_dist, and u +- chord rounds
+        # monotonically, so a point whose computed chord is at most `chord`
+        # is in the box. pair_dist sums nonnegative terms and arccosh1p is
+        # relatively accurate, so a computed distance <= rho bounds the
+        # computed chord by this formula up to a few ulps relative to
+        # cosh rho - 1, and the _REL padding of rho exceeds that by about
+        # 1e6 times. Unit-vector coordinates lie in [-1, 1], so a chord of 2
+        # covers every direction; the clamp also keeps the cell bounds'
+        # integer cast finite.
+        chord = np.minimum(np.sqrt(chord2) * (1.0 + _REL), 2.0)
         index = _direction_index(dirs[a:b])
         for k, lo, hi in _band_ranges(index, dirs[q], chord):
             # at most about _PAIRS candidates at once; a query's ranges may
@@ -635,13 +659,12 @@ def _edge_angular_intervals(tree: RadialTree):
     dirs = tree.dirs
     alpha = np.arctan2(dirs[:, 1], dirs[:, 0])
     theta = tree.edge_thetas
-    parent = tree.parent
-    has = parent >= 0
-    cross = np.zeros(len(tree))
-    pidx = parent[has]
-    cross[has] = dirs[has, 0] * dirs[pidx, 1] - dirs[has, 1] * dirs[pidx, 0]
+    # a root edge has theta 0, so its start is alpha whatever its cross sign
+    up = dirs[np.maximum(tree.parent, 0)]
+    cross = dirs[:, 0] * up[:, 1] - dirs[:, 1] * up[:, 0]
     start = np.where(cross >= 0, alpha, alpha - theta)
-    start = np.mod(start, 2.0 * math.pi)
+    # start >= -2 pi: into [0, 2 pi]
+    start = np.where(start < 0.0, start + 2.0 * math.pi, start)
     return start, theta
 
 
@@ -678,55 +701,114 @@ def _edge_radial_extents(a: np.ndarray, b: np.ndarray):
     return low, high
 
 
+_PLANAR_BANDS = 8  # radial bands of planarity_check at most (6 to 16 time alike at n = 14k)
+
+
+def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray, bands: int = _PLANAR_BANDS):
+    """The edge pairs that take `planarity_check`'s orient test, each once:
+    those whose angular intervals and padded radial extents (of the Klein
+    chords [a, b]) overlap, and which share no vertex. Returns
+    (i, j, enumerated), the edge indices and the number of candidate pairs
+    enumerated on the way.
+
+    Edges go by rank k in the order of their interval starts, on the circle
+    doubled so that intervals crossing 2 pi see early starts: edge k finds
+    edge m when the start of m (rank m or m + n of the doubled circle) lies
+    in interval k, ranks [lo[k], hi[k]). Two edges overlap in angle when one
+    finds the other.
+
+    Edges also go by their padded low extent into about equal-count bands,
+    and a pair is taken in the band that holds the larger of its two lows.
+    Band b holds its own edges and the lower ones whose high extent reaches
+    its smallest low: no other lower edge overlaps one of its own in radius.
+    The doubled ranks of every band's edges, keyed (band, rank) in one
+    sorted integer array, give each edge its ranges with one search per
+    band that holds it. A pair with an own edge of the band is kept there;
+    a pair of two lower edges is taken in its own band instead.
+    """
+    n = len(tree)
+    parent = tree.parent
+    start, width = _edge_angular_intervals(tree)
+    # ties may go either way: which edges an interval holds goes by value
+    order = np.argsort(start)
+    s_sorted = start[order]
+    s_ext = np.concatenate([s_sorted, s_sorted + 2.0 * math.pi])
+    lo = np.searchsorted(s_sorted, s_sorted, side="left")  # as in s_ext
+    hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
+    # chords that meet do so at a radius inside both radial extents
+    low, high = (e[order] for e in _edge_radial_extents(a, b))
+    bands = min(bands, n)
+    firsts = (np.arange(bands) * n + bands - 1) // bands
+    floors = np.sort(low)[firsts]  # the smallest low of each band
+    band = np.searchsorted(floors, low, side="right") - 1
+    top = np.maximum(np.searchsorted(floors, high, side="right") - 1, band)
+    # rank k is an edge of band b for b = band[k] .. top[k]: rows (k, b)
+    reach = top - band + 1
+    k = np.repeat(np.arange(n), reach)
+    row_band = band[k] + np.arange(k.size) - np.repeat(np.cumsum(reach) - reach, reach)
+    # both copies of each row, by band (a stable radix sort of small ints) and
+    # then by doubled rank
+    key_band = np.concatenate([row_band, row_band]).astype(np.int16)
+    by_band = np.argsort(key_band, kind="stable")
+    keys = key_band[by_band] * np.int64(2 * n) + np.concatenate([k, k + n])[by_band]
+    ranks = np.concatenate([k, k])[by_band]
+    # each row searches its band for the doubled ranks [lo, hi); the rows go
+    # by band, as their first copies do, so that the keys nearly ascend
+    rows = by_band[by_band < k.size]
+    q, q_band = k[rows], row_band[rows]
+    base = q_band * np.int64(2 * n)
+    first = np.searchsorted(keys, base + lo[q], side="left")
+    last = np.searchsorted(keys, base + hi[q], side="left")
+    ri = np.repeat(q, last - first)
+    rj = ranks[search.concat_ranges(first, last)]
+    enumerated = ri.size
+    # drop pairs sharing a vertex (adjacent edges meet at endpoints by design),
+    # with parents by rank: two root edges share the origin
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    up = parent[order]
+    up = np.where(up >= 0, rank[np.maximum(up, 0)], up)
+    pair = np.flatnonzero((up[ri] != rj) & (up[rj] != ri) & (up[ri] != up[rj]))
+    ri, rj = ri[pair], rj[pair]
+    near = (low[rj] <= high[ri]) & (low[ri] <= high[rj])
+    ri, rj, pair = ri[near], rj[near], pair[near]
+    # the band each pair was found in: that of its row
+    qb = q_band[np.searchsorted(np.cumsum(last - first), pair, side="right")]
+    # each pair once, in the band of its higher edge: from a lower edge, a pair
+    # with an edge of the band; from an edge of the band, a pair that the
+    # other edge does not find too, or else from the lower rank (an edge
+    # finds itself)
+    back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
+    own = band[rj] == qb
+    keep = np.where(band[ri] == qb, ~back | (own & (ri < rj)), own)
+    return order[ri[keep]], order[rj[keep]], enumerated
+
+
+def _klein_chords(tree: RadialTree):
+    """The Klein endpoints (a, b) of every edge: the node, then its parent or
+    the origin."""
+    a = np.tanh(tree.radii)[:, None] * tree.dirs
+    parent = tree.parent
+    return a, np.where((parent >= 0)[:, None], a[np.maximum(parent, 0)], 0.0)
+
+
 def planarity_check(tree: RadialTree) -> int:
     """Count proper crossings between geodesic edges [z, A(z)] in the disc.
 
     Geodesics are chords in the Klein model, so the test reduces to segment
-    intersection. Two keys prefilter the pairs: the angular intervals of the
-    edges (the angular coordinate is monotone along a geodesic not through
-    the origin) are enumerated for overlap, and pairs whose radial extents
-    (`_edge_radial_extents`: the distance from the origin to the chord up to
-    its farther endpoint, padded by the rounding of the extents and of the
-    orient test) do not overlap are dropped before the orient test.
+    intersection. Two keys prefilter the pairs (`_edge_pairs`): the angular
+    intervals of the edges (the angular coordinate is monotone along a
+    geodesic not through the origin) must overlap, and so must their radial
+    extents (`_edge_radial_extents`: the distance from the origin to the
+    chord up to its farther endpoint, padded by the rounding of the extents
+    and of the orient test).
     """
     if tree.cloud.config.d != 1:
         raise GeometryError("planarity is defined for d = 1 only")
-    n = len(tree)
-    if n < 2:
+    if len(tree) < 2:
         return 0
-    klein = np.tanh(tree.radii)[:, None] * tree.dirs
-    parent = tree.parent
-    a = klein
-    b = np.where((parent >= 0)[:, None], klein[np.maximum(parent, 0)], 0.0)
-
-    start, width = _edge_angular_intervals(tree)
-    order = np.argsort(start, kind="stable")
-    s_sorted = start[order]
-    # edges go by rank in start order; duplicate the circle once so that
-    # intervals crossing 2*pi see early starts: the starts of ranks
-    # [lo[k], hi[k]) of the doubled circle lie in interval k
-    s_ext = np.concatenate([s_sorted, s_sorted + 2.0 * math.pi])
-    lo = np.searchsorted(s_ext, s_sorted, side="left")
-    hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
-    ext = search.concat_ranges(lo, hi)
-    ri = np.repeat(np.arange(n), hi - lo)
-    # chords that meet do so at a radius inside both radial extents
-    low, high = (np.tile(e[order], 2) for e in _edge_radial_extents(a, b))
-    near = (low[ext] <= high[ri]) & (low[ri] <= high[ext])
-    ri, rj = ri[near], ext[near] % n
-    # a pair found from both edges (each start lies in the other's interval)
-    # is kept from the lower rank only
-    back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
-    keep = (ri != rj) & (~back | (ri < rj))
-    pi_, pj_ = order[ri[keep]], order[rj[keep]]
-    # drop pairs sharing a vertex (adjacent edges meet at endpoints by design)
-    share = (
-        (parent[pi_] == pj_)
-        | (parent[pj_] == pi_)
-        | ((parent[pi_] == parent[pj_]) & (parent[pi_] != ROOT))
-        | ((parent[pi_] == ROOT) & (parent[pj_] == ROOT))
-    )
-    pi_, pj_ = pi_[~share], pj_[~share]
+    a, b = _klein_chords(tree)
+    pi_, pj_, _ = _edge_pairs(tree, a, b)
     if pi_.size == 0:
         return 0
 

@@ -221,3 +221,40 @@ def planarity_reference(tree) -> int:
         proper = (orient(a1, b1, a2) * orient(a1, b1, b2) < 0) & (orient(a2, b2, a1) * orient(a2, b2, b1) < 0)
         crossings += int(np.count_nonzero(proper & (i < j) & ~share))
     return crossings
+
+
+def planarity_pairs_reference(tree) -> set:
+    """The edge pairs {i, j} that `rst.planarity_check` puts to the orient
+    test, by angle then padded radius over all edges at once: each edge's
+    angular interval finds the edges whose starts it holds (on the circle
+    doubled, ranks [lo, hi) of the start order), the pairs whose padded
+    radial extents overlap are kept, once each, and those sharing a vertex
+    are dropped. Returns a set of (min, max) edge index tuples."""
+    n = len(tree)
+    klein = np.tanh(tree.radii)[:, None] * tree.dirs
+    parent = tree.parent
+    tail = np.where((parent >= 0)[:, None], klein[np.maximum(parent, 0)], 0.0)
+    start, width = rst._edge_angular_intervals(tree)
+    order = np.argsort(start, kind="stable")
+    s_sorted = start[order]
+    s_ext = np.concatenate([s_sorted, s_sorted + 2.0 * math.pi])
+    lo = np.searchsorted(s_ext, s_sorted, side="left")
+    hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
+    ext = search.concat_ranges(lo, hi)
+    ri = np.repeat(np.arange(n), hi - lo)
+    low, high = (np.tile(e[order], 2) for e in rst._edge_radial_extents(klein, tail))
+    near = (low[ext] <= high[ri]) & (low[ri] <= high[ext])
+    ri, rj = ri[near], ext[near] % n
+    # a pair found from both edges is kept from the lower rank only
+    back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
+    keep = (ri != rj) & (~back | (ri < rj))
+    pi, pj = order[ri[keep]], order[rj[keep]]
+    share = (
+        (parent[pi] == pj)
+        | (parent[pj] == pi)
+        | ((parent[pi] == parent[pj]) & (parent[pi] != search.ROOT))
+        | ((parent[pi] == search.ROOT) & (parent[pj] == search.ROOT))
+    )
+    pairs = list(zip(np.minimum(pi, pj)[~share].tolist(), np.maximum(pi, pj)[~share].tolist()))
+    assert len(set(pairs)) == len(pairs), "a pair was kept twice"
+    return set(pairs)

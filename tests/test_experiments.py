@@ -422,6 +422,51 @@ def test_bplus_members_match_chain(d):
             assert np.array_equal(inside, bplus_chain(d, r, rho, u01, cos0)), (seed, r, rho)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bplus_reused_draws_match(d):
+    # rng.random(out=) and rng.standard_normal(out=) into reused arrays give
+    # the bits of rng.uniform and rng.normal, sign bits included
+    draws = experiments._BplusDraws(experiments.BPLUS_SAMPLES, d)
+    for seed in (0, 1, 29):
+        for k in (0, 5):
+            u01, cos0 = draws.fill(seed, k)
+            rng = sampler.stream(seed, k, "bplus")
+            ref_u = rng.uniform(size=experiments.BPLUS_SAMPLES)
+            ref_g = rng.normal(size=(experiments.BPLUS_SAMPLES, d + 1))
+            ref_cos0 = ref_g[:, 0] / np.sqrt(hgeom.row_sumsq(ref_g))
+            for got, want in ((u01, ref_u), (draws.g, ref_g), (cos0, ref_cos0)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, k)
+
+
+def test_bplus_cells_count_the_chain():
+    # every default-grid cell at d = 1, seed 29, with one set of draw arrays
+    # for all: the estimate is the straight radius chain's inside count
+    cfg = default_config(seed=29)
+    draws = experiments._BplusDraws(experiments.BPLUS_SAMPLES, 1)
+    for k, (r, rho) in enumerate(experiments.bplus_grid(cfg)):
+        vol, _ = experiments._bplus_cell(cfg, r, rho, k, draws)
+        u01, cos0 = _bplus_draws(1, 29, k)
+        count = np.count_nonzero(experiments._bplus_chain(1, r, rho, u01, cos0))
+        assert vol == count / experiments.BPLUS_SAMPLES * hgeom.ball_volume(1, rho), (r, rho)
+
+
+def test_replica_sweeps_once_per_level(monkeypatch):
+    # straightness and mbd_moment share five (r0, R - 0.5) sweeps and
+    # confinement one of them; annulus adds five (r0, r0 + delta)
+    calls = []
+    sweep = rst.deviation_sweep
+
+    def counting(tree, r0, r1):
+        calls.append((r0, r1))
+        return sweep(tree, r0, r1)
+
+    monkeypatch.setattr(rst, "deviation_sweep", counting)
+    experiments.tree_for.cache_clear()
+    cfg = default_config(seed=29, replicas=1)
+    experiments.analyze(cfg, ["straightness", "mbd_moment", "annulus", "confinement"])
+    assert len(calls) == len(set(calls)) == 10
+
+
 def _exit_mass(d, r, rho, cos0):
     """P(rad < exit radius) computed straight, with no rounding band."""
     tau = np.minimum(np.maximum(-cos0 * math.tanh(r), 0.0), math.tanh(0.5 * rho))

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_parents,
     nearest_lower_brute,
     nearest_lower_scan,
+    planarity_pairs_reference,
     planarity_reference,
     validate_reference,
 )
@@ -468,6 +469,21 @@ class TestMbd:
             sweep = rst.deviation_sweep(tree, r0, 3.5)
             vals.append(float(sweep.mbd.max()))
         assert vals[2] < vals[0]
+
+    def test_tree_sweep_is_the_memo_of_deviation_sweep(self):
+        tree = sample_tree(14, lam=20.0, R=4.0)
+        for r0, r1 in ((1.0, 3.5), (2.5, 2.8), (2.5, 3.5)):
+            got = tree.sweep(r0, r1)
+            want = rst.deviation_sweep(tree, r0, r1)
+            assert (got.r0, got.r1) == (r0, r1)
+            for name in ("children", "cross_dirs", "mbd"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            # computed once: the same object on the next call
+            assert tree.sweep(r0, r1) is got
+        with pytest.raises(ValueError):
+            tree.sweep(1.0, 3.5).mbd[0] = 0.0
 
 
 def reference_sweep(tree, r0, r1):
@@ -1050,10 +1066,28 @@ class TestValidate:
         assert got == pins[name]
 
 
+def assert_pairs_match(tree) -> int:
+    """planarity_check's pair enumeration keeps the oracle's pair set, each
+    pair once, with one band (every pair within a band), three and the
+    default count; returns the number of candidate pairs it enumerated at
+    the default."""
+    want = planarity_pairs_reference(tree)
+    chords = rst._klein_chords(tree)
+    for bands in (1, 3, rst._PLANAR_BANDS):
+        i, j, enumerated = rst._edge_pairs(tree, *chords, bands=bands)
+        got = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+        assert len(set(got)) == len(got) == len(want), bands
+        assert set(got) == want, bands
+    return enumerated
+
+
 def crossings(tree):
-    """planarity_check's count, asserted equal to the all-pairs oracle's."""
+    """planarity_check's count, asserted equal to the all-pairs oracle's, on
+    the oracle's pair set."""
     got = rst.planarity_check(tree)
     assert got == planarity_reference(tree)
+    if len(tree) >= 2:
+        assert_pairs_match(tree)
     return got
 
 
@@ -1119,6 +1153,12 @@ class TestPlanarity:
         for seed in range(5):
             assert crossings(sample_tree(seed + 40, lam=15.0, R=3.5)) == 0
             assert crossings(sample_tree(seed + 60, lam=10.0, R=4.0)) == 0
+
+    def test_pairs_match_reference_default_tree(self):
+        # crossings() checks the pair set on every tree above; the seed-29
+        # default tree (n = 13,911), where radial bands enumerate a quarter
+        # of the 210,254 angle-overlap pairs
+        assert assert_pairs_match(sample_tree(29, lam=30.0, R=5.0)) <= 65_000
 
     def test_rejects_d2(self):
         cloud = sampler.sample_ball(CloudConfig(d=2, lam=1.0, R=2.0, seed=17))
