@@ -79,10 +79,6 @@ class RadialTree:
         order = np.argsort(self.parent[mask], kind="stable")
         return ChildTable(np.nonzero(mask)[0][order], start)
 
-    def children_of(self, i: int) -> np.ndarray:
-        nodes, start = self.children
-        return nodes[start[i] : start[i + 1]]
-
     def root_children(self) -> np.ndarray:
         return np.nonzero(self.parent == ROOT)[0]
 
@@ -124,7 +120,7 @@ class RadialTree:
         key = (float(r0), float(r1))
         if key not in self._sweeps:
             found = deviation_sweep(self, r0, r1)
-            for arr in (found.children, found.cross_dirs, found.mbd):
+            for arr in (found.children, found.cross_dirs, found.mbd, found.cut, found.cut_row):
                 arr.setflags(write=False)
             self._sweeps[key] = found
         return self._sweeps[key]
@@ -292,21 +288,21 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
     return LevelCrossing(v, r)
 
 
+def _sweep_row(tree: RadialTree, c: LevelCrossing, r_prime: float):
+    """The tree's sweep from c.level to r_prime and the row of c in it; a pair
+    that is not a row of level_geometry(tree, c.level) raises GeometryError."""
+    sweep = tree.sweep(c.level, r_prime)
+    row = int(np.searchsorted(sweep.children, c.edge_child))
+    if row == sweep.children.size or sweep.children[row] != c.edge_child:
+        raise GeometryError(f"edge {c.edge_child} does not straddle S({c.level})")
+    return sweep, row
+
+
 def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> list[LevelCrossing]:
-    """All crossings at S(r_prime) whose trajectory passes through c."""
-    if r_prime < c.level:
-        raise GeometryError("descendant level below crossing level")
-    radii = tree.lists.radii
-    out = []
-    stack = [c.edge_child]
-    while stack:
-        w = stack.pop()
-        if radii[w] > r_prime:
-            out.append(w)
-        else:
-            stack.extend(tree.children_of(w).tolist())
-    out.sort()
-    return [LevelCrossing(w, r_prime) for w in out]
+    """All crossings at S(r_prime) whose trajectory passes through c, by
+    ascending edge child: the sweep's r_prime cut edges in the row of c."""
+    sweep, row = _sweep_row(tree, c, r_prime)
+    return [LevelCrossing(w, r_prime) for w in sweep.cut[sweep.cut_row == row].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +345,10 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
 
 
 def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
-    """Maximal backward deviation sup over levels in [c.level, r_prime].
-
-    Evaluated at the vertices of the descendant subtree in (level, r_prime]
-    plus the crossings at r_prime: along a star-path edge the angular
-    coordinate is monotone for the edge angles an RST produces, so per-edge
-    suprema sit at edge endpoints or the cut. One walk down the subtree
-    carries the CFD from the crossing, added root-first.
-    """
-    if r_prime < c.level:
-        raise GeometryError("mbd requires r_prime >= crossing level")
-    lists = tree.lists
-    radii, theta = lists.radii, lists.theta
-    v = c.edge_child
-    # the CFD at the crossing's own child is the on-edge angle psi
-    psi0 = _psi_at(tree, v, c.level)
-    if radii[v] > r_prime:
-        return abs(_psi_at(tree, v, r_prime) - psi0)
-    best = psi0
-    stack = [(v, psi0)]
-    while stack:
-        w, acc = stack.pop()
-        for x in tree.children_of(w).tolist():
-            if radii[x] > r_prime:
-                best = max(best, acc + abs(theta[x] - _psi_at(tree, x, r_prime)))
-            else:
-                best = max(best, acc + theta[x])
-                stack.append((x, acc + theta[x]))
-    return best
+    """Maximal backward deviation sup over levels in [c.level, r_prime]: the
+    row of c in the tree's sweep (see deviation_sweep)."""
+    sweep, row = _sweep_row(tree, c, r_prime)
+    return float(sweep.mbd[row])
 
 
 @dataclass(eq=False)
@@ -388,6 +360,8 @@ class LevelSweep:
     children: np.ndarray      # child index of each straddling edge, ascending
     cross_dirs: np.ndarray    # (m, d+1) crossing directions
     mbd: np.ndarray           # per-crossing MBD over [r0, r1]
+    cut: np.ndarray           # child index of each edge straddling S(r1), ascending
+    cut_row: np.ndarray       # row of each cut edge's r0 crossing
 
 
 def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
@@ -395,7 +369,9 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
 
     cum[i] holds the CFD from the r0 crossing to vertex i for every node in
     the descendant forest, carried down the tree's depth layers; per-crossing
-    maxima over vertex terms and r1-cut terms realize the supremum.
+    maxima over vertex terms and r1-cut terms realize the supremum: along a
+    star-path edge the angular coordinate is monotone for the edge angles an
+    RST produces, so per-edge suprema sit at edge endpoints or the cut.
     """
     if not 0 < r0 <= r1:
         raise GeometryError("need 0 < r0 <= r1")
@@ -421,15 +397,18 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     # r1-cut terms on edges spanning past r1; an edge that also crosses S(r0)
     # is its own crossing
     cut = _straddling(tree, r1)
+    cut_row = crossid[cut]
     _, psi1 = _crossing_psi(tree, cut, r1)
     cfd1 = np.where(
         rp[cut] <= r0,
-        np.abs(psi1 - psi0[crossid[cut]]),
+        np.abs(psi1 - psi0[cut_row]),
         cum[parent[cut]] + np.abs(theta[cut] - psi1),
     )
-    np.maximum.at(mbd_arr, crossid[cut], cfd1)
+    np.maximum.at(mbd_arr, cut_row, cfd1)
 
-    return LevelSweep(r0=r0, r1=r1, children=children, cross_dirs=cross_dirs, mbd=mbd_arr)
+    return LevelSweep(
+        r0=r0, r1=r1, children=children, cross_dirs=cross_dirs, mbd=mbd_arr, cut=cut, cut_row=cut_row
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing PASS/FAIL.
 
 Criteria run at their stated scales and tolerances, so this module is the
-slow part of the suite (tens of minutes in total). Replica trees are shared
+slow part of the suite (about half a minute on a 2-core machine). Replica trees are shared
 through `experiments.tree_for`'s cache wherever configurations coincide.
 """
 

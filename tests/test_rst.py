@@ -38,6 +38,12 @@ def sample_tree(seed, lam=10.0, R=3.5, d=1):
     return rst.build(cloud)
 
 
+# the clouds of the MBD checks, one per dimension: sample_tree(10, lam, R, d)
+MBD_CLOUDS = pytest.mark.parametrize(
+    "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
+)
+
+
 def scan_parents(cloud):
     """Parents and parent distances from the block scan oracle."""
     pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
@@ -292,19 +298,24 @@ class TestAncestors:
             direct = rst.ancestor_at_level(tree, c, 1.1)
             assert (via.edge_child, via.level) == (direct.edge_child, direct.level)
 
-    def test_fiber_property(self):
-        tree = sample_tree(7)
-        r, rp = 1.4, 2.6
-        crossings_r = rst.level_crossings(tree, r)
-        crossings_rp = rst.level_crossings(tree, rp)
-        for c in crossings_r:
-            desc = {d.edge_child for d in rst.descendants_at_level(tree, c, rp)}
-            fiber = {
-                cp.edge_child
-                for cp in crossings_rp
-                if rst.ancestor_at_level(tree, cp, r).edge_child == c.edge_child
-            }
-            assert desc == fiber
+    @MBD_CLOUDS
+    def test_fiber_property(self, d, lam, R):
+        # the sweep's descendants of c are the crossings whose ancestor walk
+        # ends on c, ascending, at r' = r and past the largest radius too
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        top = float(tree.radii.max())
+        for r, rp in ((1.4, R - 0.9), (1.0, R - 0.3), (1.4, 1.4), (R - 0.9, top + 0.1)):
+            fibers = {}
+            for cp in rst.level_crossings(tree, rp):
+                fibers.setdefault(rst.ancestor_at_level(tree, cp, r).edge_child, []).append(cp.edge_child)
+            crossings_r = rst.level_crossings(tree, r)
+            assert crossings_r and set(fibers) <= {c.edge_child for c in crossings_r}
+            for c in crossings_r:
+                desc = rst.descendants_at_level(tree, c, rp)
+                assert [x.edge_child for x in desc] == fibers.get(c.edge_child, [])
+                assert all(x.level == rp for x in desc)
+            if rp > top:
+                assert not fibers
 
     def test_descendants_same_level(self):
         tree = sample_tree(7)
@@ -326,12 +337,13 @@ class TestAncestors:
 
 
 def _subtree_nodes(tree, v0):
+    nodes, start = tree.children
     stack = [v0]
     seen = []
     while stack:
         w = stack.pop()
         seen.append(w)
-        stack.extend(int(x) for x in tree.children_of(w))
+        stack.extend(nodes[start[w] : start[w + 1]].tolist())
     return seen
 
 
@@ -419,15 +431,15 @@ class TestCfd:
 
 
 class TestMbd:
-    @pytest.mark.parametrize(
-        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
-    )
+    @MBD_CLOUDS
     def test_matches_sweep(self, d, lam, R):
         tree = sample_tree(10, lam=lam, R=R, d=d)
         r0, r1 = 1.5, R - 0.5
-        sweep = rst.deviation_sweep(tree, r0, r1)
-        for k, c in enumerate(rst.level_crossings(tree, r0)):
-            assert rst.mbd(tree, c, r1) == pytest.approx(float(sweep.mbd[k]), abs=1e-12)
+        want = reference_sweep(tree, r0, r1)[4]
+        crossings = rst.level_crossings(tree, r0)
+        assert len(crossings) == want.size
+        for k, c in enumerate(crossings):
+            assert rst.mbd(tree, c, r1) == float(want[k])
 
     def test_single_through_edge(self):
         # no subtree vertices in (r, r']: mbd equals the cfd of the r' crossing
@@ -461,6 +473,27 @@ class TestMbd:
             best = dense_grid_mbd(tree, c, r1, levels=1000)
             assert got == pytest.approx(best, abs=1e-9)
 
+    def test_non_rows_raise(self):
+        # mbd and descendants_at_level read rows of level_geometry(tree, c.level):
+        # a child-vertex pair and an edge that misses S(level) are not rows, yet
+        # cfd and ancestor_at_level still walk them, as dense_grid_mbd needs
+        tree = sample_tree(12, lam=8.0, R=3.0)
+        r0, r1 = 1.2, 2.6
+        radii = tree.radii
+        lo, hi = np.searchsorted(radii, [r0, r1], side="right")
+        vertices = [rst.LevelCrossing(v, radii[v]) for v in range(lo, hi, 7)]
+        above = int(np.nonzero(tree.parent_radii > 2.0)[0][0])
+        misses = [rst.LevelCrossing(0, 2.0), rst.LevelCrossing(above, 2.0)]
+        assert radii[0] < 2.0 and len(vertices) > 10
+        for c in vertices + misses:
+            with pytest.raises(GeometryError):
+                rst.mbd(tree, c, r1)
+            with pytest.raises(GeometryError):
+                rst.descendants_at_level(tree, c, r1)
+        for c in vertices:
+            value = rst.cfd(tree, r0, c)
+            assert 0.0 <= value <= rst.mbd(tree, rst.ancestor_at_level(tree, c, r0), r1) + 1e-12
+
     def test_descendant_apertures_shrink(self):
         # empirical max MBD to the window edge decreases with the base level
         tree = sample_tree(14, lam=20.0, R=4.0)
@@ -476,7 +509,7 @@ class TestMbd:
             got = tree.sweep(r0, r1)
             want = rst.deviation_sweep(tree, r0, r1)
             assert (got.r0, got.r1) == (r0, r1)
-            for name in ("children", "cross_dirs", "mbd"):
+            for name in ("children", "cross_dirs", "mbd", "cut", "cut_row"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
@@ -553,7 +586,7 @@ def reference_sweep(tree, r0, r1):
         if np.any(other):
             cfd1[other] = cum[parent[cut[other]]] + np.abs(th[other] - psi1[other])
         np.maximum.at(mbd, crossid[cut], cfd1)
-    return children, t0, psi0, cross_dirs, mbd
+    return children, t0, psi0, cross_dirs, mbd, cut, crossid[cut]
 
 
 def chain_tree():
@@ -564,9 +597,7 @@ def chain_tree():
 class TestSweepOracle:
     """deviation_sweep carries CFDs layer by layer; the per-node loop agrees bit for bit."""
 
-    @pytest.mark.parametrize(
-        "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
-    )
+    @MBD_CLOUDS
     def test_matches_per_node_loop(self, d, lam, R):
         tree = sample_tree(10, lam=lam, R=R, d=d)
         levels = [(1.5, R - 0.5), (1.0, 1.0), (1.2, R + 1.0), (0.05, 2.0), (2.0, 2.3), (R - 0.3, R)]
@@ -586,13 +617,14 @@ class TestSweepOracle:
         for r0, r1 in levels:
             sweep = rst.deviation_sweep(tree, r0, r1)
             _, t0, psi0, _ = rst.level_geometry(tree, r0)
-            got = (sweep.children, t0, psi0, sweep.cross_dirs, sweep.mbd)
-            for a, b in zip(got, reference_sweep(tree, r0, r1)):
+            got = (sweep.children, t0, psi0, sweep.cross_dirs, sweep.mbd, sweep.cut, sweep.cut_row)
+            want = reference_sweep(tree, r0, r1)
+            for a, b in zip(got, want, strict=True):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.tobytes() == b.tobytes()
-            # the scalar walk, a separate DFS, agrees with the sweep
+            # rst.mbd, a row of the tree's sweep, against the per-node loop
             for k, c in enumerate(rst.level_crossings(tree, r0)):
-                assert abs(rst.mbd(tree, c, r1) - float(sweep.mbd[k])) <= 1e-12
+                assert rst.mbd(tree, c, r1) == float(want[4][k])
 
 
 class TestLayers:
