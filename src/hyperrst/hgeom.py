@@ -285,15 +285,6 @@ def star_psi_arrays(r1, r2, theta, t):
     return np.arccos(np.clip(a, -1.0, 1.0))
 
 
-def star_psi(r1: float, r2: float, theta: float, t: float) -> float:
-    """star_psi_arrays for one point, in math: same formula, clamp and sinh(rho) > 0 guard."""
-    sr = math.sinh((1.0 - t) * r1 + t * r2)
-    if not sr > 0:
-        return 0.0
-    a = ((1.0 - t) * math.sinh(r1) + t * math.cos(theta) * math.sinh(r2)) / sr
-    return math.acos(min(max(a, -1.0), 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class StarPath:
     """The edge curve [z1, z2]*: radius affine in t, direction slerped through phi.

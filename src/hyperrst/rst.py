@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -24,12 +25,22 @@ from .search import ROOT
 
 
 class TreeLists(NamedTuple):
-    """Per-node tree columns as Python lists, for the scalar level API."""
+    """Per-node tree columns as Python lists, for the scalar level API.
+
+    Besides the tree's own columns it holds the libm terms of the star-path
+    angle psi (see hgeom.star_psi_arrays) that do not depend on the level:
+    sinh of the radii and of the parent radii, and cos of the edge angles.
+    They come from math.sinh and math.cos, the calls a one-point psi makes,
+    not from numpy, whose vectorized sinh can differ in the last bit.
+    """
 
     parent: list
     radii: list
     parent_radii: list
     theta: list
+    sinh_radii: list
+    sinh_parent_radii: list
+    cos_theta: list
 
 
 class ChildTable(NamedTuple):
@@ -46,6 +57,8 @@ class RadialTree:
     cloud: PointCloud
     parent: np.ndarray
     parent_dist: np.ndarray
+    # (r, {edge child: psi at r}) of the last level cfd walked down to
+    _ancestor_psi: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         # the cached properties below are derived from these arrays: an
@@ -92,11 +105,14 @@ class RadialTree:
 
     @functools.cached_property
     def lists(self) -> TreeLists:
-        """parent, radii, parent radii and edge thetas as lists: per-node reads
-        of Python floats cost a fraction of 0-d numpy indexing."""
-        return TreeLists(
-            self.parent.tolist(), self.radii.tolist(), self.parent_radii.tolist(), self.edge_thetas.tolist()
-        )
+        """The columns of TreeLists: per-node reads of Python floats cost a
+        fraction of 0-d numpy indexing. The parent columns hold the parent's
+        own float objects, so they cost a pointer a node, not a new float."""
+        parent, radii, theta = self.parent.tolist(), self.radii.tolist(), self.edge_thetas.tolist()
+        sinh_radii = list(map(math.sinh, radii))
+        parent_radii = [radii[p] if p >= 0 else 0.0 for p in parent]
+        sinh_parent_radii = [sinh_radii[p] if p >= 0 else 0.0 for p in parent]
+        return TreeLists(parent, radii, parent_radii, theta, sinh_radii, sinh_parent_radii, list(map(math.cos, theta)))
 
     @functools.cached_property
     def layers(self) -> list:
@@ -259,7 +275,8 @@ def level_crossings(tree: RadialTree, r: float) -> list[LevelCrossing]:
     """One crossing per edge straddling S(r), multiplicity given by edges."""
     if not r > 0:
         raise GeometryError("level radius must be > 0")
-    return [LevelCrossing(c, r) for c in _straddling(tree, r).tolist()]
+    # tuple.__new__ skips the Python frame of the namedtuple's own __new__
+    return list(map(tuple.__new__, repeat(LevelCrossing), zip(_straddling(tree, r).tolist(), repeat(r))))
 
 
 def trajectory(tree: RadialTree, i: int) -> list[int]:
@@ -309,14 +326,24 @@ def descendants_at_level(tree: RadialTree, c: LevelCrossing, r_prime: float) -> 
 # angular deviations
 
 
-def _psi_at(tree: RadialTree, child: int, r: float) -> float:
-    """Angle from the child direction of the star-path point at radius r."""
-    lists = tree.lists
-    theta = lists.theta[child]
-    if theta < 1e-14:
+def _psi_at(lists: TreeLists, v: int, r: float) -> float:
+    """Angle from the child direction of the star-path point at radius r on
+    the edge of v: hgeom.star_psi_arrays in math, with the same float
+    operations in the same order, its level-free sinh and cos read from the
+    lists."""
+    if lists.theta[v] < 1e-14:
         return 0.0
-    rc, rp = lists.radii[child], lists.parent_radii[child]
-    return hgeom.star_psi(rc, rp, theta, (r - rc) / (rp - rc))
+    rc, rp = lists.radii[v], lists.parent_radii[v]
+    t = (r - rc) / (rp - rc)
+    s = 1.0 - t
+    sr = math.sinh(s * rc + t * rp)
+    if not sr > 0:
+        return 0.0
+    a = (s * lists.sinh_radii[v] + t * lists.cos_theta[v] * lists.sinh_parent_radii[v]) / sr
+    # acos(1) is 0 and the clamp keeps a NaN a NaN, as min(max(a, -1), 1) does
+    if a > 1.0:
+        return 0.0
+    return math.acos(-1.0 if a < -1.0 else a)
 
 
 def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
@@ -326,6 +353,10 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
     of the partial angle to the edge's parent endpoint, the full edge angles
     along the trajectory, and the partial angle on the ancestor's edge, in
     one walk up the trajectory.
+
+    Many crossings share an ancestor at r, so the tree keeps the ancestor
+    edges' angles at the last r only: one level's worth of memory, replaced
+    when r changes.
     """
     if r > c.level:
         raise GeometryError("cfd requires r <= crossing level")
@@ -333,15 +364,24 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
         raise GeometryError("ancestor level must be > 0")
     lists = tree.lists
     parent, parent_radii, theta = lists.parent, lists.parent_radii, lists.theta
+    level, memo = tree._ancestor_psi
+    if level != r:
+        memo = {}
+        tree._ancestor_psi = (r, memo)
     v = c.edge_child
-    if parent_radii[v] <= r:
-        return abs(_psi_at(tree, v, c.level) - _psi_at(tree, v, r))
-    total = abs(theta[v] - _psi_at(tree, v, c.level))
-    v = parent[v]
-    while parent_radii[v] > r:
-        total += theta[v]
+    on_edge = parent_radii[v] <= r
+    if on_edge:
+        total = _psi_at(lists, v, c.level)
+    else:
+        total = abs(theta[v] - _psi_at(lists, v, c.level))
         v = parent[v]
-    return total + _psi_at(tree, v, r)
+        while parent_radii[v] > r:
+            total += theta[v]
+            v = parent[v]
+    psi = memo.get(v)
+    if psi is None:
+        psi = memo[v] = _psi_at(lists, v, r)
+    return abs(total - psi) if on_edge else total + psi
 
 
 def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:

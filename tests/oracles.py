@@ -198,6 +198,39 @@ def bplus_chain(d: int, r: float, rho: float, u01: np.ndarray, cos0: np.ndarray)
     return hgeom.stable_arccosh1p(t2 - 1.0) < r
 
 
+def star_psi(r1: float, r2: float, theta: float, t: float) -> float:
+    """star_psi_arrays for one point, in math: same formula, clamp and sinh(rho) > 0 guard."""
+    sr = math.sinh((1.0 - t) * r1 + t * r2)
+    if not sr > 0:
+        return 0.0
+    a = ((1.0 - t) * math.sinh(r1) + t * math.cos(theta) * math.sinh(r2)) / sr
+    return math.acos(min(max(a, -1.0), 1.0))
+
+
+def cfd_reference(tree, r: float, c) -> float:
+    """`rst.cfd` as one walk up the trajectory on the tree's arrays, with
+    every angle psi from star_psi: no lists, no libm columns and no memo of
+    ancestor angles."""
+    parent, radii, parent_radii, theta = tree.parent, tree.radii, tree.parent_radii, tree.edge_thetas
+
+    def psi(v, level):
+        th = float(theta[v])
+        if th < 1e-14:
+            return 0.0
+        rc, rp = float(radii[v]), float(parent_radii[v])
+        return star_psi(rc, rp, th, (level - rc) / (rp - rc))
+
+    v = c.edge_child
+    if parent_radii[v] <= r:
+        return abs(psi(v, c.level) - psi(v, r))
+    total = abs(float(theta[v]) - psi(v, c.level))
+    v = int(parent[v])
+    while parent_radii[v] > r:
+        total += float(theta[v])
+        v = int(parent[v])
+    return total + psi(v, r)
+
+
 def planarity_reference(tree) -> int:
     """`rst.planarity_check` as a blocked all-pairs count: every pair of edges
     that shares no vertex takes the orient sign test on its Klein chords, and

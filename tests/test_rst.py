@@ -1,5 +1,6 @@
 """Tree construction oracles, level machinery, CFD/MBD, validation, planarity."""
 
+import bisect
 import hashlib
 import json
 import math
@@ -14,10 +15,12 @@ from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
 from oracles import (
     brute_force_parents,
+    cfd_reference,
     nearest_lower_brute,
     nearest_lower_scan,
     planarity_pairs_reference,
     planarity_reference,
+    star_psi,
     validate_reference,
 )
 
@@ -361,16 +364,17 @@ def dense_grid_mbd(tree, c, r1, levels=1000):
     """
     r0 = c.level
     nodes = _subtree_nodes(tree, c.edge_child)
-    rc = tree.radii[nodes]
-    rp = tree.parent_radii[nodes]
-    grid = set(np.linspace(r0, r1, levels))
-    grid.update(float(r) for r in rc if r0 < r <= r1)
+    rc = tree.radii[nodes].tolist()
+    rp = tree.parent_radii[nodes].tolist()
+    grid = set(np.linspace(r0, r1, levels).tolist())
+    grid.update(r for r in rc if r0 < r <= r1)
     grid.add(float(r1))
+    grid = sorted(grid)
     best = 0.0
-    for r in sorted(grid):
-        for w, rcw, rpw in zip(nodes, rc, rp):
-            if rpw < r <= rcw and r > r0:
-                best = max(best, rst.cfd(tree, r0, rst.LevelCrossing(int(w), float(r))))
+    for w, rcw, rpw in zip(nodes, rc, rp):
+        # the grid levels r on the edge of w below c: max(rpw, r0) < r <= rcw
+        for r in grid[bisect.bisect_right(grid, max(rpw, r0)) : bisect.bisect_right(grid, rcw)]:
+            best = max(best, rst.cfd(tree, r0, rst.LevelCrossing(w, r)))
     return best
 
 
@@ -661,7 +665,7 @@ class TestScalarPath:
         t = rng.uniform(0.0, 1.0, n)
         want = hgeom.star_psi_arrays(r1, r2, theta, t)
         for k, args in enumerate(zip(r1.tolist(), r2.tolist(), theta.tolist(), t.tolist())):
-            assert abs(hgeom.star_psi(*args) - want[k]) <= 1e-12
+            assert abs(star_psi(*args) - want[k]) <= 1e-12
         # arccos turns one ulp of an argument near +-1 into ~1e-8, so the
         # edge cases sit where the argument is exact or the clamp cuts it
         edges = [
@@ -675,7 +679,7 @@ class TestScalarPath:
             ((0.1, 8.0, math.pi - 1e-3, 0.5), math.pi),  # clamped at -1
         ]
         for args, exact in edges:
-            got = hgeom.star_psi(*args)
+            got = star_psi(*args)
             assert abs(got - float(hgeom.star_psi_arrays(*args))) <= 1e-12
             if exact is not None:
                 assert got == exact
@@ -702,10 +706,44 @@ class TestScalarPath:
         ]
         assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == digest
 
+    @MBD_CLOUDS
+    def test_cfd_matches_reference_bitwise(self, d, lam, R):
+        # the libm columns and the memo of ancestor angles change no bit: every
+        # crossing of a few levels and every 13th child-vertex crossing (as
+        # dense_grid_mbd feeds them), down to each lower level, its own, and
+        # a level below every point, whose ancestors are root edges; with r
+        # fixed over a run of calls and with r changing at every call
+        tree = sample_tree(10, lam=lam, R=R, d=d)
+        lists = tree.lists
+        levels = np.linspace(0.3, R, 7).tolist()
+        bottom = lists.radii[0] / 2.0
+        vertices = [rst.LevelCrossing(w, lists.radii[w]) for w in range(0, len(tree), 13)]
+        pairs = [
+            (r, c)
+            for k, level in enumerate(levels)
+            for c in rst.level_crossings(tree, level) + vertices[k::len(levels)]
+            for r in (bottom, *levels[:k], c.level)
+            if r <= c.level
+        ]
+        want = np.array([cfd_reference(tree, r, c) for r, c in pairs])
+        interleaved = np.array([rst.cfd(tree, r, c) for r, c in pairs])
+        by_level = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
+        grouped = np.empty(len(pairs))
+        grouped[by_level] = [rst.cfd(tree, *pairs[i]) for i in by_level]
+        assert interleaved.tobytes() == want.tobytes()
+        assert grouped.tobytes() == want.tobytes()
+        # every case came up: a pair on one edge, a root edge, r at the level
+        same_edge = [lists.parent_radii[c.edge_child] <= r < c.level for r, c in pairs]
+        assert any(same_edge)
+        assert any(lists.parent[c.edge_child] == ROOT and r < c.level for r, c in pairs)
+        assert any(r == c.level for r, c in pairs)
+        assert not all(same_edge)
+
     def test_scalar_results_are_python_floats(self):
         # np.float64 subclasses float, so isinstance would let 0-d numpy back in
         tree = sample_tree(10)
         for c in rst.level_crossings(tree, 2.0):
+            assert type(c) is rst.LevelCrossing and c == rst.LevelCrossing(*c)
             assert type(rst.cfd(tree, 1.2, c)) is float
             assert type(rst.mbd(tree, c, 3.0)) is float
             assert type(c.edge_child) is int and type(c.level) is float
