@@ -12,8 +12,8 @@ calls each) and counts what they do over one further call:
 - `sweep_kernels`: the straightness, mbd_moment, annulus and confinement
   kernels of the replica, which share one tree as under `analyze`; each
   call hands them a fresh view of the built tree, so that no derived column
-  or sweep is kept from an earlier call. It counts the
-  `rst.deviation_sweep` calls they make, all and distinct.
+  or sweep is kept from an earlier call. It counts the sweeps they compute:
+  the entries of the view's memo of `rst.deviation_sweep`.
 
 Comparing two checkouts alternates their children, so that a slow spell of
 the machine is shared; the record keeps every round, the best time over
@@ -88,29 +88,21 @@ def measure(name: str) -> dict:
         return {"stage_s_best": best_of(lambda: rst.planarity_check(tree)), "n": len(tree),
                 "crossings": crossings, **seen}
     # the kernels read their tree through tree_for
-    tree_for, deviation_sweep = experiments.tree_for, rst.deviation_sweep
-    calls = []
-
-    def counting_sweep(t, r0, r1):
-        calls.append((r0, r1))
-        return deviation_sweep(t, r0, r1)
+    tree_for = experiments.tree_for
 
     def kernels():
         view = rst.RadialTree(tree.cloud, tree.parent, tree.parent_dist)
         experiments.tree_for = lambda base, rep: view
         for kernel in KERNELS:
             experiments.EXPERIMENTS[kernel][0](cfg, 0)
+        return view
 
     try:
-        rst.deviation_sweep = counting_sweep
-        try:
-            kernels()
-        finally:
-            rst.deviation_sweep = deviation_sweep
+        sweeps = len(kernels()._sweeps)
         best = best_of(kernels)
     finally:
         experiments.tree_for = tree_for
-    return {"stage_s_best": best, "sweeps": len(calls), "distinct_sweeps": len(set(calls))}
+    return {"stage_s_best": best, "sweeps": sweeps}
 
 
 def main(argv=None) -> int:

@@ -61,18 +61,12 @@ def measure(name: str) -> dict:
     seen = {"band_visits": 0, "ranges": 0, "pairs": 0}
     band_ranges = rst._band_ranges
 
-    def count(k, lo, hi):
-        seen["ranges"] += k.size
-        seen["pairs"] += int((hi - lo).sum())
-        return k, lo, hi
-
     def counting(index, u, chord):
         seen["band_visits"] += u.shape[0]
-        ranges = band_ranges(index, u, chord)
-        # older checkouts return one (query, lo, hi), newer ones yield groups
-        if isinstance(ranges, tuple):
-            return count(*ranges)
-        return (count(*group) for group in ranges)
+        for k, lo, hi in band_ranges(index, u, chord):
+            seen["ranges"] += k.size
+            seen["pairs"] += int((hi - lo).sum())
+            yield k, lo, hi
 
     rst._band_ranges = counting
     try:

@@ -85,17 +85,13 @@ class HalfCloud:
 
 
 def _as_cloud(points) -> HalfCloud:
-    """Accept a HalfCloud, a list of HalfPoint or an (x, y) array pair; the
-    last two are wrapped in a fresh HalfCloud, which checks them."""
+    """Accept a HalfCloud or an (x, y) array pair; the pair is wrapped in a
+    fresh HalfCloud, which checks it."""
     if isinstance(points, HalfCloud):
         return points
     if isinstance(points, tuple) and len(points) == 2:
         return HalfCloud(*points)
-    x = np.array([p.x for p in points], dtype=float)
-    y = np.array([p.y for p in points], dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    return HalfCloud(x, y)
+    raise GeometryError("points must be a HalfCloud or an (x, y) pair of arrays")
 
 
 @dataclass(eq=False)
@@ -169,8 +165,8 @@ def build_rst_h(points, h: float) -> HalfForest:
     """Radial tree with origin O(h): parent = nearest among points strictly
     closer to O(h), with O(h) itself competing (parent ROOT). A HalfCloud
     shares its chart index with every other build on it."""
-    if h < 0:
-        raise GeometryError("h must be >= 0")
+    if not 0 <= h < math.inf:
+        raise GeometryError("h must be finite and >= 0")
     cloud = _as_cloud(points)
     if len(cloud) == 0:
         raise GeometryError("empty point list")
@@ -204,7 +200,7 @@ class RegionSpec:
             raise GeometryError(f"unknown region kind {self.kind!r}")
         if not self.A > 0:
             raise GeometryError("A must be > 0")
-        if self.a < 0 or self.h < 0:
+        if not (self.a >= 0 and self.h >= 0):
             raise GeometryError("a and h must be >= 0")
 
 

@@ -216,7 +216,7 @@ def _rep_straightness(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     rp = r_prime(cfg)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = tree.sweep(r0, rp)
+        sweep = rst.deviation_sweep(tree, r0, rp)
         out.append(float(sweep.mbd.max()) if sweep.mbd.size else 0.0)
     return np.array(out)
 
@@ -231,7 +231,7 @@ def _rep_mbd_moment(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = tree.sweep(r0, rp)
+        sweep = rst.deviation_sweep(tree, r0, rp)
         out.append(_ball_sums(sweep, probes, cfg.A * math.exp(-r0), cfg.p))
     return np.array(out)
 
@@ -246,7 +246,7 @@ def _rep_annulus(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for r0 in cfg.r0_grid:
-        sweep = tree.sweep(r0, r0 + cfg.delta)
+        sweep = rst.deviation_sweep(tree, r0, r0 + cfg.delta)
         out.append(_ball_sums(sweep, probes, cfg.theta, cfg.p))
     return np.array(out)
 
@@ -556,7 +556,7 @@ def _rep_confinement(cfg: ExperimentConfig, replica: int) -> np.ndarray:
     tree = tree_for(cfg.base, replica)
     h = float(np.median(cfg.r0_grid))
     rp = r_prime(cfg)
-    sweep = tree.sweep(h, rp)
+    sweep = rst.deviation_sweep(tree, h, rp)
     probes = probe_directions(cfg.base.d, N_PROBES, cfg.base.seed)
     out = []
     for scale in CONFINEMENT_SCALES:

@@ -62,8 +62,8 @@ class PolarPoint:
     u: Direction
 
     def __post_init__(self):
-        if self.r < 0:
-            raise GeometryError(f"radius {self.r} < 0")
+        if not self.r >= 0:
+            raise GeometryError(f"radius {self.r} must be >= 0")
 
 
 def polar(r: float, components) -> PolarPoint:
@@ -109,7 +109,7 @@ class Cone:
     aperture: float
 
     def __post_init__(self):
-        if self.aperture < 0:
+        if not self.aperture >= 0:
             raise GeometryError("aperture must be >= 0")
 
     def contains(self, z: PolarPoint) -> bool:
@@ -455,7 +455,7 @@ def ball_volume(d: int, r: float) -> float:
     """
     if d < 1:
         raise GeometryError("dimension d must be >= 1")
-    if r < 0:
+    if not r >= 0:
         raise GeometryError("radius must be >= 0")
     if r == 0.0:
         return 0.0
@@ -475,6 +475,8 @@ def sphere_cap(d: int, theta: float) -> float:
     scipy's quad(limit=200), as in `ball_volume`: one 21-point
     Gauss-Kronrod pass where QUADPACK accepts it, quad itself otherwise.
     """
+    if math.isnan(theta):
+        raise GeometryError("theta must not be NaN")
     theta = min(max(theta, 0.0), math.pi)
     if d == 1:
         return 2.0 * theta
@@ -492,7 +494,7 @@ def cone_shell_volume(d: int, theta: float, r_lo: float, r_hi: float) -> float:
 
 def bplus_region_test(z: PolarPoint, rho: float, q: PolarPoint) -> bool:
     """Membership in B+(z, rho) = B(z, rho) intersect B(0, d(0,z))."""
-    if rho < 0:
+    if not rho >= 0:
         raise GeometryError("rho must be >= 0")
     return q.r < z.r and dist_polar(z, q) <= rho
 

@@ -41,7 +41,6 @@ class GeodesicArc:
     line: bool
     center: tuple | None = None
     radius: float | None = None
-    midpoint: tuple | None = None
 
 
 def geodesic_arc(b1: np.ndarray, b2: np.ndarray) -> GeodesicArc:
@@ -61,12 +60,7 @@ def geodesic_arc(b1: np.ndarray, b2: np.ndarray) -> GeodesicArc:
     cy = (rhs2 * b1[0] - rhs1 * b2[0]) / det
     c = np.array([cx, cy])
     radius = math.sqrt(float(c @ c) - 1.0)
-    mid = 0.5 * (b1 + b2)
-    v = mid - c
-    midpoint = c + radius * v / np.linalg.norm(v)
-    return GeodesicArc(
-        p1=tuple(b1), p2=tuple(b2), line=False, center=(cx, cy), radius=radius, midpoint=tuple(midpoint)
-    )
+    return GeodesicArc(p1=tuple(b1), p2=tuple(b2), line=False, center=(cx, cy), radius=radius)
 
 
 def _svg_coords(p) -> tuple:

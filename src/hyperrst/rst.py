@@ -59,6 +59,8 @@ class RadialTree:
     parent_dist: np.ndarray
     # (r, {edge child: psi at r}) of the last level cfd walked down to
     _ancestor_psi: tuple = field(default=(None, None), init=False, repr=False)
+    # {(r0, r1): LevelSweep} of deviation_sweep
+    _sweeps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # the cached properties below are derived from these arrays: an
@@ -125,21 +127,6 @@ class RadialTree:
             layers.append(layer)
             layer = np.sort(nodes[search.concat_ranges(start[layer], start[layer + 1])])
         return layers
-
-    @functools.cached_property
-    def _sweeps(self) -> dict:
-        return {}
-
-    def sweep(self, r0: float, r1: float) -> LevelSweep:
-        """deviation_sweep(self, r0, r1), computed once per (r0, r1) and kept
-        with read-only arrays, so that kernels sharing a level share its sweep."""
-        key = (float(r0), float(r1))
-        if key not in self._sweeps:
-            found = deviation_sweep(self, r0, r1)
-            for arr in (found.children, found.cross_dirs, found.mbd, found.cut, found.cut_row):
-                arr.setflags(write=False)
-            self._sweeps[key] = found
-        return self._sweeps[key]
 
 
 class LevelCrossing(NamedTuple):
@@ -308,7 +295,7 @@ def ancestor_at_level(tree: RadialTree, c: LevelCrossing, r: float) -> LevelCros
 def _sweep_row(tree: RadialTree, c: LevelCrossing, r_prime: float):
     """The tree's sweep from c.level to r_prime and the row of c in it; a pair
     that is not a row of level_geometry(tree, c.level) raises GeometryError."""
-    sweep = tree.sweep(c.level, r_prime)
+    sweep = deviation_sweep(tree, c.level, r_prime)
     row = int(np.searchsorted(sweep.children, c.edge_child))
     if row == sweep.children.size or sweep.children[row] != c.edge_child:
         raise GeometryError(f"edge {c.edge_child} does not straddle S({c.level})")
@@ -386,7 +373,7 @@ def cfd(tree: RadialTree, r: float, c: LevelCrossing) -> float:
 
 def mbd(tree: RadialTree, c: LevelCrossing, r_prime: float) -> float:
     """Maximal backward deviation sup over levels in [c.level, r_prime]: the
-    row of c in the tree's sweep (see deviation_sweep)."""
+    row of c in deviation_sweep(tree, c.level, r_prime)."""
     sweep, row = _sweep_row(tree, c, r_prime)
     return float(sweep.mbd[row])
 
@@ -412,7 +399,13 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     maxima over vertex terms and r1-cut terms realize the supremum: along a
     star-path edge the angular coordinate is monotone for the edge angles an
     RST produces, so per-edge suprema sit at edge endpoints or the cut.
+
+    The tree keeps each sweep, computed once per (r0, r1) with read-only
+    arrays, so that kernels sharing a level share its sweep.
     """
+    key = (float(r0), float(r1))
+    if key in tree._sweeps:
+        return tree._sweeps[key]
     if not 0 < r0 <= r1:
         raise GeometryError("need 0 < r0 <= r1")
     radii, parent = tree.radii, tree.parent
@@ -446,9 +439,12 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     )
     np.maximum.at(mbd_arr, cut_row, cfd1)
 
-    return LevelSweep(
+    for arr in (children, cross_dirs, mbd_arr, cut, cut_row):
+        arr.setflags(write=False)
+    sweep = tree._sweeps[key] = LevelSweep(
         r0=r0, r1=r1, children=children, cross_dirs=cross_dirs, mbd=mbd_arr, cut=cut, cut_row=cut_row
     )
+    return sweep
 
 
 # ---------------------------------------------------------------------------
@@ -526,31 +522,13 @@ def _band_ranges(index, u: np.ndarray, chord: np.ndarray):
         yield k, lo, hi
 
 
-def _merge_nearest(parent, pdist, qi, j, d):
-    """Per query (grouped in qi) the nearest candidate j, lowest index among
-    equals, taken where it beats the best so far: by distance, then by index,
-    and over the root at equal distance."""
-    n = parent.shape[0]
-    starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
-    best = np.minimum.reduceat(d, starts)
-    tied = d == np.repeat(best, np.diff(np.r_[starts, qi.size]))
-    j = np.minimum.reduceat(np.where(tied, j, n), starts)
-    q = qi[starts]
-    old = parent[q]
-    take = (best < pdist[q]) | ((best == pdist[q]) & ((old == ROOT) | (j < old)))
-    parent[q[take]] = j[take]
-    pdist[q[take]] = best[take]
-
-
 def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
-    """Nearest point of strictly smaller radius to each point i, or the root
-    (-1) at distance r_i, among the points of the closed ball B(z_i, rho_i)
-    for rho_i <= r_i, and maybe a few more.
+    """Distance from each point i to its nearest point of strictly smaller
+    radius, or to the root (r_i) when that is nearer, among the points of
+    the closed ball B(z_i, rho_i) for rho_i <= r_i, and maybe a few more.
 
-    Where the nearest lower point lies in that ball, this is exactly the
-    nearest one, with the builders' tie rule: lowest distance, then lowest
-    index, and a point beats the root at equal distance. Elsewhere the
-    distance returned is no smaller than the nearest one's.
+    Where the nearest lower point lies in that ball, this is exactly its
+    distance; elsewhere the distance returned is no smaller.
 
     Points are split into equal-count radius bands, each about as large as
     the median ball's radial window (the points in [r_i - rho_i, r_i)), and
@@ -561,10 +539,9 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
     largest at cosh r* = cosh r_i / cosh rho, clamped into the band.
     """
     n = radii.shape[0]
-    parent = np.full(n, ROOT, dtype=np.int64)
     pdist = np.array(radii, dtype=float)
     if n == 0:
-        return parent, pdist
+        return pdist
     his = np.searchsorted(radii, radii, side="left")
     reach = rho * (1.0 + _REL) + _REL * radii
     lows = np.searchsorted(radii, radii - reach, side="left")
@@ -601,7 +578,7 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
         index = _direction_index(dirs[a:b])
         for k, lo, hi in _band_ranges(index, dirs[q], chord):
             # at most about _PAIRS candidates at once; a query's ranges may
-            # span two pieces, since each piece is merged into the best so far
+            # span two pieces, since each piece lowers the best so far
             ends = np.cumsum(hi - lo)
             cuts = np.searchsorted(ends, np.arange(_PAIRS, int(ends[-1]), _PAIRS), side="left")
             for c, e in zip([0, *cuts.tolist()], [*cuts.tolist(), k.size]):
@@ -612,8 +589,10 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
                 keep &= j < his[qi]
                 qi, j = qi[keep], j[keep]
                 if qi.size:
-                    _merge_nearest(parent, pdist, qi, j, pair_dist(qi, j))
-    return parent, pdist
+                    starts = np.flatnonzero(np.r_[True, qi[1:] != qi[:-1]])
+                    found = qi[starts]
+                    pdist[found] = np.minimum(pdist[found], np.minimum.reduceat(pair_dist(qi, j), starts))
+    return pdist
 
 
 def validate(tree: RadialTree) -> ValidationReport:
@@ -660,13 +639,14 @@ def validate(tree: RadialTree) -> ValidationReport:
     true_dist[has_parent] = pair_dist(has_parent, parent[has_parent])
     # a polar band scan, not the k-d search that built the tree; a nearer
     # point than the claimed parent (or the root) lies in B(z, min(d, r))
-    check_parent, check_dist = _nearest_lower_in_balls(radii, dirs, pair_dist, np.minimum(true_dist, radii))
+    check_dist = _nearest_lower_in_balls(radii, dirs, pair_dist, np.minimum(true_dist, radii))
     worse = np.nonzero(check_dist < true_dist - 1e-12)[0]
     for i in worse[:20]:
-        violations.append(
-            f"node {i}: point {check_parent[i]} at {check_dist[i]} inside "
-            f"B+(z, {true_dist[i]})"
-        )
+        # the nearer point by the builders' tie rule: lowest distance, then
+        # lowest index, and a point beats the root at equal distance
+        d = pair_dist(i, np.arange(np.searchsorted(radii, radii[i], side="left")))
+        j = int(np.argmin(d)) if d.size and d.min() <= radii[i] else ROOT
+        violations.append(f"node {i}: point {j} at {check_dist[i]} inside B+(z, {true_dist[i]})")
     degrees = np.diff(tree.children.start)
     max_degree = int(degrees.max()) if n else 0
     counts = {"radius": len(bad), "frontier": frontier, "cycle": cycles, "bplus": len(worse)}

@@ -172,11 +172,6 @@ class KeyOrder:
         knn, dist = self.index.table(self._points(rows), wide)
         return self._rows(knn), dist
 
-    def neighbours(self, rows: np.ndarray, wide: bool = False) -> np.ndarray:
-        """The neighbour rows of table(rows, wide) as (len(rows), k): the
-        neighbours of rows[r] in row r, a view of the column-major table."""
-        return self.table(rows, wide)[0].T
-
     def ball(self, centres: np.ndarray, radii: np.ndarray):
         """(counts, rows): the rows in each chart ball, concatenated in ball order."""
         found = self.index.tree.query_ball_point(centres, radii, return_sorted=False)

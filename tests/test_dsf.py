@@ -64,20 +64,24 @@ class TestBuildDsf:
         assert int(np.sum(forest.parent == FRONTIER)) == 1
 
     def test_two_points(self):
-        pts = [HalfPoint(np.array([0.0]), 1.0), HalfPoint(np.array([0.5]), 2.0)]
-        forest = dsf.build_dsf(pts)
+        x, y = np.array([[0.0], [0.5]]), np.array([1.0, 2.0])
+        forest = dsf.build_dsf((x, y))
         parents = forest.parent_in_input_order()
         assert parents[0] == 1
         assert parents[1] == FRONTIER
-        assert dsf.build_dsf(pts[:1]).parent_in_input_order()[0] == FRONTIER
+        assert dsf.build_dsf((x[:1], y[:1])).parent_in_input_order()[0] == FRONTIER
         for h in (0.0, 2.0):
             for k in (1, 2):
-                a = dsf.build_rst_h(pts[:k], h)
-                b = build_rst_h_brute(pts[:k], h)
+                a = dsf.build_rst_h((x[:k], y[:k]), h)
+                b = build_rst_h_brute((x[:k], y[:k]), h)
                 assert np.array_equal(a.parent, b.parent)
                 assert np.array_equal(a.parent_dist, b.parent_dist)
-        with pytest.raises(GeometryError):
-            dsf.build_dsf([])
+        # only a HalfCloud or an (x, y) pair of arrays is a point set
+        for points in ([], [HalfPoint(x[0], 1.0), HalfPoint(x[1], 2.0)], (x, y, y)):
+            with pytest.raises(GeometryError):
+                dsf.build_dsf(points)
+            with pytest.raises(GeometryError):
+                dsf.build_rst_h(points, 2.0)
 
     @pytest.mark.parametrize(
         "x, y",
@@ -279,7 +283,7 @@ class TestSharedIndex:
         for got, want in zip(mapped.cover(rows, rho), fresh.cover(rows, rho)):
             assert got.tobytes() == want.tobytes()
         for wide in (False, True):
-            got, want = mapped.neighbours(rows, wide), fresh.neighbours(rows, wide)
+            got, want = mapped.table(rows, wide)[0].T, fresh.table(rows, wide)[0].T
             assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
         centres, radii = coords[order[rows]], np.full(rows.size, 0.1)
         (got_n, got), (want_n, want) = mapped.ball(centres, radii), fresh.ball(centres, radii)

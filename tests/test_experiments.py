@@ -450,21 +450,14 @@ def test_bplus_cells_count_the_chain():
         assert vol == count / experiments.BPLUS_SAMPLES * hgeom.ball_volume(1, rho), (r, rho)
 
 
-def test_replica_sweeps_once_per_level(monkeypatch):
+def test_replica_sweeps_once_per_level():
     # straightness and mbd_moment share five (r0, R - 0.5) sweeps and
-    # confinement one of them; annulus adds five (r0, r0 + delta)
-    calls = []
-    sweep = rst.deviation_sweep
-
-    def counting(tree, r0, r1):
-        calls.append((r0, r1))
-        return sweep(tree, r0, r1)
-
-    monkeypatch.setattr(rst, "deviation_sweep", counting)
+    # confinement one of them; annulus adds five (r0, r0 + delta): the
+    # tree's memo of deviation_sweep holds the ten computed
     experiments.tree_for.cache_clear()
     cfg = default_config(seed=29, replicas=1)
     experiments.analyze(cfg, ["straightness", "mbd_moment", "annulus", "confinement"])
-    assert len(calls) == len(set(calls)) == 10
+    assert len(experiments.tree_for(cfg.base, 0)._sweeps) == 10
 
 
 def _exit_mass(d, r, rho, cos0):

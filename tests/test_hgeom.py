@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_volume_quad, sphere_cap_quad
 
-from hyperrst import hgeom
+from hyperrst import dsf, hgeom
 from hyperrst.hgeom import (
     BallPoint,
     Cone,
@@ -479,6 +479,43 @@ def test_invalid_inputs():
         HalfPoint(np.zeros(1), 0.0)
     with pytest.raises(GeometryError):
         BallPoint(np.array([1.0, 0.2]))
+
+
+_U = Direction(np.array([1.0, 0.0]))
+_Z = PolarPoint(1.0, _U)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dsf.build_rst_h((np.array([[0.0], [0.5]]), np.array([1.0, 2.0])), math.nan),
+        lambda: dsf.build_rst_h((np.array([[0.0], [0.5]]), np.array([1.0, 2.0])), math.inf),
+        lambda: ball_volume(2, math.nan),
+        lambda: hgeom.sphere_cap(2, math.nan),
+        lambda: hgeom.sphere_cap(1, math.nan),
+        lambda: dsf.RegionSpec("Cyl'", A=1.0, a=math.nan),
+        lambda: dsf.RegionSpec("Cyl'", A=1.0, h=math.nan),
+        lambda: PolarPoint(math.nan, _U),
+        lambda: Cone(_U, math.nan),
+        lambda: bplus_region_test(_Z, math.nan, _Z),
+    ],
+    ids=[
+        "build_rst_h_nan",
+        "build_rst_h_inf",
+        "ball_volume",
+        "sphere_cap_d2",
+        "sphere_cap_d1",
+        "region_a",
+        "region_h",
+        "polar_point",
+        "cone",
+        "bplus_region_test",
+    ],
+)
+def test_nan_rejected(call):
+    # NaN fails every comparison, so a guard written as x < 0 lets it through
+    with pytest.raises(GeometryError):
+        call()
 
 
 class TestRowSumsq:

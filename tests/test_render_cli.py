@@ -33,9 +33,6 @@ class TestArcGeometry:
             c = np.asarray(arc.center)
             # circle orthogonal to the unit circle: |c|^2 = R^2 + 1
             assert float(c @ c) - arc.radius**2 == pytest.approx(1.0, abs=1e-6)
-            m = np.asarray(arc.midpoint)
-            assert np.linalg.norm(m - c) == pytest.approx(arc.radius, abs=1e-9)
-            assert np.linalg.norm(m) < 1.0
 
     def test_collinear_becomes_line(self):
         arc = geodesic_arc(np.array([0.2, 0.0]), np.array([-0.5, 0.0]))

@@ -510,17 +510,29 @@ class TestMbd:
     def test_tree_sweep_is_the_memo_of_deviation_sweep(self):
         tree = sample_tree(14, lam=20.0, R=4.0)
         for r0, r1 in ((1.0, 3.5), (2.5, 2.8), (2.5, 3.5)):
-            got = tree.sweep(r0, r1)
-            want = rst.deviation_sweep(tree, r0, r1)
+            got = rst.deviation_sweep(tree, r0, r1)
             assert (got.r0, got.r1) == (r0, r1)
-            for name in ("children", "cross_dirs", "mbd", "cut", "cut_row"):
-                a, b = getattr(got, name), getattr(want, name)
+            children, _, _, cross_dirs, mbd, cut, cut_row = reference_sweep(tree, r0, r1)
+            want = (children, cross_dirs, mbd, cut, cut_row)
+            for a, b in zip((got.children, got.cross_dirs, got.mbd, got.cut, got.cut_row), want, strict=True):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
             # computed once: the same object on the next call
-            assert tree.sweep(r0, r1) is got
+            assert rst.deviation_sweep(tree, r0, r1) is got
         with pytest.raises(ValueError):
-            tree.sweep(1.0, 3.5).mbd[0] = 0.0
+            rst.deviation_sweep(tree, 1.0, 3.5).mbd[0] = 0.0
+
+    def test_level_api_sequence_sweeps_once(self):
+        # the sweep, then mbd and descendants_at_level on every crossing of
+        # S(r0): all of them read one memo entry
+        tree = sample_tree(29, lam=10.0, R=4.0)
+        r0, r1 = 1.5, 3.5
+        sweep = rst.deviation_sweep(tree, r0, r1)
+        crossings = rst.level_crossings(tree, r0)
+        assert len(crossings) > 10
+        assert [rst.mbd(tree, c, r1) for c in crossings] == sweep.mbd.tolist()
+        assert sum(len(rst.descendants_at_level(tree, c, r1)) for c in crossings) == sweep.cut.size
+        assert list(tree._sweeps) == [(r0, r1)]
 
 
 def reference_sweep(tree, r0, r1):
@@ -751,6 +763,30 @@ class TestScalarPath:
                 assert type(a.edge_child) is int and type(a.level) is float
 
 
+def cloud_at_root_distance(below=()):
+    """A d=1 cloud of the points (radius, angle) of below, all under radius
+    1, then w at radius 1 and z at radius r_z on the axis, with d(z, w)
+    exactly r_z, the root's distance: w's angle is found by bisection, for
+    the first r_z of a grid where one exists."""
+    for rz in np.linspace(1.2, 3.0, 10):
+
+        def make(angle):
+            return make_cloud([r for r, _ in below] + [1.0, rz], [a for _, a in below] + [angle, 0.0])
+
+        def dist(cloud):
+            z = len(cloud) - 1
+            return rst._pair_dist(cloud.radii, cloud.dirs)(np.array([z]), np.array([z - 1]))[0]
+
+        lo, hi = 0.0, math.pi
+        for _ in range(100):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if dist(make(mid)) < rz else (lo, mid)
+        cloud = make(np.nextafter(lo, np.inf))
+        if dist(cloud) == rz:
+            return cloud
+    pytest.fail("no lower point at exactly the root distance")
+
+
 def scrambled(tree, seed, frac=0.05):
     """The tree with a share of its parents moved to random targets: the
     root, a lower or higher point, or the node itself."""
@@ -855,11 +891,10 @@ class TestValidate:
             has = np.flatnonzero(parent >= 0)
             true_dist[has] = pair_dist(has, parent[has])
             rho = np.minimum(true_dist, radii)
-            got_parent, got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, rho)
-            want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
+            got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, rho)
+            _, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
             # exact wherever the nearest lower point is in the ball, never nearer
             inside = want_dist <= rho
-            assert np.array_equal(got_parent[inside], want_parent[inside])
             assert np.array_equal(got_dist[inside], want_dist[inside])
             assert np.all(got_dist >= want_dist)
             report = rst.validate(t)
@@ -900,9 +935,8 @@ class TestValidate:
                 yield k, lo, hi
 
         monkeypatch.setattr(rst, "_band_ranges", counting)
-        got_parent, got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, radii.copy())
-        want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
-        assert np.array_equal(got_parent, want_parent)
+        got_dist = rst._nearest_lower_in_balls(radii, dirs, pair_dist, radii.copy())
+        _, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
         assert np.array_equal(got_dist, want_dist)
         # a group overshoots _PAIRS by less than one query's box of cells
         assert len(sizes) > 4 and max(sizes) < 2 * rst._PAIRS
@@ -947,8 +981,9 @@ class TestValidate:
             # any further points lie above z, with empty balls
             balls = np.zeros(len(cloud))
             balls[1] = rho
-            parent, pdist = rst._nearest_lower_in_balls(cloud.radii, cloud.dirs, pair_dist, balls)
-            assert parent[1] == 0
+            pdist = rst._nearest_lower_in_balls(cloud.radii, cloud.dirs, pair_dist, balls)
+            # w is the only lower point, and nearer than the root
+            assert d < cloud.radii[1]
             assert pdist[1] == d
             found += 1
             if found == 10:
@@ -1059,28 +1094,41 @@ class TestValidate:
     def test_ties_across_bands_and_with_the_root(self):
         # few points, so each is its own radius band: the mirror pair
         # (1, +-0.3) ties for the axis point across two bands
-        clouds = [make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0])]
-        # a lower point at exactly the root distance r_z, by bisecting its angle
-        for rz in np.linspace(1.2, 3.0, 10):
-            lo, hi = 0.0, math.pi
-            for _ in range(100):
-                mid = (lo + hi) / 2.0
-                cloud = make_cloud([1.0, rz], [mid, 0.0])
-                d = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([1]), np.array([0]))[0]
-                lo, hi = (mid, hi) if d < rz else (lo, mid)
-            cloud = make_cloud([1.0, rz], [np.nextafter(lo, np.inf), 0.0])
-            if rst._pair_dist(cloud.radii, cloud.dirs)(np.array([1]), np.array([0]))[0] == rz:
-                clouds.append(cloud)
-                break
-        assert len(clouds) == 2
+        clouds = [make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0]), cloud_at_root_distance()]
         for cloud in clouds:
             radii = cloud.radii
             pair_dist = rst._pair_dist(radii, cloud.dirs)
             want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
             assert want_parent[-1] == 0
-            got_parent, got_dist = rst._nearest_lower_in_balls(radii, cloud.dirs, pair_dist, radii.copy())
-            assert np.array_equal(got_parent, want_parent)
+            got_dist = rst._nearest_lower_in_balls(radii, cloud.dirs, pair_dist, radii.copy())
             assert np.array_equal(got_dist, want_dist)
+
+    def test_message_names_lower_index_among_equidistant(self):
+        # the mirror pair ties for the axis point, which claims the root
+        cloud = make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0])
+        d = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([2, 2]), np.array([0, 1]))
+        assert d[0] == d[1] < 1.5
+        tree = rst.build(cloud)
+        assert tree.parent[2] == 0
+        parent = tree.parent.copy()
+        parent[2] = ROOT
+        edited = rst.RadialTree(cloud, parent, tree.parent_dist)
+        want = [f"node 2: point 0 at {d[0]} inside B+(z, {cloud.radii[2]})"]
+        assert rst.validate(edited).violations == validate_reference(edited)[0] == want
+
+    def test_message_names_point_at_root_distance_over_root(self):
+        # w (index 1) is exactly r_z from z, as the root is; z claims the far
+        # point 0 instead
+        cloud = cloud_at_root_distance(below=[(0.5, math.pi)])
+        rz = cloud.radii[2]
+        tree = rst.build(cloud)
+        assert tree.parent[2] == 1
+        parent = tree.parent.copy()
+        parent[2] = 0
+        edited = rst.RadialTree(cloud, parent, tree.parent_dist)
+        far = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([2]), np.array([0]))[0]
+        want = [f"node 2: point 1 at {rz} inside B+(z, {far})"]
+        assert rst.validate(edited).violations == validate_reference(edited)[0] == want
 
     def test_parent_edited_in_place_after_caching(self):
         tree = sample_tree(15)
