@@ -703,12 +703,10 @@ def _edge_radial_extents(a: np.ndarray, b: np.ndarray):
 _PLANAR_BANDS = 8  # radial bands of planarity_check at most (6 to 16 time alike at n = 14k)
 
 
-def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray, bands: int = _PLANAR_BANDS):
-    """The edge pairs that take `planarity_check`'s orient test, each once:
-    those whose angular intervals and padded radial extents (of the Klein
-    chords [a, b]) overlap, and which share no vertex. Returns
-    (i, j, enumerated), the edge indices and the number of candidate pairs
-    enumerated on the way.
+def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray):
+    """The edge pairs (i, j) that take `planarity_check`'s orient test, each
+    once: those whose angular intervals and padded radial extents (of the
+    Klein chords [a, b]) overlap, and which share no vertex.
 
     Edges go by rank k in the order of their interval starts, on the circle
     doubled so that intervals crossing 2 pi see early starts: edge k finds
@@ -716,17 +714,17 @@ def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray, bands: int = _PL
     in interval k, ranks [lo[k], hi[k]). Two edges overlap in angle when one
     finds the other.
 
-    Edges also go by their padded low extent into about equal-count bands,
-    and a pair is taken in the band that holds the larger of its two lows.
-    Band b holds its own edges and the lower ones whose high extent reaches
-    its smallest low: no other lower edge overlaps one of its own in radius.
-    The doubled ranks of every band's edges, keyed (band, rank) in one
-    sorted integer array, give each edge its ranges with one search per
-    band that holds it. A pair with an own edge of the band is kept there;
-    a pair of two lower edges is taken in its own band instead.
+    Edges also go by their padded low extent into at most _PLANAR_BANDS
+    about equal-count bands, and a pair is taken in the band that holds the
+    larger of its two lows. A band holds its own edges and the lower ones
+    whose high extent reaches its smallest low: no other lower edge overlaps
+    one of its own in radius. Every edge of a band searches the doubled
+    ranks of the band's edges; `search.concat_ranges` expands the candidate
+    pairs, and scripts/bench_suite.py and the tests count them there. A pair
+    with an own edge of the band is kept there; a pair of two lower edges is
+    taken in its own band instead.
     """
     n = len(tree)
-    parent = tree.parent
     start, width = _edge_angular_intervals(tree)
     # ties may go either way: which edges an interval holds goes by value
     order = np.argsort(start)
@@ -736,51 +734,35 @@ def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray, bands: int = _PL
     hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
     # chords that meet do so at a radius inside both radial extents
     low, high = (e[order] for e in _edge_radial_extents(a, b))
-    bands = min(bands, n)
+    bands = min(_PLANAR_BANDS, n)
     firsts = (np.arange(bands) * n + bands - 1) // bands
     floors = np.sort(low)[firsts]  # the smallest low of each band
     band = np.searchsorted(floors, low, side="right") - 1
     top = np.maximum(np.searchsorted(floors, high, side="right") - 1, band)
-    # rank k is an edge of band b for b = band[k] .. top[k]: rows (k, b)
-    reach = top - band + 1
-    k = np.repeat(np.arange(n), reach)
-    row_band = band[k] + np.arange(k.size) - np.repeat(np.cumsum(reach) - reach, reach)
-    # both copies of each row, by band (a stable radix sort of small ints) and
-    # then by doubled rank
-    key_band = np.concatenate([row_band, row_band]).astype(np.int16)
-    by_band = np.argsort(key_band, kind="stable")
-    keys = key_band[by_band] * np.int64(2 * n) + np.concatenate([k, k + n])[by_band]
-    ranks = np.concatenate([k, k])[by_band]
-    # each row searches its band for the doubled ranks [lo, hi); the rows go
-    # by band, as their first copies do, so that the keys nearly ascend
-    rows = by_band[by_band < k.size]
-    q, q_band = k[rows], row_band[rows]
-    base = q_band * np.int64(2 * n)
-    first = np.searchsorted(keys, base + lo[q], side="left")
-    last = np.searchsorted(keys, base + hi[q], side="left")
-    ri = np.repeat(q, last - first)
-    rj = ranks[search.concat_ranges(first, last)]
-    enumerated = ri.size
-    # drop pairs sharing a vertex (adjacent edges meet at endpoints by design),
-    # with parents by rank: two root edges share the origin
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    up = parent[order]
-    up = np.where(up >= 0, rank[np.maximum(up, 0)], up)
-    pair = np.flatnonzero((up[ri] != rj) & (up[rj] != ri) & (up[ri] != up[rj]))
-    ri, rj = ri[pair], rj[pair]
-    near = (low[rj] <= high[ri]) & (low[ri] <= high[rj])
-    ri, rj, pair = ri[near], rj[near], pair[near]
-    # the band each pair was found in: that of its row
-    qb = q_band[np.searchsorted(np.cumsum(last - first), pair, side="right")]
-    # each pair once, in the band of its higher edge: from a lower edge, a pair
-    # with an edge of the band; from an edge of the band, a pair that the
-    # other edge does not find too, or else from the lower rank (an edge
-    # finds itself)
-    back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
-    own = band[rj] == qb
-    keep = np.where(band[ri] == qb, ~back | (own & (ri < rj)), own)
-    return order[ri[keep]], order[rj[keep]], enumerated
+    up = tree.parent[order]  # each rank's parent, as an edge index
+    found = []
+    for bi in range(bands):
+        k = np.flatnonzero((band <= bi) & (bi <= top))
+        doubled = np.concatenate([k, k + n])
+        first = np.searchsorted(doubled, lo[k], side="left")
+        last = np.searchsorted(doubled, hi[k], side="left")
+        ri = np.repeat(k, last - first)
+        rj = np.concatenate([k, k])[search.concat_ranges(first, last)]
+        # drop pairs sharing a vertex (adjacent edges meet at endpoints by
+        # design; two root edges share the origin) and pairs apart in radius
+        near = (up[ri] != order[rj]) & (up[rj] != order[ri]) & (up[ri] != up[rj])
+        near &= (low[rj] <= high[ri]) & (low[ri] <= high[rj])
+        ri, rj = ri[near], rj[near]
+        # each pair once, in the band of its higher edge: from a lower edge, a
+        # pair with an edge of the band; from an edge of the band, a pair that
+        # the other edge does not find too, or else from the lower rank (an
+        # edge finds itself)
+        back = ((lo[rj] <= ri) & (ri < hi[rj])) | ((lo[rj] <= ri + n) & (ri + n < hi[rj]))
+        own = band[rj] == bi
+        keep = np.where(band[ri] == bi, ~back | (own & (ri < rj)), own)
+        found.append((ri[keep], rj[keep]))
+    ri, rj = (np.concatenate(c) for c in zip(*found))
+    return order[ri], order[rj]
 
 
 def _klein_chords(tree: RadialTree):
@@ -807,7 +789,7 @@ def planarity_check(tree: RadialTree) -> int:
     if len(tree) < 2:
         return 0
     a, b = _klein_chords(tree)
-    pi_, pj_, _ = _edge_pairs(tree, a, b)
+    pi_, pj_ = _edge_pairs(tree, a, b)
     if pi_.size == 0:
         return 0
 

@@ -45,10 +45,10 @@ class CloudConfig:
     def __post_init__(self):
         if self.d < 1:
             raise GeometryError("d must be >= 1")
-        if not self.lam > 0:
-            raise GeometryError("lam must be > 0")
-        if not self.R > 0:
-            raise GeometryError("R must be > 0")
+        if not 0 < self.lam < math.inf:
+            raise GeometryError("lam must be finite and > 0")
+        if not 0 < self.R < math.inf:
+            raise GeometryError("R must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +64,11 @@ class PointCloud:
         u = np.asarray(self.dirs, dtype=float)
         if r.ndim != 1 or u.shape != (r.shape[0], self.config.d + 1):
             raise GeometryError("radii must be (n,), dirs (n, d+1)")
+        if not (np.isfinite(r).all() and np.isfinite(u).all()):
+            raise GeometryError("radii and dirs must be finite")
+        # the tolerance of hgeom.Direction
+        if np.any(np.abs(np.sqrt(hgeom.row_sumsq(u)) - 1.0) > 1e-9):
+            raise GeometryError("dirs must be unit vectors")
         if np.any(np.diff(r) < 0):
             raise GeometryError("radii must be sorted increasingly")
         if r.shape[0] and not (r[0] > 0 and r[-1] <= self.config.R):

@@ -57,3 +57,11 @@ def test_validate_record_one_round(tmp_path):
         # the band scan visits bands and reads candidate pairs
         assert c["n"] > 0 and c["band_visits"] > 0 and c["pairs"] > 0
         assert c["validate_s_best"] > 0
+
+
+def test_build_record_one_round(tmp_path):
+    clouds = one_round(tmp_path, "bench_build.py", "BENCH_build.json")
+    for c in clouds.values():
+        # every cloud sends some rows to the k-d ball query (route 2)
+        assert c["n"] > 0 and c["route2_rows"] > 0
+        assert c["build_s_best"] > 0

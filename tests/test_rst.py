@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1184,19 +1185,26 @@ class TestValidate:
         assert got == pins[name]
 
 
-def assert_pairs_match(tree) -> int:
+def assert_pairs_match(tree) -> tuple:
     """planarity_check's pair enumeration keeps the oracle's pair set, each
     pair once, with one band (every pair within a band), three and the
-    default count; returns the number of candidate pairs it enumerated at
-    the default."""
+    default count; returns the number of candidate pairs it enumerates at
+    each, the total length of the ranges that `search.concat_ranges`
+    expands (as scripts/bench_suite.py counts them)."""
     want = planarity_pairs_reference(tree)
     chords = rst._klein_chords(tree)
+    enumerated = []
     for bands in (1, 3, rst._PLANAR_BANDS):
-        i, j, enumerated = rst._edge_pairs(tree, *chords, bands=bands)
+        with (
+            mock.patch.object(rst, "_PLANAR_BANDS", bands),
+            mock.patch.object(search, "concat_ranges", wraps=search.concat_ranges) as expand,
+        ):
+            i, j = rst._edge_pairs(tree, *chords)
         got = list(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
         assert len(set(got)) == len(got) == len(want), bands
         assert set(got) == want, bands
-    return enumerated
+        enumerated.append(sum(int((hi - lo).sum()) for (lo, hi), _ in expand.call_args_list))
+    return tuple(enumerated)
 
 
 def crossings(tree):
@@ -1273,10 +1281,11 @@ class TestPlanarity:
             assert crossings(sample_tree(seed + 60, lam=10.0, R=4.0)) == 0
 
     def test_pairs_match_reference_default_tree(self):
-        # crossings() checks the pair set on every tree above; the seed-29
-        # default tree (n = 13,911), where radial bands enumerate a quarter
-        # of the 210,254 angle-overlap pairs
-        assert assert_pairs_match(sample_tree(29, lam=30.0, R=5.0)) <= 65_000
+        # crossings() checks the pair set on every tree above; on the seed-29
+        # default tree (n = 13,911) one band enumerates all 210,254
+        # angle-overlap pairs, and three and eight bands fewer. The counts are
+        # pinned: a change in which edges a band holds moves them.
+        assert assert_pairs_match(sample_tree(29, lam=30.0, R=5.0)) == (210_254, 90_736, 57_021)
 
     def test_rejects_d2(self):
         cloud = sampler.sample_ball(CloudConfig(d=2, lam=1.0, R=2.0, seed=17))

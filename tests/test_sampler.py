@@ -185,6 +185,44 @@ def test_invalid_config_rejected():
         CloudConfig(d=1, lam=-1.0, R=1.0, seed=0)
 
 
+def _cloud(radii=(1.0, 1.5, 2.0), dirs=((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))):
+    return sampler.PointCloud(CloudConfig(d=1, lam=1.0, R=3.0, seed=0), np.array(radii), np.array(dirs))
+
+
+_NAN_RADIUS_JSON = (
+    '{"R": 3.0, "d": 1, "lambda": 1.0, "seed": 0, "points": '
+    '[{"r": 1.0, "u": [1.0, 0.0]}, {"r": NaN, "u": [0.0, 1.0]}, {"r": 2.0, "u": [-1.0, 0.0]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _cloud(radii=(1.0, math.nan, 2.0)),
+        lambda: _cloud(dirs=((1.0, 0.0), (math.nan, 1.0), (-1.0, 0.0))),
+        lambda: _cloud(dirs=((1.0, 0.0), (math.inf, 0.0), (-1.0, 0.0))),
+        lambda: _cloud(dirs=((1.0, 0.0), (0.0, -math.inf), (-1.0, 0.0))),
+        lambda: _cloud(dirs=((1.0, 0.0), (0.0, 3.0), (-1.0, 0.0))),
+        lambda: _cloud(dirs=((1.0, 0.0), (0.0, 1.0 + 2e-9), (-1.0, 0.0))),
+        lambda: sampler.cloud_from_json(_NAN_RADIUS_JSON),
+        lambda: CloudConfig(d=1, lam=math.inf, R=3.0, seed=0),
+        lambda: CloudConfig(d=1, lam=1.0, R=math.inf, seed=0),
+    ],
+    ids=["nan_radius", "nan_dir", "inf_dir", "minus_inf_dir", "dir_norm_3", "dir_norm_off_2e-9",
+         "json_nan_radius", "lam_inf", "R_inf"],
+)
+def test_non_finite_cloud_rejected(make):
+    # each would reach rst.build (scipy's "data must be finite") or numpy's
+    # Poisson draw, or, with a direction of norm 3, a tree that validates
+    with pytest.raises(GeometryError):
+        make()
+
+
+def test_direction_within_tolerance_accepted():
+    # one part in 1e10 off unit passes, as hgeom.Direction lets it
+    assert len(_cloud(dirs=((1.0, 0.0), (0.0, 1.0 + 1e-10), (-1.0, 0.0)))) == 3
+
+
 def test_serialization_round_trip():
     cfg = CloudConfig(d=1, lam=5.0, R=2.0, seed=77)
     cloud = sampler.sample_ball(cfg)
