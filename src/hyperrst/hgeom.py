@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+UNIT_TOL = 1e-9  # how far from 1 a direction's norm may be (Direction, sampler.PointCloud)
+
 
 class GeometryError(ValueError):
     pass
@@ -29,7 +31,7 @@ def _as_unit(components) -> np.ndarray:
         raise GeometryError("direction must be a 1-d vector")
     # the bits of np.linalg.norm, which is sqrt(dot(v, v)) for a 1-d float vector
     n = math.sqrt(float(v @ v))
-    if abs(n - 1.0) > 1e-9:
+    if abs(n - 1.0) > UNIT_TOL:
         raise GeometryError(f"direction norm {n} is not 1")
     # renormalize the last few ulps so stored directions are unit to 1e-12
     return v / n

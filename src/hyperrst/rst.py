@@ -203,10 +203,10 @@ def build(cloud: PointCloud) -> RadialTree:
     the radius a ball centred on z would need.
     Sums, products and quotients of positive terms, they are within a few
     ulps: the centre is off by a few eps times |centre| <= tanh(r/2), within
-    the search's absolute slack (_ULPS per unit of the chart's scale), and
-    the radius by a few ulps of itself, within its relative padding _REL.
-    The image grows with rho, so padding rho by _REL covers the metric's
-    rounding.
+    the search's absolute slack, and the radius by a few ulps of itself,
+    within its relative pad. That one pad of the cover radius also covers
+    the metric's rounding and directions a little off unit norm
+    (`search.padded_cover`).
     """
     if len(cloud) == 0:
         return RadialTree(cloud, np.empty(0, dtype=np.int64), np.empty(0))
@@ -453,11 +453,9 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
 
 _BANDS = 8  # at most this many equal-count radius bands in the empty-B+ check
 _PAIRS = 2**15  # candidate pairs (and query ranges) taken at once, which bounds memory
-# Ball radii grow by _REL relative plus _REL per unit of radius: rounding then
-# costs extra candidates, never a missed one. _ABS pads the radial extents of
-# planarity_check only (see _edge_radial_extents).
+# The scan's ball radii grow by _REL relative plus _REL per unit of radius:
+# rounding then costs extra candidates, never a missed one.
 _REL = 1e-9
-_ABS = 64 * np.finfo(float).eps
 
 
 def _cells(x: np.ndarray, cells: int) -> np.ndarray:
@@ -564,17 +562,18 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
         num = 2.0 * np.sinh((rq + gap) / 2.0) * np.sinh(np.maximum(rq - gap, 0.0) / 2.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             chord2 = np.where(rj > 0.0, 2.0 * num / (sh[q] * np.sinh(rj)), np.inf)
-        # The chord needs no absolute padding. The box test reads the same
+        # The chord needs no pad of its own. The box test reads the same
         # rounded coordinates as pair_dist, and u +- chord rounds
         # monotonically, so a point whose computed chord is at most `chord`
         # is in the box. pair_dist sums nonnegative terms and arccosh1p is
         # relatively accurate, so a computed distance <= rho bounds the
         # computed chord by this formula up to a few ulps relative to
-        # cosh rho - 1, and the _REL padding of rho exceeds that by about
-        # 1e6 times. Unit-vector coordinates lie in [-1, 1], so a chord of 2
-        # covers every direction; the clamp also keeps the cell bounds'
-        # integer cast finite.
-        chord = np.minimum(np.sqrt(chord2) * (1.0 + _REL), 2.0)
+        # cosh rho - 1. reach pads rho by _REL relative, and as
+        # d log num / d rq >= 1 / rq, that raises num by at least _REL
+        # relative, about 1e6 times more. Unit-vector coordinates lie in
+        # [-1, 1], so a chord of 2 covers every direction; the clamp also
+        # keeps the cell bounds' integer cast finite.
+        chord = np.minimum(np.sqrt(chord2), 2.0)
         index = _direction_index(dirs[a:b])
         for k, lo, hi in _band_ranges(index, dirs[q], chord):
             # at most about _PAIRS candidates at once; a query's ranges may
@@ -668,36 +667,34 @@ def _edge_angular_intervals(tree: RadialTree):
 
 
 def _edge_radial_extents(a: np.ndarray, b: np.ndarray):
-    """Padded [low, high] Klein radii of the chords [a, b]: low is the
-    distance from the origin to the chord, high its farther endpoint.
+    """[low, high] Klein radii of the chords [a, b]: low is the distance
+    from the origin to the chord, high its farther endpoint.
 
-    Chords that meet at X have |X| in both exact extents, and the extents
-    come from the same Klein points that the orient test of
-    `planarity_check` reads. With u = 2^-53 and coordinates below 1, two
-    roundings separate that from the count:
-    - the extents' own. high is within 2u relative of max(|a|, |b|). The
-      foot a + t (b - a) is on the chord for any t in [0, 1], an error in t
-      raises |foot| only to second order, and the foot and its norm round
-      by under 8u;
-    - orient's. Its value is within 3u (|A| + |B|) <= 3u |q - p| |r - p|
-      of (q - p) x (r - p), so a wrong sign puts r within 3u |r - p| <= 6u
-      of the line pq. A pair counted whose chords do not meet thus has an
-      endpoint within 6u of the other chord's line, and so within about
-      6u / sin(phi) of the other chord, where phi is their angle.
-    Each end moves out by _REL relative plus _ABS = 128u, which leaves a
-    dropped pair at least 246u apart. So no pair that orient counts is
-    dropped unless its chords are within about 1/40 radian of parallel and
-    a few ulps of one line, where orient's signs are rounding noise: two
-    separated chords on one ray through the origin can come out crossed.
+    Chords that meet at X have |X| in both exact extents, computed from the
+    Klein points that `planarity_check`'s orient test reads. With u = 2^-53
+    and coordinates below 1, each extent is within d = 10u: high within 2u
+    relative of max(|a|, |b|), and the foot a + t (b - a), on the chord for
+    any t in [0, 1] and raised by an error in t only to second order, with
+    its norm within 8u. So a pair that meets is dropped only when i's low
+    and j's high lie within d of |X|. Then an endpoint of one chord lies
+    within about 4d of the other's line. If i's foot lies inside i, line i
+    touches the circle |p| = low, and j, inside |p| <= low + 2d, crosses it
+    with an endpoint within 2d beyond it. If i's foot is its end A, let
+    X = A + s f and j's far end E = X + t e, f and e at angles a and b to
+    the tangent at X: s sin a <= |X| - |A| + s^2 / 2|X| <= 2d, as
+    s^2 <= |X|^2 - |A|^2, and t sin b <= |E| - |X| <= d, so A lies within
+    s (a + b) <= 4d of line j when a >= b, else E within 2d of line i.
+    orient errs by up to 3u |q - p| |r - p|, 6u of distance to the line, so
+    its sign there is rounding noise, as for two separated chords on one
+    ray through the origin, which can come out crossed: no pad would keep a
+    pair whose count means anything.
     """
     ab = b - a
     len2 = hgeom.row_sumsq(ab)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip(-(a[:, 0] * ab[:, 0] + a[:, 1] * ab[:, 1]) / len2, 0.0, 1.0)
     foot = a + np.where(len2 > 0.0, t, 0.0)[:, None] * ab
-    low = np.sqrt(hgeom.row_sumsq(foot)) * (1.0 - _REL) - _ABS
-    high = np.sqrt(np.maximum(hgeom.row_sumsq(a), hgeom.row_sumsq(b))) * (1.0 + _REL) + _ABS
-    return low, high
+    return np.sqrt(hgeom.row_sumsq(foot)), np.sqrt(np.maximum(hgeom.row_sumsq(a), hgeom.row_sumsq(b)))
 
 
 _PLANAR_BANDS = 8  # radial bands of planarity_check at most (6 to 16 time alike at n = 14k)
@@ -705,8 +702,8 @@ _PLANAR_BANDS = 8  # radial bands of planarity_check at most (6 to 16 time alike
 
 def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray):
     """The edge pairs (i, j) that take `planarity_check`'s orient test, each
-    once: those whose angular intervals and padded radial extents (of the
-    Klein chords [a, b]) overlap, and which share no vertex.
+    once: those whose angular intervals and radial extents (of the Klein
+    chords [a, b]) overlap, and which share no vertex.
 
     Edges go by rank k in the order of their interval starts, on the circle
     doubled so that intervals crossing 2 pi see early starts: edge k finds
@@ -714,7 +711,7 @@ def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray):
     in interval k, ranks [lo[k], hi[k]). Two edges overlap in angle when one
     finds the other.
 
-    Edges also go by their padded low extent into at most _PLANAR_BANDS
+    Edges also go by their low extent into at most _PLANAR_BANDS
     about equal-count bands, and a pair is taken in the band that holds the
     larger of its two lows. A band holds its own edges and the lower ones
     whose high extent reaches its smallest low: no other lower edge overlaps
@@ -781,8 +778,9 @@ def planarity_check(tree: RadialTree) -> int:
     intervals of the edges (the angular coordinate is monotone along a
     geodesic not through the origin) must overlap, and so must their radial
     extents (`_edge_radial_extents`: the distance from the origin to the
-    chord up to its farther endpoint, padded by the rounding of the extents
-    and of the orient test).
+    chord up to its farther endpoint, unpadded: a pair they drop has an
+    endpoint within a few tens of ulps of the other chord's line, where
+    orient's sign is rounding noise).
     """
     if tree.cloud.config.d != 1:
         raise GeometryError("planarity is defined for d = 1 only")

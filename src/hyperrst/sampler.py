@@ -66,8 +66,7 @@ class PointCloud:
             raise GeometryError("radii must be (n,), dirs (n, d+1)")
         if not (np.isfinite(r).all() and np.isfinite(u).all()):
             raise GeometryError("radii and dirs must be finite")
-        # the tolerance of hgeom.Direction
-        if np.any(np.abs(np.sqrt(hgeom.row_sumsq(u)) - 1.0) > 1e-9):
+        if np.any(np.abs(np.sqrt(hgeom.row_sumsq(u)) - 1.0) > hgeom.UNIT_TOL):
             raise GeometryError("dirs must be unit vectors")
         if np.any(np.diff(r) < 0):
             raise GeometryError("radii must be sorted increasingly")
@@ -151,7 +150,7 @@ class RadialLaw:
         on the batch it is inverted in. A target of 0 has radius 0 and stays
         out of the batch: pdf(0) = 0 would stall Newton there.
 
-        FOUND: cdf's `@ _GL_WEIGHTS` goes to BLAS (a gemv), and a row's bits
+        cdf's `@ _GL_WEIGHTS` goes to BLAS (a gemv), and a row's bits
         can depend on the batch it sits in: cdf over one-row batches differs
         in the last bit from one batch of the same rows on 36 of 30,000 radii
         (d=2, R=4). So an active-set or chunked Newton would change radii."""
@@ -226,8 +225,8 @@ class HalfWindow:
     def __post_init__(self):
         if not (0 < self.y_min < self.y_max):
             raise GeometryError("need 0 < y_min < y_max")
-        if not self.half_width > 0:
-            raise GeometryError("half_width must be > 0")
+        if not 0 < self.half_width < math.inf:
+            raise GeometryError("half_width must be finite and > 0")
 
 
 def half_window_volume(d: int, w: HalfWindow) -> float:

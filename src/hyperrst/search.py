@@ -48,17 +48,8 @@ FRONTIER = -2
 _K = 8  # pass-1 neighbours per point
 _K_WIDE = 40  # second pass-1 query for points the first left without a bound
 _CHUNK = 2048  # rows per k-d ball query or prefix scan, which bounds the candidate lists held at once
-# Search radii grow by this relative slack plus _ULPS per unit of chart
-# coordinate, so that rounding in distances, charts and cover balls costs
-# extra candidates, never a missed one.
-_REL = 1e-9
+_REL = 1e-9  # the cover radius's pad, relative, plus _ULPS per unit of chart coordinate (padded_cover)
 _ULPS = 64 * np.finfo(float).eps
-
-
-def _start(n: int, root_dist):
-    if root_dist is None:
-        return np.full(n, FRONTIER, dtype=np.int64), np.full(n, np.inf)
-    return np.full(n, ROOT, dtype=np.int64), np.array(root_dist, dtype=float)
 
 
 def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -205,7 +196,10 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
     A row with no bound scans every smaller key.
     """
     n = keys.shape[0]
-    parent, pdist = _start(n, root_dist)
+    if root_dist is None:
+        parent, pdist = np.full(n, FRONTIER, dtype=np.int64), np.full(n, np.inf)
+    else:
+        parent, pdist = np.full(n, ROOT, dtype=np.int64), np.array(root_dist, dtype=float)
     his = np.searchsorted(keys, keys, side="left")
 
     def pass1(rows, wide=False):
@@ -223,10 +217,10 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         near[miss], best[miss] = pass1(miss, wide=True)
     rho = np.minimum(pdist, near)
     b = np.flatnonzero(np.isfinite(rho))  # bounded rows
-    centre, radius, slack = padded_cover(chart, b, rho[b])
-    # route 1: the cover ball lies inside the _K-NN ball
+    centre, radius = padded_cover(chart, b, rho[b])
+    # route 1: the cover ball lies inside the _K-NN ball (its pad dwarfs reach's rounding)
     reach = np.sqrt(hgeom.row_sumsq(centre - chart.coords(b))) + radius
-    inside = reach * (1.0 + _REL) + slack < chart.kth(b)
+    inside = reach < chart.kth(b)
     done = b[inside & (near[b] <= pdist[b])]
     parent[done] = best[done]
     pdist[done] = near[done]
@@ -246,12 +240,18 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
 
 
 def padded_cover(chart: KeyOrder, rows: np.ndarray, rho: np.ndarray):
-    """(centres, radii, slack): the chart balls nearest_lower searches for
-    the metric balls of radius rho around rows, padded for rounding by _REL
-    and by slack, the absolute part."""
-    centre, radius = chart.cover(rows, rho * (1.0 + _REL))
+    """(centres, radii): the chart balls nearest_lower searches for the
+    metric balls of radius rho around rows, with the search's one pad: a
+    slack of _ULPS per unit of the chart's scale or of the centre, for the
+    coordinates' few ulps, and _REL relative. The relative pad covers the
+    metric's few ulps, as d log radius / d log rho <= 1 + rho in both
+    charts (the centre moves less), and directions off unit norm by up to
+    about 1e-11: one off by e moves its chart point by up to e, past the
+    slack in a ball of radius near 1 (the tests pin such misses at d = 1).
+    Route 1 and the k-d ball query both read this radius."""
+    centre, radius = chart.cover(rows, rho)
     slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
-    return centre, radius * (1.0 + _REL) + slack, slack
+    return centre, radius * (1.0 + _REL) + slack
 
 
 def _take_nearest(parent, pdist, qi, cand, his, pair_dist):

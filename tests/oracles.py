@@ -9,6 +9,9 @@ from hyperrst import dsf, hgeom, rst, sampler, search
 
 _BLOCK = 128
 _BATCH = 128
+# the scan's own pruning pad, relative and per unit of key, apart from the
+# search's so that a mutation of one never hides in the other
+_REL = 1e-9
 
 
 def nearest_lower_scan(keys: np.ndarray, pair_dist, root_dist=None):
@@ -22,7 +25,10 @@ def nearest_lower_scan(keys: np.ndarray, pair_dist, root_dist=None):
     beats the root at equal distance.
     """
     n = keys.shape[0]
-    parent, pdist = search._start(n, root_dist)
+    if root_dist is None:
+        parent, pdist = np.full(n, search.FRONTIER, dtype=np.int64), np.full(n, np.inf)
+    else:
+        parent, pdist = np.full(n, search.ROOT, dtype=np.int64), np.array(root_dist, dtype=float)
     his = np.searchsorted(keys, keys, side="left")
     for a in range(0, n, _BATCH):
         rows = np.arange(a, min(a + _BATCH, n))
@@ -44,7 +50,7 @@ def nearest_lower_scan(keys: np.ndarray, pair_dist, root_dist=None):
             lo = np.zeros(rows.size, dtype=np.int64)
             fin = np.isfinite(best)
             kr = keys[rows[fin]]
-            reach = best[fin] * (1.0 + search._REL) + search._REL * np.abs(kr)
+            reach = best[fin] * (1.0 + _REL) + _REL * np.abs(kr)
             lo[fin] = np.searchsorted(keys, kr - reach, side="left")
             rows = rows[lo < lo_blk]
             top = lo_blk

@@ -513,6 +513,25 @@ class TestRoutes:
         assert routes["ball"] < 0.25 * routes["bounded"]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_half_cover_holds_points_one_ulp_inside(d):
+    # w one ulp inside the metric sphere of radius t around z = (x, y), for y
+    # from 1e-3 to 1e3 and t up to 20: w lies in the padded chart ball that
+    # nearest_lower searches for B(z, rho). The sphere is the Euclidean one
+    # about (x, y cosh t) of radius y sinh t.
+    rng = np.random.default_rng(d)
+    for k in range(300):
+        x, y = rng.uniform(-4.0, 4.0, d), 10.0 ** rng.uniform(-3.0, 3.0)
+        t = rng.uniform(0.0, 20.0) if k % 2 else math.exp(rng.uniform(-7.0, 3.0))
+        v = rng.normal(size=d + 1)
+        w = np.append(x, y * math.cosh(t)) + y * math.sinh(t) * v / np.linalg.norm(v)
+        cloud = dsf.HalfCloud(np.array([x, w[:d]]), np.array([y, w[d]]))
+        rho = np.nextafter(cloud.index.pair_dist(np.array([0]), np.array([1])), np.inf)
+        chart = search.KeyOrder(cloud.index)
+        centre, radius = search.padded_cover(chart, np.array([0]), rho)
+        assert 1 in chart.ball(centre, radius)[1], (y, t)
+
+
 def test_oracles_independent_of_the_search(monkeypatch):
     # the O(n^2) oracles must not lean on the code they check: with the k-d
     # search, the chart index and the builders' key sort refused, each gives

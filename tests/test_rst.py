@@ -42,6 +42,36 @@ def sample_tree(seed, lam=10.0, R=3.5, d=1):
     return rst.build(cloud)
 
 
+# (r_z, u, r_w, w) at d = 1 whose w, one ulp inside the metric ball around z,
+# lies outside the search's cover of that ball without its relative pad. The
+# trials of test_cover_holds_points_one_ulp_inside find about 200 in 1M:
+# there w = cos(t) u + sin(t) v is off unit norm by 1e-14 to 1e-11, which
+# moves its chart point past the absolute slack.
+COVER_MISSES_D1 = [
+    (20.443905219722865, [0.8057796871394594, -0.5922154133365957],
+     2.8447862421742567, [0.742477638197432, -0.6698708508180264]),
+    (15.21024763698923, [-0.9103448140590931, -0.4138506004776546],
+     13.758141792643357, [-0.37933179956774865, -0.9252607123598845]),
+    (0.0011795792819507581, [0.9994481017156125, -0.03321884972510081],
+     28.331587188966804, [-0.31969828237484216, 0.9475193972930608]),
+    (26.159340366186672, [0.8880056400791848, 0.45983255994715877],
+     24.701157521553448, [0.1413161244304466, 0.9899645210693158]),
+    (25.57180328440194, [-0.5398065263077934, 0.8417891150136794],
+     5.870348533615052, [-0.46600595697185854, 0.884781582124571]),
+    (1.6696990382407384, [0.17848771476105327, -0.9839421404124213],
+     2.4845151570997883, [-0.1611073290407569, -0.986936891875127]),
+]
+
+
+def cover_holds(radii, dirs):
+    """Whether the chart ball nearest_lower searches for B(z, rho), rho one
+    ulp above d(z, w), holds w; z and w are rows 0 and 1 of (radii, dirs)."""
+    rho = np.nextafter(rst._pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
+    chart = search.KeyOrder(rst._chart_index(radii, dirs))
+    centre, radius = search.padded_cover(chart, np.array([0]), rho)
+    return 1 in chart.ball(centre, radius)[1]
+
+
 # the clouds of the MBD checks, one per dimension: sample_tree(10, lam, R, d)
 MBD_CLOUDS = pytest.mark.parametrize(
     "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
@@ -128,7 +158,10 @@ class TestBuild:
     def test_cover_holds_points_one_ulp_inside(self, d):
         # w one ulp inside the metric sphere of radius rho around z, for radii
         # up to 30 and rho below and above r_z: w lies in the padded chart
-        # ball that nearest_lower searches for B(z, rho)
+        # ball that nearest_lower searches for B(z, rho). At d = 1 the pinned
+        # balls come first: each misses its cover without the relative pad
+        for rz, u, rw, w in COVER_MISSES_D1 if d == 1 else ():
+            assert cover_holds(np.array([rz, rw]), np.array([u, w])), (rz, rw)
         rng = np.random.default_rng(d)
         for k in range(300):
             rz = rng.uniform(0.0, 30.0) if k % 4 else math.exp(rng.uniform(-7.0, 3.4))
@@ -152,10 +185,7 @@ class TestBuild:
             v -= (v @ u) * u
             v /= np.linalg.norm(v)
             radii, dirs = np.array([rz, rw]), np.array([u, math.cos(theta) * u + math.sin(theta) * v])
-            rho = np.nextafter(rst._pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
-            chart = search.KeyOrder(rst._chart_index(radii, dirs))
-            centre, radius, _ = search.padded_cover(chart, np.array([0]), rho)
-            assert 1 in chart.ball(centre, radius)[1], (rz, rw, rho)
+            assert cover_holds(radii, dirs), (rz, rw)
 
     def test_search_tie_rule_across_blocks(self):
         # distances 1, 2, 3 repeat along the index, so ties span many blocks;

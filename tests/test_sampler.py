@@ -177,6 +177,14 @@ class TestHalfWindow:
         with pytest.raises(GeometryError):
             HalfWindow(half_width=1.0, y_min=2.0, y_max=1.0)
 
+    def test_non_finite_half_width_rejected(self):
+        # an infinite window has no finite Poisson mean; an open top does
+        for half_width in (math.inf, math.nan):
+            with pytest.raises(GeometryError):
+                HalfWindow(half_width=half_width, y_min=0.1, y_max=1.0)
+        w = HalfWindow(half_width=1.0, y_min=0.1, y_max=math.inf)
+        assert sampler.half_window_volume(1, w) == pytest.approx(20.0)
+
 
 def test_invalid_config_rejected():
     with pytest.raises(GeometryError):
