@@ -8,12 +8,14 @@ its parents couple with the DSF parents on compact sets.
 Both search the same (x, y) chart and differ only in the key order. What
 depends only on the points belongs to a HalfCloud: the hyperbolic metric
 and its chart cover balls, the chart's k-d tree, each point's 8 nearest
-chart neighbours with their hyperbolic distances, and one sort of the
-points by (y, x). Every forest built on one HalfCloud
-shares them, and sorts by its own key with a stable sort of that (y, x)
-order. Points given as a list or an (x, y) pair get a fresh HalfCloud per
-call. coupling_fraction wraps its points once, so the DSF and the RST(h)
-of its whole h grid share one of each.
+chart neighbours with their hyperbolic distances, and, where a key
+repeats, one sort of the points by (y, x). Every forest built on one
+HalfCloud shares them, and sorts by its own key, ties by y and then x:
+one argsort of the key when no value of it repeats, else a stable sort of
+that (y, x) order, the same permutation either way. Points given as an
+(x, y) pair get a fresh HalfCloud per call. coupling_fraction wraps its
+points once, so the DSF and the RST(h) of its whole h grid share one of
+each.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class HalfCloud:
     otherwise), that own what their searches share, each built on first
     use: the chart index (the hyperbolic metric and its chart cover, a k-d
     tree over (x, y), each point's nearest chart neighbours and their pair
-    distances) and the (y, x) sort. The DSF and every RST(h) built on one
-    HalfCloud map that index through their own key orders."""
+    distances) and the (y, x) sort that ties fall back on. The DSF and
+    every RST(h) built on one HalfCloud map that index through their own
+    key orders."""
 
     x: np.ndarray
     y: np.ndarray
@@ -73,14 +76,21 @@ class HalfCloud:
 
     @functools.cached_property
     def by_height(self) -> np.ndarray:
-        """The points sorted by y, then by the columns of x in turn."""
-        return np.lexsort(tuple(self.x[:, ::-1].T) + (self.y,))
+        """The points sorted by y, then by the columns of x in turn: the
+        permutation of np.lexsort((x..., y)), from one argsort of y unless a
+        value of y repeats."""
+        return hgeom.argsort_distinct(
+            self.y, lambda: np.lexsort(tuple(self.x[:, ::-1].T) + (self.y,))
+        )
 
     def ordered(self, key: np.ndarray):
         """(order, x, y) with the points sorted by key, ties by y and then by
-        the columns of x: a stable sort of by_height, the permutation of
-        np.lexsort((x..., y, key))."""
-        order = self.by_height[np.argsort(key[self.by_height], kind="stable")]
+        the columns of x: the permutation of np.lexsort((x..., y, key)). It
+        is one argsort of key unless a value of key repeats; then it is a
+        stable sort of by_height, which is built only for such a key."""
+        order = hgeom.argsort_distinct(
+            key, lambda: self.by_height[np.argsort(key[self.by_height], kind="stable")]
+        )
         return order, self.x[order], self.y[order]
 
 

@@ -150,6 +150,24 @@ def row_sumsq(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def argsort_distinct(key: np.ndarray, fallback) -> np.ndarray:
+    """The permutation that sorts key, from one np.argsort when no value of
+    key repeats, else fallback(): the caller's exact sort, ties broken.
+
+    Values that strictly increase once sorted have one sorting permutation,
+    so every sort of them, fallback()'s included, returns it bit for bit.
+    Any repeat, -0.0 beside 0.0, or NaN fails the strict test and takes
+    fallback(). np.argsort's default kind is numpy's fastest (a SIMD
+    quicksort on x86); np.lexsort and the stable sorts are several times
+    slower.
+    """
+    order = np.argsort(key)
+    s = key[order]
+    if np.all(s[1:] > s[:-1]):
+        return order
+    return fallback()
+
+
 def angle_between(u1: np.ndarray, u2: np.ndarray) -> float:
     """Angle in [0, pi] between unit vectors, stable near 0 and pi."""
     d2 = float(np.dot(u1 - u2, u1 - u2))

@@ -87,12 +87,14 @@ class RadialTree:
     @functools.cached_property
     def children(self) -> ChildTable:
         n = len(self)
-        mask = self.parent >= 0
-        counts = np.bincount(self.parent[mask], minlength=n)
+        kids = np.flatnonzero(self.parent >= 0)
+        parents = self.parent[kids]
+        counts = np.bincount(parents, minlength=n)
         start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=start[1:])
-        order = np.argsort(self.parent[mask], kind="stable")
-        return ChildTable(np.nonzero(mask)[0][order], start)
+        # parent * n + child is unique, so one argsort groups the children by
+        # parent, ascending within each, as a stable sort by parent would
+        return ChildTable(kids[np.argsort(parents * n + kids)], start)
 
     def root_children(self) -> np.ndarray:
         return np.nonzero(self.parent == ROOT)[0]
@@ -476,7 +478,7 @@ def _direction_index(u: np.ndarray):
     cell = 0
     for col in u[:, :0:-1].T:
         cell = cell * cells + _cells(col, cells)
-    by_u0 = np.argsort(u[:, 0], kind="stable")
+    by_u0 = hgeom.argsort_distinct(u[:, 0], lambda: np.argsort(u[:, 0], kind="stable"))
     rank = np.empty(m, dtype=np.int64)
     rank[by_u0] = np.arange(m)
     key = cell * m + rank
@@ -540,7 +542,7 @@ def _nearest_lower_in_balls(radii, dirs, pair_dist, rho):
     pdist = np.array(radii, dtype=float)
     if n == 0:
         return pdist
-    his = np.searchsorted(radii, radii, side="left")
+    his = search.run_starts(radii)
     reach = rho * (1.0 + _REL) + _REL * radii
     lows = np.searchsorted(radii, radii - reach, side="left")
     sh = np.sinh(radii)
@@ -727,7 +729,7 @@ def _edge_pairs(tree: RadialTree, a: np.ndarray, b: np.ndarray):
     order = np.argsort(start)
     s_sorted = start[order]
     s_ext = np.concatenate([s_sorted, s_sorted + 2.0 * math.pi])
-    lo = np.searchsorted(s_sorted, s_sorted, side="left")  # as in s_ext
+    lo = search.run_starts(s_sorted)  # as in s_ext
     hi = np.searchsorted(s_ext, s_sorted + width[order], side="right")
     # chords that meet do so at a radius inside both radial extents
     low, high = (e[order] for e in _edge_radial_extents(a, b))

@@ -24,6 +24,8 @@ from .hgeom import GeometryError, PolarPoint
 RADIAL_KNOTS = 4096
 # Newton stops once no draw of the batch moves by this much
 NEWTON_TOL = 1e-13
+# PointCloud keeps a direction's bits when its norm is within this of 1
+_UNIT_ULPS = 4 * np.finfo(float).eps
 
 
 def stream(seed: int, replica: int = 0, role: str = "points") -> np.random.Generator:
@@ -66,8 +68,15 @@ class PointCloud:
             raise GeometryError("radii must be (n,), dirs (n, d+1)")
         if not (np.isfinite(r).all() and np.isfinite(u).all()):
             raise GeometryError("radii and dirs must be finite")
-        if np.any(np.abs(np.sqrt(hgeom.row_sumsq(u)) - 1.0) > hgeom.UNIT_TOL):
+        norm = np.sqrt(hgeom.row_sumsq(u))
+        off = np.abs(norm - 1.0)
+        if np.any(off > hgeom.UNIT_TOL):
             raise GeometryError("dirs must be unit vectors")
+        # the searches and validate's scan take |u| = 1: a row off by more
+        # than a few ulps (a sampled one is within 1.5) is divided by its norm
+        fix = off > _UNIT_ULPS
+        if fix.any():
+            u = np.where(fix[:, None], u / norm[:, None], u)
         if np.any(np.diff(r) < 0):
             raise GeometryError("radii must be sorted increasingly")
         if r.shape[0] and not (r[0] > 0 and r[-1] <= self.config.R):
@@ -206,7 +215,9 @@ def sample_ball(cfg: CloudConfig, replica: int = 0) -> PointCloud:
         radii = radial_law(cfg.d, cfg.R).invert(u01)
     dirs = _uniform_directions(rng, n, cfg.d + 1)
     radii = np.minimum(np.maximum(radii, 1e-12), cfg.R)
-    order = np.lexsort(tuple(dirs[:, k] for k in range(cfg.d, -1, -1)) + (radii,))
+    order = hgeom.argsort_distinct(
+        radii, lambda: np.lexsort(tuple(dirs[:, k] for k in range(cfg.d, -1, -1)) + (radii,))
+    )
     return PointCloud(cfg, radii[order], dirs[order])
 
 
@@ -260,7 +271,9 @@ def sample_half_arrays(lam: float, d: int, w: HalfWindow, seed: int, replica: in
     span = w.y_min**-d - w.y_max**-d
     y = (w.y_min**-d - u01 * span) ** (-1.0 / d)
     x = rng.uniform(-w.half_width, w.half_width, size=(n, d))
-    order = np.lexsort(tuple(x[:, k] for k in range(d - 1, -1, -1)) + (y,))
+    order = hgeom.argsort_distinct(
+        y, lambda: np.lexsort(tuple(x[:, k] for k in range(d - 1, -1, -1)) + (y,))
+    )
     return x[order], y[order]
 
 

@@ -59,6 +59,16 @@ def concat_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(int(ends[-1]) if ends.size else 0) + np.repeat(lo - ends + counts, counts)
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """np.searchsorted(keys, keys, side="left") for sorted keys without NaN,
+    in one pass: the first index of each key's run of equal values (-0.0
+    and 0.0 are equal, as in searchsorted)."""
+    n = keys.shape[0]
+    new = np.ones(n, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return np.maximum.accumulate(np.where(new, np.arange(n), 0))
+
+
 class ChartIndex:
     """A point set's model and its k-d search, all in the set's own order.
 
@@ -200,7 +210,7 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         parent, pdist = np.full(n, FRONTIER, dtype=np.int64), np.full(n, np.inf)
     else:
         parent, pdist = np.full(n, ROOT, dtype=np.int64), np.array(root_dist, dtype=float)
-    his = np.searchsorted(keys, keys, side="left")
+    his = run_starts(keys)
 
     def pass1(rows, wide=False):
         """(near, best): the distance and row of the nearest smaller-key

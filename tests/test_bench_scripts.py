@@ -65,3 +65,12 @@ def test_build_record_one_round(tmp_path):
         # every cloud sends some rows to the k-d ball query (route 2)
         assert c["n"] > 0 and c["route2_rows"] > 0
         assert c["build_s_best"] > 0
+
+
+def test_sampling_record_one_round(tmp_path):
+    stages = one_round(tmp_path, "bench_sampling.py", "BENCH_sampling.json")
+    # a window's sample and its six sorts see the same points
+    for half in ("half_d1", "half_d2"):
+        assert stages[f"{half}_sample"]["n"] == stages[f"{half}_ordered"]["n"] > 0
+        assert stages[f"{half}_ordered"]["sorts"] == 6
+    assert all(s["n"] > 0 and s["stage_s_best"] > 0 for s in stages.values())

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_volume_quad, sphere_cap_quad
 
-from hyperrst import dsf, hgeom
+from hyperrst import dsf, hgeom, search
 from hyperrst.hgeom import (
     BallPoint,
     Cone,
@@ -542,3 +542,68 @@ class TestRowSumsq:
             for j in range(1, m):
                 left = left + a[:, j] * a[:, j]
             assert np.array_equal(left, np.sum(a * a, axis=1)) == (m < 8), m
+
+
+# A few small values repeat often; -0.0 beside 0.0 and NaN are ties or
+# unordered, and each must send argsort_distinct to its fallback.
+_SORT_VALUES = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _sort_columns(draw):
+    """(columns, n): 1 to 3 float columns of one length n from 0 to 30."""
+    n = draw(st.integers(0, 30))
+    cols = draw(st.integers(1, 3))
+    column = st.lists(_SORT_VALUES, min_size=n, max_size=n)
+    return np.array(draw(st.lists(column, min_size=cols, max_size=cols)), dtype=float).reshape(cols, n)
+
+
+def _fast_path_exact(key, fallback):
+    """argsort_distinct(key, fallback) next to fallback(); the fallback runs
+    exactly when two values of key tie or one is NaN."""
+    calls = []
+
+    def counted():
+        calls.append(1)
+        return fallback()
+
+    got = hgeom.argsort_distinct(key, counted)
+    repeats = key.size > 1 and (np.isnan(key).any() or np.unique(key).size < key.size)
+    assert len(calls) == int(repeats)
+    return got, fallback()
+
+
+@given(cols=_sort_columns())
+@example(cols=np.empty((2, 0)))
+@example(cols=np.array([[0.25]]))
+@example(cols=np.array([[2.0, 1.0, 0.0], [0.5, 0.5, 0.5]]))  # all-equal primary key
+@example(cols=np.array([[1.0, 0.0, 2.0], [0.0, -0.0, 0.0]]))  # signed zeros tie
+@example(cols=np.array([[0.0, 1.0], [0.0, math.nan]]))
+@settings(max_examples=300, deadline=None)
+def test_argsort_distinct_is_lexsort(cols):
+    # np.lexsort takes its last key as primary
+    got, want = _fast_path_exact(cols[-1], lambda: np.lexsort(cols))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(cols=_sort_columns())
+@example(cols=np.array([[-0.0, 0.0, -0.0, 0.0]]))
+@example(cols=np.array([[3.0, 3.0, 3.0]]))
+@settings(max_examples=300, deadline=None)
+def test_argsort_distinct_is_stable_argsort(cols):
+    key = cols[0]
+    got, want = _fast_path_exact(key, lambda: np.argsort(key, kind="stable"))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@given(cols=_sort_columns())
+@example(cols=np.array([[-0.0, 0.0, 0.0, -0.0, 1.0, 1.0]]))
+@settings(max_examples=300, deadline=None)
+def test_run_starts_is_searchsorted(cols):
+    keys = np.sort(cols[0][~np.isnan(cols[0])])
+    want = np.searchsorted(keys, keys, side="left")
+    got = search.run_starts(keys)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -95,6 +95,14 @@ def mirror_cloud(pairs=40, seed=0):
     return make_cloud(radii, angles)
 
 
+def test_children_ascending_per_parent():
+    tree = sample_tree(4)
+    nodes, start = tree.children
+    assert start[-1] == nodes.size == np.count_nonzero(tree.parent >= 0)
+    for i in range(len(tree)):
+        assert np.array_equal(nodes[start[i] : start[i + 1]], np.flatnonzero(tree.parent == i))
+
+
 class TestBuild:
     def test_single_point(self):
         cloud = make_cloud([1.0], [0.3])

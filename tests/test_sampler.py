@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hyperrst import hgeom, sampler
+from hyperrst import hgeom, rst, sampler
 from hyperrst.hgeom import GeometryError
 from hyperrst.sampler import CloudConfig, HalfWindow
-from oracles import knot_integrals_quad
+from oracles import brute_force_parents, knot_integrals_quad
 
 
 def test_determinism_bit_for_bit():
@@ -138,6 +138,22 @@ def test_thinning_consistency():
     assert p > 0.01
 
 
+@pytest.mark.parametrize("d, lam", [(1, 10.0), (2, 1.0), (3, 0.3)])
+def test_ball_in_lexsort_order(d, lam):
+    # sorted by radius, ties by u0, u1, ... as np.lexsort of the columns
+    cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=3.5, seed=5))
+    order = np.lexsort(tuple(cloud.dirs[:, ::-1].T) + (cloud.radii,))
+    assert len(cloud) > 100 and np.array_equal(order, np.arange(len(cloud)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_half_arrays_in_lexsort_order(d):
+    # sorted by y, ties by x0, x1, ... as np.lexsort of the columns
+    x, y = sampler.sample_half_arrays(4.0, d, HalfWindow(half_width=2.0, y_min=0.1, y_max=3.0), seed=5)
+    order = np.lexsort(tuple(x[:, ::-1].T) + (y,))
+    assert y.size > 100 and np.array_equal(order, np.arange(y.size))
+
+
 class TestHalfWindow:
     def test_window_volume(self):
         w = HalfWindow(half_width=2.0, y_min=0.5, y_max=2.0)
@@ -229,6 +245,24 @@ def test_non_finite_cloud_rejected(make):
 def test_direction_within_tolerance_accepted():
     # one part in 1e10 off unit passes, as hgeom.Direction lets it
     assert len(_cloud(dirs=((1.0, 0.0), (0.0, 1.0 + 1e-10), (-1.0, 0.0)))) == 3
+
+
+def test_directions_off_unit_are_renormalised():
+    # rows off unit norm by 1e-10 or 1e-11 are divided by their norm, as the
+    # searches take |u| = 1: kept as given, 49 and 5 parents of this cloud
+    # differ from the oracle's, and validate reports as many bplus faults
+    cloud = sampler.sample_ball(CloudConfig(d=1, lam=1.0, R=6.0, seed=3))
+    # a sampled row is within a few ulps of unit, and keeps its bits
+    assert np.array_equal(sampler.PointCloud(cloud.config, cloud.radii, cloud.dirs).dirs, cloud.dirs)
+    sign = np.random.default_rng(0).choice([-1.0, 1.0], len(cloud))
+    for err in (1e-10, 1e-11):
+        dirs = cloud.dirs * (1.0 + err * sign)[:, None]
+        off = sampler.PointCloud(cloud.config, cloud.radii, dirs)
+        assert np.abs(np.sqrt(hgeom.row_sumsq(off.dirs)) - 1.0).max() <= sampler._UNIT_ULPS
+        assert not np.shares_memory(off.dirs, dirs)  # the caller's rows are left alone
+        tree = rst.build(off)
+        assert np.array_equal(tree.parent, brute_force_parents(off)), err
+        assert rst.validate(tree).ok, err
 
 
 def test_serialization_round_trip():
