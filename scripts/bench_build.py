@@ -3,7 +3,8 @@
 For each cloud of `scripts/bench_validate.py` and a d=2, lambda=1, R=5 cloud
 (seed 29), a child process importing the checkout's own `src` times
 `rst.build` (best of 15 calls) and counts, over one further call, what
-`search.nearest_lower` does: the rows that ask for the wide neighbour table
+`search.nearest_lower` does, through `ChartIndex.table`, `ChartIndex.ball`
+and `search.concat_ranges`: the rows that ask for the wide neighbour table
 (pass 1 found no smaller-key point among their 8 nearest), the rows left
 unbounded (they scan their smaller-key prefix), the route-2 rows (they take
 a k-d ball query) and the route-2 candidates (the points those balls hold).
@@ -43,12 +44,13 @@ def measure(name: str) -> dict:
         rst.build(cloud)
         best = min(best, time.perf_counter() - start)
     seen = dict.fromkeys(("wide_rows", "unbounded_rows", "route2_rows", "route2_candidates"), 0)
-    table, ball, concat_ranges = search.KeyOrder.table, search.KeyOrder.ball, search.concat_ranges
+    chart = search.ChartIndex
+    table, ball, concat_ranges = chart.table, chart.ball, search.concat_ranges
 
-    def counting_table(self, rows, wide=False):
+    def counting_table(self, pts, wide=False):
         if wide:
-            seen["wide_rows"] += rows.size
-        return table(self, rows, wide)
+            seen["wide_rows"] += pts.size
+        return table(self, pts, wide)
 
     def counting_ball(self, centres, radii):
         counts, hits = ball(self, centres, radii)
@@ -61,11 +63,11 @@ def measure(name: str) -> dict:
         seen["unbounded_rows"] += lo.size
         return concat_ranges(lo, hi)
 
-    search.KeyOrder.table, search.KeyOrder.ball, search.concat_ranges = counting_table, counting_ball, counting_ranges
+    chart.table, chart.ball, search.concat_ranges = counting_table, counting_ball, counting_ranges
     try:
         rst.build(cloud)
     finally:
-        search.KeyOrder.table, search.KeyOrder.ball, search.concat_ranges = table, ball, concat_ranges
+        chart.table, chart.ball, search.concat_ranges = table, ball, concat_ranges
     n = len(cloud)
     return {
         "n": n,

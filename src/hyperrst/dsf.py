@@ -43,8 +43,8 @@ class HalfCloud:
     use: the chart index (the hyperbolic metric and its chart cover, a k-d
     tree over (x, y), each point's nearest chart neighbours and their pair
     distances) and the (y, x) sort that ties fall back on. The DSF and
-    every RST(h) built on one HalfCloud map that index through their own
-    key orders."""
+    every RST(h) built on one HalfCloud search that one index, each in its
+    own key order (search.nearest_lower maps it to the points)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -160,7 +160,7 @@ def build_dsf(points) -> HalfForest:
     if len(cloud) == 0:
         raise GeometryError("empty point list")
     order, xs, ys = cloud.ordered(-cloud.y)
-    parent, pdist = search.nearest_lower(-np.log(ys), search.KeyOrder(cloud.index, order))
+    parent, pdist = search.nearest_lower(-np.log(ys), cloud.index, order)
     return HalfForest(xs, ys, parent, pdist, order)
 
 
@@ -183,7 +183,7 @@ def build_rst_h(points, h: float) -> HalfForest:
     c = origin_distances(h, cloud.x, cloud.y)
     order, xs, ys = cloud.ordered(c)
     cs = c[order]
-    parent, pdist = search.nearest_lower(cs, search.KeyOrder(cloud.index, order), root_dist=cs)
+    parent, pdist = search.nearest_lower(cs, cloud.index, order, root_dist=cs)
     return HalfForest(xs, ys, parent, pdist, order, h=h)
 
 

@@ -56,14 +56,16 @@ class ExperimentConfig:
             raise GeometryError("r0_grid must be nonempty")
         if any(not 0 < r < self.base.R for r in self.r0_grid):
             raise GeometryError("r0_grid must lie inside (0, R)")
-        if not self.p >= 1:
-            raise GeometryError("p must be >= 1")
-        if not (self.A > 0 and self.theta > 0):
-            raise GeometryError("A and theta must be > 0")
-        if not self.a >= 0:
-            raise GeometryError("a must be >= 0")
-        if any(not h >= 0 for h in self.h_grid):
-            raise GeometryError("h_grid must be >= 0")
+        if not 1 <= self.p < math.inf:
+            raise GeometryError("p must be finite and >= 1")
+        if not (0 < self.A < math.inf and 0 < self.theta < math.inf):
+            raise GeometryError("A and theta must be finite and > 0")
+        if not 0 <= self.a < math.inf:
+            raise GeometryError("a must be finite and >= 0")
+        if not math.isfinite(self.delta):
+            raise GeometryError("delta must be finite")
+        if any(not 0 <= h < math.inf for h in self.h_grid):
+            raise GeometryError("h_grid must be finite and >= 0")
 
 
 def default_config(seed: int = DEFAULT_SEED, **overrides) -> ExperimentConfig:

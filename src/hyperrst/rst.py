@@ -213,7 +213,7 @@ def build(cloud: PointCloud) -> RadialTree:
     if len(cloud) == 0:
         return RadialTree(cloud, np.empty(0, dtype=np.int64), np.empty(0))
     # the cloud is sorted by radius, so the key order is the point order
-    index = search.KeyOrder(_chart_index(cloud.radii, cloud.dirs))
+    index = _chart_index(cloud.radii, cloud.dirs)
     parent, pdist = search.nearest_lower(cloud.radii, index, root_dist=cloud.radii)
     return RadialTree(cloud, parent, pdist)
 

@@ -8,8 +8,8 @@ to the point set (a `ChartIndex`): its metric, the chart ball that covers
 each metric ball (in both models the metric ball's exact image, a Euclidean
 ball whose centre is shifted off the point), the tree, each point's nearest
 chart neighbours, their distances in the metric and the chart distance to
-the farthest of them. A search sees the index through its own key order (a
-`KeyOrder`), so searches that sort one set by different keys share it and
+the farthest of them. A search maps its own key order onto the index's
+point order, so searches that sort one set by different keys share it and
 none evaluates it again. The O(n^2) oracles the search is checked against
 live in the tests.
 
@@ -90,7 +90,7 @@ class ChartIndex:
     ball holds the _K-th neighbour and is shifted toward smaller keys; a
     point found there only bounds a search, so where the wide table looks
     never changes a parent. Every search over the set uses this one index, whatever key
-    order it sorts the points by (see KeyOrder)."""
+    order it sorts the points by (see nearest_lower)."""
 
     def __init__(self, coords: np.ndarray, pair_dist, cover):
         n = coords.shape[0]
@@ -130,68 +130,27 @@ class ChartIndex:
         # np.take keeps the columns contiguous; knn[:, pts] would not
         return np.take(knn, pts, axis=1), np.take(dist, pts, axis=1)
 
-
-class KeyOrder:
-    """A ChartIndex seen in a search's key order: row r is point order[r], or
-    point r when order is None. Every method takes rows and maps them to
-    points; neighbours and ball hits come back as rows."""
-
-    def __init__(self, index: ChartIndex, order: np.ndarray | None = None):
-        self.index = index
-        self.order = order
-        if order is not None:
-            self.inv = np.empty_like(order)
-            self.inv[order] = np.arange(order.shape[0])
-
-    def _rows(self, ids):
-        return ids if self.order is None else self.inv[ids]
-
-    def _points(self, rows):
-        return rows if self.order is None else self.order[rows]
-
-    def coords(self, rows: np.ndarray) -> np.ndarray:
-        return self.index.coords[self._points(rows)]
-
-    def pair_dist(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The model's metric between rows i and j, index arrays broadcast."""
-        return self.index.pair_dist(self._points(i), self._points(j))
-
-    def cover(self, rows: np.ndarray, rho: np.ndarray):
-        """(centres, radii) of chart balls that contain the closed metric
-        ball of radius rho[k] around each of rows."""
-        return self.index.cover(self._points(rows), rho)
-
-    def kth(self, rows: np.ndarray) -> np.ndarray:
-        """Chart distance from each of rows to its _K-th nearest neighbour."""
-        return self.index.kth[self._points(rows)]
-
-    def table(self, rows: np.ndarray, wide: bool = False):
-        """(neighbours, distances), each (k, len(rows)): the rows of the _K
-        nearest chart neighbours of each of rows (with wide, the _K_WIDE
-        points of the wide table, see ChartIndex), at most n, nearest
-        first, and their pair distances."""
-        knn, dist = self.index.table(self._points(rows), wide)
-        return self._rows(knn), dist
-
     def ball(self, centres: np.ndarray, radii: np.ndarray):
-        """(counts, rows): the rows in each chart ball, concatenated in ball order."""
-        found = self.index.tree.query_ball_point(centres, radii, return_sorted=False)
+        """(counts, ids): the points in each chart ball, concatenated in ball order."""
+        found = self.tree.query_ball_point(centres, radii, return_sorted=False)
         counts = np.fromiter(map(len, found), dtype=np.int64, count=len(found))
-        hits = np.fromiter(chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
-        return counts, self._rows(hits)
+        return counts, np.fromiter(chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
 
 
-def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
+def nearest_lower(keys: np.ndarray, index: ChartIndex, order: np.ndarray | None = None, root_dist=None):
     """Parent of each point among points with strictly smaller key.
 
     keys: (n,) sorted ascending.
-    chart: the point set's ChartIndex seen in the order of keys; its metric
-        gives the distances and its cover the chart balls.
+    index: the point set's ChartIndex; its metric gives the distances and its
+        cover the chart balls.
+    order: the point of each key, a permutation of the index's points; None
+        when the keys are in the index's own order.
     root_dist: optional (n,) distances to a virtual root that always competes;
         when None, points with no candidate are marked FRONTIER.
 
-    Points are rows in key order throughout. Returns (parent, parent_dist);
-    parent_dist is +inf for frontier points.
+    Points are rows in key order throughout: row r is point order[r], and
+    the index's neighbours and ball hits map back to rows. Returns (parent,
+    parent_dist); parent_dist is +inf for frontier points.
 
     Pass 1 bounds each parent distance by the nearest smaller-key point among
     the _K chart neighbours (when the _K hold none, among the wide table's
@@ -206,6 +165,16 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
     A row with no bound scans every smaller key.
     """
     n = keys.shape[0]
+    if order is None:  # both maps are the identity, with no gather
+        point = row = lambda ids: ids
+    else:
+        inv = np.empty_like(order)
+        inv[order] = np.arange(n)
+        point, row = order.__getitem__, inv.__getitem__
+
+    def pair_dist(i, j):
+        return index.pair_dist(point(i), point(j))
+
     if root_dist is None:
         parent, pdist = np.full(n, FRONTIER, dtype=np.int64), np.full(n, np.inf)
     else:
@@ -216,7 +185,8 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         """(near, best): the distance and row of the nearest smaller-key
         chart neighbour of each of rows, the lowest row on ties; near is
         +inf when there is none. Reductions run down the neighbour columns."""
-        nb, d = chart.table(rows, wide)
+        nb, d = index.table(point(rows), wide)
+        nb = row(nb)
         d = np.where(nb < his[rows], d, np.inf)
         near = d.min(axis=0)
         return near, np.where(d == near, nb, n).min(axis=0)
@@ -227,10 +197,11 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
         near[miss], best[miss] = pass1(miss, wide=True)
     rho = np.minimum(pdist, near)
     b = np.flatnonzero(np.isfinite(rho))  # bounded rows
-    centre, radius = padded_cover(chart, b, rho[b])
+    pts = point(b)
+    centre, radius = padded_cover(index, pts, rho[b])
     # route 1: the cover ball lies inside the _K-NN ball (its pad dwarfs reach's rounding)
-    reach = np.sqrt(hgeom.row_sumsq(centre - chart.coords(b))) + radius
-    inside = reach < chart.kth(b)
+    reach = np.sqrt(hgeom.row_sumsq(centre - index.coords[pts])) + radius
+    inside = reach < index.kth[pts]
     done = b[inside & (near[b] <= pdist[b])]
     parent[done] = best[done]
     pdist[done] = near[done]
@@ -238,20 +209,20 @@ def nearest_lower(keys: np.ndarray, chart: KeyOrder, root_dist=None):
     out = ~inside
     rows, centre, radius = b[out], centre[out], radius[out]
     for a in range(0, rows.size, _CHUNK):
-        counts, cand = chart.ball(centre[a : a + _CHUNK], radius[a : a + _CHUNK])
-        _take_nearest(parent, pdist, np.repeat(rows[a : a + _CHUNK], counts), cand, his, chart.pair_dist)
+        counts, hits = index.ball(centre[a : a + _CHUNK], radius[a : a + _CHUNK])
+        _take_nearest(parent, pdist, np.repeat(rows[a : a + _CHUNK], counts), row(hits), his, pair_dist)
     unbounded = np.flatnonzero(~np.isfinite(rho))
     for a in range(0, unbounded.size, _CHUNK):
         rows = unbounded[a : a + _CHUNK]
         count = his[rows]
         cand = concat_ranges(np.zeros_like(count), count)
-        _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, chart.pair_dist)
+        _take_nearest(parent, pdist, np.repeat(rows, count), cand, his, pair_dist)
     return parent, pdist
 
 
-def padded_cover(chart: KeyOrder, rows: np.ndarray, rho: np.ndarray):
+def padded_cover(index: ChartIndex, pts: np.ndarray, rho: np.ndarray):
     """(centres, radii): the chart balls nearest_lower searches for the
-    metric balls of radius rho around rows, with the search's one pad: a
+    metric balls of radius rho around pts, with the search's one pad: a
     slack of _ULPS per unit of the chart's scale or of the centre, for the
     coordinates' few ulps, and _REL relative. The relative pad covers the
     metric's few ulps, as d log radius / d log rho <= 1 + rho in both
@@ -259,8 +230,8 @@ def padded_cover(chart: KeyOrder, rows: np.ndarray, rho: np.ndarray):
     about 1e-11: one off by e moves its chart point by up to e, past the
     slack in a ball of radius near 1 (the tests pin such misses at d = 1).
     Route 1 and the k-d ball query both read this radius."""
-    centre, radius = chart.cover(rows, rho)
-    slack = _ULPS * np.maximum(chart.index.scale, functools.reduce(np.maximum, np.abs(centre).T))
+    centre, radius = index.cover(pts, rho)
+    slack = _ULPS * np.maximum(index.scale, functools.reduce(np.maximum, np.abs(centre).T))
     return centre, radius * (1.0 + _REL) + slack
 
 

@@ -65,6 +65,13 @@ def test_build_record_one_round(tmp_path):
         # every cloud sends some rows to the k-d ball query (route 2)
         assert c["n"] > 0 and c["route2_rows"] > 0
         assert c["build_s_best"] > 0
+    # the counts are deterministic: a change to the search's routing must
+    # come with a new record
+    counted = ("n", "wide_rows", "unbounded_rows", "route2_rows", "route2_candidates")
+    record = json.loads((ROOT / "BENCH_build.json").read_text())
+    for checkout in record["checkouts"].values():
+        for name, c in checkout["clouds"].items():
+            assert {k: clouds[name][k] for k in counted} == {k: c[k] for k in counted}, name
 
 
 def test_sampling_record_one_round(tmp_path):

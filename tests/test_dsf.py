@@ -255,12 +255,14 @@ class TestSharedIndex:
                 for name in ("parent", "parent_dist", "order"):
                     assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.h, name)
 
-    def test_key_order_maps_neighbours_and_hits(self):
-        # a wrong neighbour map only loosens pass 1's bound, which the
-        # parent tests cannot see; compare with an index built in key order
+    def test_order_map_matches_an_index_in_key_order(self, routes):
+        # a wrong neighbour or hit map only loosens pass 1's bound, which the
+        # parents cannot show; the route counts do, so both must equal those
+        # of an index built in key order
         rng = np.random.default_rng(3)
         coords = rng.uniform(0.0, 1.0, (500, 2))
         order = rng.permutation(500)
+        keys = np.sort(rng.uniform(0.0, 1.0, 500))
 
         def index(pts):
             """The Euclidean metric on pts, covered by balls that grow with
@@ -271,24 +273,18 @@ class TestSharedIndex:
 
             return search.ChartIndex(pts, pair_dist, lambda k, rho: (pts[k], rho * (1.0 + pts[k, 0])))
 
-        mapped = search.KeyOrder(index(coords), order)
-        fresh = search.KeyOrder(index(coords[order]))
-        rows = np.arange(0, 500, 7)
-        # the model maps too: the metric between rows and the rows' cover balls
-        others = rng.permutation(500)[: rows.size]
-        assert mapped.pair_dist(rows, others).tobytes() == fresh.pair_dist(rows, others).tobytes()
-        block = (rows[:, None], others[None, :5])
-        assert mapped.pair_dist(*block).tobytes() == fresh.pair_dist(*block).tobytes()
-        rho = rng.uniform(0.0, 0.2, rows.size)
-        for got, want in zip(mapped.cover(rows, rho), fresh.cover(rows, rho)):
-            assert got.tobytes() == want.tobytes()
-        for wide in (False, True):
-            got, want = mapped.table(rows, wide)[0].T, fresh.table(rows, wide)[0].T
-            assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
-        centres, radii = coords[order[rows]], np.full(rows.size, 0.1)
-        (got_n, got), (want_n, want) = mapped.ball(centres, radii), fresh.ball(centres, radii)
-        assert np.array_equal(got_n, want_n)
-        assert np.array_equal(np.sort(got), np.sort(want))
+        for root_dist in (None, keys + 0.05):
+            seen = []
+            for args in ((index(coords), order), (index(coords[order]),)):
+                routes.update(dict.fromkeys(routes, 0))
+                parent, pdist = search.nearest_lower(keys, *args, root_dist=root_dist)
+                seen.append((parent.tobytes(), pdist.tobytes(), dict(routes)))
+            assert seen[0] == seen[1]
+            # both routes ran, and pass 1's wide misses; only the rootless
+            # search leaves rows unbounded
+            counts = seen[0][2]
+            assert counts["wide"] > 0 and counts["bounded"] > counts["ball"] > 0
+            assert (counts["prefix"] > 0) == (root_dist is None)
 
     def test_mirror_ties_taken(self):
         x, y = mirror_half_cloud()
@@ -335,20 +331,21 @@ class TestPointFacts:
             n = len(cloud)
             orders = [cloud.ordered(-y)[0]] + [cloud.ordered(dsf.origin_distances(h, x, y))[0] for h in (0.0, 5.0)]
             for order in orders:
-                chart = search.KeyOrder(cloud.index, order)
+                # the search's rows are key-order positions: row r is point order[r]
+                row = np.argsort(order)
                 pair_dist = dsf._pair_dist(x[order], y[order])
                 rows = np.arange(n)
                 some = rows[::7]
                 for sel, wide in ((rows, False), (some, True), (rows, True)):
-                    nb, d = chart.table(sel, wide)
+                    nb, d = cloud.index.table(order[sel], wide)
                     assert nb.shape == d.shape == (min(n, search._K_WIDE if wide else search._K), sel.size)
-                    assert d.tobytes() == pair_dist(sel, nb).tobytes(), wide
+                    assert d.tobytes() == pair_dist(sel, row[nb]).tobytes(), wide
 
     def test_table_distances_of_a_ball_tree(self):
         for d, lam, R in ((1, 10.0, 3.5), (2, 1.0, 3.5)):
             cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=2))
             pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
-            index = search.KeyOrder(rst._chart_index(cloud.radii, cloud.dirs))
+            index = rst._chart_index(cloud.radii, cloud.dirs)
             rows = np.arange(len(cloud))
             for wide in (False, True):
                 nb, dist = index.table(rows, wide)
@@ -357,7 +354,7 @@ class TestPointFacts:
             # the cover ball of each point's _K-th neighbour distance
             some = rows[::7]
             centre = index.cover(some, index.table(some)[1][-1])[0]
-            coords = index.coords(rows)
+            coords = index.coords
             near = np.argsort(((centre[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1), axis=1)
             wide = np.sort(index.table(some, wide=True)[0].T, axis=1)
             assert np.array_equal(wide, np.sort(near[:, : search._K_WIDE], axis=1))
@@ -371,36 +368,44 @@ def brute_over(keys, pair_dist, root_dist=None):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Rows of search.nearest_lower by what they reach: a cover ball
-    ("bounded"), a searched chart ball ("ball", route 2) and a smaller-key
-    prefix scan ("prefix", the unbounded rows). Bounded rows that reach no
-    ball query are the ones route 1 settled."""
-    seen = dict.fromkeys(("bounded", "ball", "prefix"), 0)
-    nearest_lower, concat_ranges = search.nearest_lower, search.concat_ranges
-    ball, cover = search.KeyOrder.ball, search.KeyOrder.cover
+    """Rows of search.nearest_lower by what they reach: the wide neighbour
+    table ("wide", pass 1's misses), a cover ball ("bounded"), a searched
+    chart ball ("ball", route 2, holding "candidates" points) and a
+    smaller-key prefix scan ("prefix", the unbounded rows). Bounded rows
+    that reach no ball query are the ones route 1 settled."""
+    seen = dict.fromkeys(("wide", "bounded", "ball", "candidates", "prefix"), 0)
+    nearest_lower, concat_ranges, padded_cover = search.nearest_lower, search.concat_ranges, search.padded_cover
+    ball, table = search.ChartIndex.ball, search.ChartIndex.table
 
-    def counting_search(keys, chart, root_dist=None):
+    def counting_search(*args, **kwargs):
         monkeypatch.setattr(search, "concat_ranges", counting_ranges)
         try:
-            return nearest_lower(keys, chart, root_dist)
+            return nearest_lower(*args, **kwargs)
         finally:
             monkeypatch.setattr(search, "concat_ranges", concat_ranges)
 
-    def counting_cover(self, rows, rho):
-        seen["bounded"] += rows.size
-        return cover(self, rows, rho)
+    def counting_table(self, pts, wide=False):
+        seen["wide"] += pts.size if wide else 0
+        return table(self, pts, wide)
+
+    def counting_cover(index, pts, rho):
+        seen["bounded"] += pts.size
+        return padded_cover(index, pts, rho)
 
     def counting_ranges(lo, hi):
         seen["prefix"] += lo.size
         return concat_ranges(lo, hi)
 
     def counting_ball(self, centres, radii):
-        seen["ball"] += len(centres)
-        return ball(self, centres, radii)
+        counts, hits = ball(self, centres, radii)
+        seen["ball"] += counts.size
+        seen["candidates"] += hits.size
+        return counts, hits
 
     monkeypatch.setattr(search, "nearest_lower", counting_search)
-    monkeypatch.setattr(search.KeyOrder, "ball", counting_ball)
-    monkeypatch.setattr(search.KeyOrder, "cover", counting_cover)
+    monkeypatch.setattr(search, "padded_cover", counting_cover)
+    monkeypatch.setattr(search.ChartIndex, "ball", counting_ball)
+    monkeypatch.setattr(search.ChartIndex, "table", counting_table)
     return seen
 
 
@@ -476,8 +481,8 @@ class TestRoutes:
         cases = [(None, True), (np.full(n, math.sqrt(2.0)), True), (np.ones(n), False), (keys / 100.0 + 0.5, True)]
         for root_dist, searched in cases:
             routes.update(dict.fromkeys(routes, 0))
-            chart = search.KeyOrder(search.ChartIndex(grid, euclid, lambda rows, rho: (grid[rows], rho)))
-            parent, pdist = search.nearest_lower(keys, chart, root_dist)
+            index = search.ChartIndex(grid, euclid, lambda rows, rho: (grid[rows], rho))
+            parent, pdist = search.nearest_lower(keys, index, root_dist=root_dist)
             want_parent, want_dist = brute_over(keys, euclid, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
@@ -527,9 +532,8 @@ def test_half_cover_holds_points_one_ulp_inside(d):
         w = np.append(x, y * math.cosh(t)) + y * math.sinh(t) * v / np.linalg.norm(v)
         cloud = dsf.HalfCloud(np.array([x, w[:d]]), np.array([y, w[d]]))
         rho = np.nextafter(cloud.index.pair_dist(np.array([0]), np.array([1])), np.inf)
-        chart = search.KeyOrder(cloud.index)
-        centre, radius = search.padded_cover(chart, np.array([0]), rho)
-        assert 1 in chart.ball(centre, radius)[1], (y, t)
+        centre, radius = search.padded_cover(cloud.index, np.array([0]), rho)
+        assert 1 in cloud.index.ball(centre, radius)[1], (y, t)
 
 
 def test_oracles_independent_of_the_search(monkeypatch):

@@ -61,8 +61,11 @@ def test_grid_validation():
 
 @pytest.mark.parametrize(
     "bad",
-    [{"A": -1.0}, {"A": 0.0}, {"theta": -0.5}, {"theta": 0.0}, {"a": -0.1}, {"h_grid": (2.0, -1.0)}, {"p": math.nan}],
-    ids=["A_negative", "A_zero", "theta_negative", "theta_zero", "a_negative", "h_negative", "p_nan"],
+    [{"A": -1.0}, {"A": 0.0}, {"theta": -0.5}, {"theta": 0.0}, {"a": -0.1}, {"h_grid": (2.0, -1.0)}, {"p": math.nan},
+     {"p": math.inf}, {"A": math.inf}, {"theta": math.inf}, {"a": math.inf}, {"delta": math.inf},
+     {"delta": math.nan}, {"h_grid": (math.inf,)}],
+    ids=["A_negative", "A_zero", "theta_negative", "theta_zero", "a_negative", "h_negative", "p_nan",
+         "p_inf", "A_inf", "theta_inf", "a_inf", "delta_inf", "delta_nan", "h_inf"],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(GeometryError):

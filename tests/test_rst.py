@@ -67,9 +67,9 @@ def cover_holds(radii, dirs):
     """Whether the chart ball nearest_lower searches for B(z, rho), rho one
     ulp above d(z, w), holds w; z and w are rows 0 and 1 of (radii, dirs)."""
     rho = np.nextafter(rst._pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
-    chart = search.KeyOrder(rst._chart_index(radii, dirs))
-    centre, radius = search.padded_cover(chart, np.array([0]), rho)
-    return 1 in chart.ball(centre, radius)[1]
+    index = rst._chart_index(radii, dirs)
+    centre, radius = search.padded_cover(index, np.array([0]), rho)
+    return 1 in index.ball(centre, radius)[1]
 
 
 # the clouds of the MBD checks, one per dimension: sample_tree(10, lam, R, d)
@@ -82,6 +82,18 @@ def scan_parents(cloud):
     """Parents and parent distances from the block scan oracle."""
     pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
     return nearest_lower_scan(cloud.radii, pair_dist, root_dist=cloud.radii)
+
+
+def far_out_clusters():
+    """(cloud, cluster): 40 d=1 clusters of 25 points between r = 19 and
+    R = 30, each spread over a few e^-r of angle, so that most parents are
+    points, not the root, where the chart keeps only about e^-r of relative
+    precision; cluster[k] labels point k."""
+    rng = np.random.default_rng(30)
+    centres = rng.uniform(20.0, 29.0, 40)
+    radii = np.minimum(np.repeat(centres, 25) + rng.uniform(-1.0, 1.0, 1000), 30.0)
+    angles = np.repeat(rng.uniform(0.0, 2.0 * math.pi, 40), 25) + rng.uniform(-4.0, 4.0, 1000) * np.exp(-radii)
+    return make_cloud(radii, angles, R=30.0), np.repeat(np.arange(40), 25)[np.argsort(radii)]
 
 
 def mirror_cloud(pairs=40, seed=0):
@@ -147,14 +159,7 @@ class TestBuild:
                 assert np.array_equal(tree.parent_dist, pdist)
 
     def test_matches_brute_force_far_out(self):
-        # d=1 clusters between r = 19 and R = 30, each spread over a few e^-r
-        # of angle, so that most parents are points, not the root, where the
-        # chart keeps only about e^-r of relative precision
-        rng = np.random.default_rng(30)
-        centres = rng.uniform(20.0, 29.0, 40)
-        radii = np.minimum(np.repeat(centres, 25) + rng.uniform(-1.0, 1.0, 1000), 30.0)
-        angles = np.repeat(rng.uniform(0.0, 2.0 * math.pi, 40), 25) + rng.uniform(-4.0, 4.0, 1000) * np.exp(-radii)
-        cloud = make_cloud(radii, angles, R=30.0)
+        cloud, _ = far_out_clusters()
         tree = rst.build(cloud)
         assert np.array_equal(tree.parent, brute_force_parents(cloud))
         parent, pdist = scan_parents(cloud)
@@ -194,6 +199,24 @@ class TestBuild:
             v /= np.linalg.norm(v)
             radii, dirs = np.array([rz, rw]), np.array([u, math.cos(theta) * u + math.sin(theta) * v])
             assert cover_holds(radii, dirs), (rz, rw)
+
+    def test_far_out_balls_hold_one_cluster(self, monkeypatch):
+        # far out, the padded chart balls of route 2 must stay about e^-r
+        # wide: each holds points of one cluster only, at most its 25
+        cloud, cluster = far_out_clusters()
+        balls = []
+        ball = search.ChartIndex.ball
+
+        def recording_ball(self, centres, radii):
+            counts, hits = ball(self, centres, radii)
+            balls.extend(np.split(hits, np.cumsum(counts)[:-1]))
+            return counts, hits
+
+        monkeypatch.setattr(search.ChartIndex, "ball", recording_ball)
+        rst.build(cloud)
+        assert len(balls) > 100
+        assert max(map(len, balls)) <= 25
+        assert all(np.unique(cluster[hits]).size <= 1 for hits in balls)
 
     def test_search_tie_rule_across_blocks(self):
         # distances 1, 2, 3 repeat along the index, so ties span many blocks;
@@ -236,8 +259,8 @@ class TestBuild:
 
         dist = l1(np.arange(n)[:, None], np.arange(n))
         for root_dist in (None, np.ones(n), keys + 0.5):
-            chart = search.KeyOrder(search.ChartIndex(grid, l1, lambda rows, rho: (grid[rows], rho)))
-            parent, pdist = search.nearest_lower(keys, chart, root_dist)
+            index = search.ChartIndex(grid, l1, lambda rows, rho: (grid[rows], rho))
+            parent, pdist = search.nearest_lower(keys, index, root_dist=root_dist)
             want_parent, want_dist = nearest_lower_brute(keys, dist, root_dist)
             assert np.array_equal(parent, want_parent)
             assert np.array_equal(pdist, want_dist)
