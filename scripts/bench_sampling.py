@@ -13,8 +13,8 @@ seed 29 (best of 15 calls each) and counts their points:
   DSF key -y and by the distances from O(h) for each h of the default grid
   (the keys are computed before the timed region).
 
-No sort key of these clouds repeats a value, so no stage takes a sort's
-tie-breaking fallback.
+No sort key of these clouds repeats a value, so every stage sorts by one
+`np.argsort` and none by the tie-breaking `np.lexsort`.
 
 Comparing two checkouts alternates their children, so that a slow spell of
 the machine is shared; the record keeps every round, the best time over

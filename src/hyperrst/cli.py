@@ -55,13 +55,11 @@ def load_config(path: str, seed_override: int | None) -> dict:
     """Flat JSON config; unknown keys are errors (fail closed)."""
     cfg = dict(DEFAULTS)
     if path != "defaults":
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         try:
             with open(path) as fh:
                 user = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8, not JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(user) - set(DEFAULTS)
@@ -152,10 +150,10 @@ def _cmd_analyze(experiment: str, cfg: dict, out_dir: str) -> int:
 
 
 def _cmd_render(cfg: dict, out_dir: str) -> int:
-    tree = rst.build(sampler.sample_ball(cloud_config(cfg)))
     scene = render.SvgScene(
         disc_px=float(cfg["disc_px"]), edge_style=cfg["edge_style"], colors=bool(cfg["colors"])
     )
+    tree = rst.build(sampler.sample_ball(cloud_config(cfg)))
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"rst_{cfg['seed']}.svg")
     with open(path, "w") as fh:

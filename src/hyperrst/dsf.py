@@ -7,15 +7,14 @@ its parents couple with the DSF parents on compact sets.
 
 Both search the same (x, y) chart and differ only in the key order. What
 depends only on the points belongs to a HalfCloud: the hyperbolic metric
-and its chart cover balls, the chart's k-d tree, each point's 8 nearest
-chart neighbours with their hyperbolic distances, and, where a key
-repeats, one sort of the points by (y, x). Every forest built on one
-HalfCloud shares them, and sorts by its own key, ties by y and then x:
-one argsort of the key when no value of it repeats, else a stable sort of
-that (y, x) order, the same permutation either way. Points given as an
-(x, y) pair get a fresh HalfCloud per call. coupling_fraction wraps its
-points once, so the DSF and the RST(h) of its whole h grid share one of
-each.
+and its chart cover balls, the chart's k-d tree, and each point's 8
+nearest chart neighbours with their hyperbolic distances. Every forest
+built on one HalfCloud shares them, and sorts by its own key, ties by y
+and then x (hgeom.argsort_distinct): one argsort of the key when no value
+of it repeats, else np.lexsort, the same permutation either way. Points
+given as an (x, y) pair get a fresh HalfCloud per call. coupling_fraction
+wraps its points once, so the DSF and the RST(h) of its whole h grid
+share one of each.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ class HalfCloud:
     otherwise), that own what their searches share, each built on first
     use: the chart index (the hyperbolic metric and its chart cover, a k-d
     tree over (x, y), each point's nearest chart neighbours and their pair
-    distances) and the (y, x) sort that ties fall back on. The DSF and
-    every RST(h) built on one HalfCloud search that one index, each in its
-    own key order (search.nearest_lower maps it to the points)."""
+    distances). The DSF and every RST(h) built on one HalfCloud search
+    that one index, each in its own key order (search.nearest_lower maps
+    it to the points)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -74,23 +73,11 @@ class HalfCloud:
 
         return search.ChartIndex(np.column_stack([x, y]), _pair_dist(x, y), cover)
 
-    @functools.cached_property
-    def by_height(self) -> np.ndarray:
-        """The points sorted by y, then by the columns of x in turn: the
-        permutation of np.lexsort((x..., y)), from one argsort of y unless a
-        value of y repeats."""
-        return hgeom.argsort_distinct(
-            self.y, lambda: np.lexsort(tuple(self.x[:, ::-1].T) + (self.y,))
-        )
-
     def ordered(self, key: np.ndarray):
         """(order, x, y) with the points sorted by key, ties by y and then by
-        the columns of x: the permutation of np.lexsort((x..., y, key)). It
-        is one argsort of key unless a value of key repeats; then it is a
-        stable sort of by_height, which is built only for such a key."""
-        order = hgeom.argsort_distinct(
-            key, lambda: self.by_height[np.argsort(key[self.by_height], kind="stable")]
-        )
+        the columns of x: the permutation of np.lexsort((x..., y, key)), from
+        one argsort of key unless a value of key repeats."""
+        order = hgeom.argsort_distinct(key, self.y, *self.x.T)
         return order, self.x[order], self.y[order]
 
 

@@ -630,6 +630,11 @@ def _check(cfg: ExperimentConfig, names):
     # confinement sweeps from the median of r0_grid out to r_prime
     if "confinement" in names and float(np.median(cfg.r0_grid)) > r_prime(cfg):
         raise GeometryError(f"the median of r0_grid must be <= R - 0.5 = {r_prime(cfg):g} for confinement")
+    # good_points counts the shell [r0 - 1, r0) at the median r0 of r0_grid
+    if "good_points" in names and float(np.median(cfg.r0_grid)) < 1.0:
+        raise GeometryError("the median of r0_grid must be >= 1 for good_points")
+    if "bplus_volume" in names and not bplus_grid(cfg):
+        raise GeometryError("R must be > 1.5 for bplus_volume")
     if "coupling" in names:
         if not cfg.h_grid:
             raise GeometryError("h_grid must be nonempty")

@@ -150,22 +150,22 @@ def row_sumsq(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def argsort_distinct(key: np.ndarray, fallback) -> np.ndarray:
-    """The permutation that sorts key, from one np.argsort when no value of
-    key repeats, else fallback(): the caller's exact sort, ties broken.
+def argsort_distinct(key: np.ndarray, *ties: np.ndarray) -> np.ndarray:
+    """The permutation that sorts key, ties by ties[0], then ties[1], ...:
+    the one np.lexsort((..., ties[1], ties[0], key)) gives.
 
     Values that strictly increase once sorted have one sorting permutation,
-    so every sort of them, fallback()'s included, returns it bit for bit.
-    Any repeat, -0.0 beside 0.0, or NaN fails the strict test and takes
-    fallback(). np.argsort's default kind is numpy's fastest (a SIMD
-    quicksort on x86); np.lexsort and the stable sorts are several times
-    slower.
+    so one np.argsort of key returns it bit for bit. Any repeat, -0.0
+    beside 0.0, or NaN fails the strict test and takes np.lexsort, which
+    is stable, so with no ties it is np.argsort(key, kind="stable").
+    np.argsort's default kind is numpy's fastest (a SIMD quicksort on x86);
+    np.lexsort and the stable sorts are several times slower.
     """
     order = np.argsort(key)
     s = key[order]
     if np.all(s[1:] > s[:-1]):
         return order
-    return fallback()
+    return np.lexsort(ties[::-1] + (key,))
 
 
 def angle_between(u1: np.ndarray, u2: np.ndarray) -> float:

@@ -29,6 +29,8 @@ class SvgScene:
     def __post_init__(self):
         if self.edge_style not in ("geodesic-arc", "star-path-polyline"):
             raise GeometryError(f"unknown edge style {self.edge_style!r}")
+        if not self.disc_px > 0:
+            raise GeometryError(f"disc_px must be > 0, not {self.disc_px!r}")
 
 
 @dataclass(frozen=True)

@@ -478,7 +478,7 @@ def _direction_index(u: np.ndarray):
     cell = 0
     for col in u[:, :0:-1].T:
         cell = cell * cells + _cells(col, cells)
-    by_u0 = hgeom.argsort_distinct(u[:, 0], lambda: np.argsort(u[:, 0], kind="stable"))
+    by_u0 = hgeom.argsort_distinct(u[:, 0])
     rank = np.empty(m, dtype=np.int64)
     rank[by_u0] = np.arange(m)
     key = cell * m + rank

@@ -215,9 +215,7 @@ def sample_ball(cfg: CloudConfig, replica: int = 0) -> PointCloud:
         radii = radial_law(cfg.d, cfg.R).invert(u01)
     dirs = _uniform_directions(rng, n, cfg.d + 1)
     radii = np.minimum(np.maximum(radii, 1e-12), cfg.R)
-    order = hgeom.argsort_distinct(
-        radii, lambda: np.lexsort(tuple(dirs[:, k] for k in range(cfg.d, -1, -1)) + (radii,))
-    )
+    order = hgeom.argsort_distinct(radii, *dirs.T)
     return PointCloud(cfg, radii[order], dirs[order])
 
 
@@ -271,9 +269,7 @@ def sample_half_arrays(lam: float, d: int, w: HalfWindow, seed: int, replica: in
     span = w.y_min**-d - w.y_max**-d
     y = (w.y_min**-d - u01 * span) ** (-1.0 / d)
     x = rng.uniform(-w.half_width, w.half_width, size=(n, d))
-    order = hgeom.argsort_distinct(
-        y, lambda: np.lexsort(tuple(x[:, k] for k in range(d - 1, -1, -1)) + (y,))
-    )
+    order = hgeom.argsort_distinct(y, *x.T)
     return x[order], y[order]
 
 

@@ -527,6 +527,35 @@ def test_confinement_median_past_r_prime(monkeypatch):
     experiments._check(default_config(base=base, r0_grid=(4.5,)), ["confinement"])
 
 
+def test_good_points_median_below_1(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a cloud for a config that cannot run")
+
+    monkeypatch.setattr(sampler, "sample_ball", refuse)
+    base = CloudConfig(d=1, lam=5.0, R=4.0, seed=1)
+    for grid in ((0.5, 0.8, 0.9), (0.99,)):
+        cfg = default_config(base=base, replicas=2, r0_grid=grid)
+        with pytest.raises(GeometryError, match="median of r0_grid must be >= 1 for good_points"):
+            experiments.analyze(cfg, ["level_counts", "good_points"])
+    # a median of exactly 1 puts the inner shell at [0, 1), and runs
+    experiments._check(default_config(base=base, r0_grid=(0.5, 1.0, 1.5)), ["good_points"])
+
+
+def test_bplus_volume_needs_r_past_1_5(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled a cloud for a config that cannot run")
+
+    monkeypatch.setattr(sampler, "sample_ball", refuse)
+    for R in (1.2, 1.5):
+        cfg = default_config(base=CloudConfig(d=1, lam=5.0, R=R, seed=1), replicas=2, r0_grid=(0.5,))
+        assert not experiments.bplus_grid(cfg)
+        with pytest.raises(GeometryError, match="R must be > 1.5 for bplus_volume"):
+            experiments.analyze(cfg, ["level_counts", "bplus_volume"])
+    cfg = default_config(base=CloudConfig(d=1, lam=5.0, R=1.6, seed=1), r0_grid=(0.5,))
+    assert experiments.bplus_grid(cfg)
+    experiments._check(cfg, ["bplus_volume"])
+
+
 def test_coupling_small():
     cfg = ExperimentConfig(
         base=CloudConfig(d=1, lam=10.0, R=3.5, seed=5),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,7 +546,7 @@ class TestRowSumsq:
 
 
 # A few small values repeat often; -0.0 beside 0.0 and NaN are ties or
-# unordered, and each must send argsort_distinct to its fallback.
+# unordered, and each must send argsort_distinct to np.lexsort.
 _SORT_VALUES = st.one_of(
     st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=False),
@@ -561,32 +562,28 @@ def _sort_columns(draw):
     return np.array(draw(st.lists(column, min_size=cols, max_size=cols)), dtype=float).reshape(cols, n)
 
 
-def _fast_path_exact(key, fallback):
-    """argsort_distinct(key, fallback) next to fallback(); the fallback runs
-    exactly when two values of key tie or one is NaN."""
-    calls = []
-
-    def counted():
-        calls.append(1)
-        return fallback()
-
-    got = hgeom.argsort_distinct(key, counted)
+def _argsort_distinct_exact(key, *ties):
+    """argsort_distinct(key, *ties), checked against np.lexsort of the same
+    columns (its last key is primary); np.lexsort runs exactly when two
+    values of key tie or one is NaN."""
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        got = hgeom.argsort_distinct(key, *ties)
     repeats = key.size > 1 and (np.isnan(key).any() or np.unique(key).size < key.size)
-    assert len(calls) == int(repeats)
-    return got, fallback()
+    assert lexsort.call_count == int(repeats)
+    want = np.lexsort(ties[::-1] + (key,))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    return got
 
 
 @given(cols=_sort_columns())
 @example(cols=np.empty((2, 0)))
 @example(cols=np.array([[0.25]]))
-@example(cols=np.array([[2.0, 1.0, 0.0], [0.5, 0.5, 0.5]]))  # all-equal primary key
-@example(cols=np.array([[1.0, 0.0, 2.0], [0.0, -0.0, 0.0]]))  # signed zeros tie
-@example(cols=np.array([[0.0, 1.0], [0.0, math.nan]]))
+@example(cols=np.array([[0.5, 0.5, 0.5], [2.0, 1.0, 0.0]]))  # all-equal key
+@example(cols=np.array([[0.0, -0.0, 0.0], [1.0, 0.0, 2.0]]))  # signed zeros tie
+@example(cols=np.array([[0.0, math.nan], [0.0, 1.0]]))
 @settings(max_examples=300, deadline=None)
 def test_argsort_distinct_is_lexsort(cols):
-    # np.lexsort takes its last key as primary
-    got, want = _fast_path_exact(cols[-1], lambda: np.lexsort(cols))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    _argsort_distinct_exact(*cols)
 
 
 @given(cols=_sort_columns())
@@ -595,8 +592,8 @@ def test_argsort_distinct_is_lexsort(cols):
 @settings(max_examples=300, deadline=None)
 def test_argsort_distinct_is_stable_argsort(cols):
     key = cols[0]
-    got, want = _fast_path_exact(key, lambda: np.argsort(key, kind="stable"))
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = _argsort_distinct_exact(key)
+    assert np.array_equal(got, np.argsort(key, kind="stable"))
 
 
 @given(cols=_sort_columns())

@@ -87,6 +87,11 @@ class TestRenderSvg:
         scene = SvgScene()
         assert render.render_svg(tree, scene) == render.render_svg(tree, scene)
 
+    @pytest.mark.parametrize("disc_px", [-5.0, 0.0, math.nan])
+    def test_rejects_disc_px_not_positive(self, disc_px):
+        with pytest.raises(GeometryError, match="disc_px must be > 0"):
+            SvgScene(disc_px=disc_px)
+
     def test_rejects_d2(self):
         cloud = sampler.sample_ball(CloudConfig(d=2, lam=1.0, R=2.0, seed=1))
         tree = rst.build(cloud)
@@ -164,8 +169,17 @@ class TestCli:
         assert out.exists()
         assert json.loads(out.read_text())["experiment"] == "level_counts"
 
-    def test_missing_config_exit_2(self, tmp_path):
-        assert cli.main(["analyze", "straightness", "--config", str(tmp_path / "nope.json")]) == 2
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_missing_config_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "straightness", "--config", str(path), "--out", str(out)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "user",
@@ -220,6 +234,15 @@ class TestCli:
             assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2, name
         assert not any(tmp_path.glob("*_*.*"))
 
+    @pytest.mark.parametrize("disc_px", [-5, 0])
+    def test_disc_px_not_positive_exit_2(self, tmp_path, capsys, disc_px):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 6.0, "R": 2.5, "disc_px": disc_px}))
+        out = tmp_path / "out"
+        assert cli.main(["render", "--config", str(p), "--out", str(out)]) == 2
+        assert "disc_px must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_coupling_window_over_cap_exit_2(self, tmp_path, capsys):
         # d=3, lambda=0.3 puts about 3.4M points in the coupling window
         p = tmp_path / "cfg.json"
@@ -238,6 +261,26 @@ class TestCli:
         p.write_text(json.dumps({"R": 5, "r0_grid": [4.8], "replicas": 1}))
         assert cli.main(["analyze", "confinement", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "r0_grid" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*_*.*"))
+
+    @pytest.mark.parametrize(
+        "user, name, message",
+        [
+            ({"lambda": 5, "R": 4, "r0_grid": [0.5, 0.8, 0.9], "replicas": 2}, "good_points", "r0_grid"),
+            ({"lambda": 5, "R": 1.2, "r0_grid": [0.5], "replicas": 2}, "bplus_volume", "R must be > 1.5"),
+        ],
+        ids=["good_points", "bplus_volume"],
+    )
+    def test_unrunnable_experiment_exit_2(self, tmp_path, capsys, monkeypatch, user, name, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a cloud for a config that cannot run")
+
+        monkeypatch.setattr(sampler, "sample_ball", refuse)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(user))
+        assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main(["analyze", "all", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.glob("*_*.*"))
 
     def test_dsf_bytes_independent_of_number_type(self, tmp_path):
