@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hgeom, search
-from .hgeom import GeometryError, HalfPoint
+from .hgeom import GeometryError
 from .sampler import HalfWindow, window_margin
 from .search import FRONTIER, ROOT
 
@@ -71,7 +71,7 @@ class HalfCloud:
             yp = y[pts]
             return np.column_stack([x[pts], yp * np.cosh(rho)]), yp * np.sinh(rho)
 
-        return search.ChartIndex(np.column_stack([x, y]), _pair_dist(x, y), cover)
+        return search.ChartIndex(np.column_stack([x, y]), hgeom.half_pair_dist(x, y), cover)
 
     def ordered(self, key: np.ndarray):
         """(order, x, y) with the points sorted by key, ties by y and then by
@@ -106,9 +106,6 @@ class HalfForest:
     def __len__(self) -> int:
         return self.y.shape[0]
 
-    def point(self, i: int) -> HalfPoint:
-        return HalfPoint(self.x[i], float(self.y[i]))
-
     @functools.cached_property
     def rank(self) -> np.ndarray:
         """Internal row of each input point: the inverse of order."""
@@ -120,21 +117,6 @@ class HalfForest:
         """Parent indices re-expressed for the caller's original point order."""
         pp = self.parent[self.rank]
         return np.where(pp < 0, pp, self.order[np.maximum(pp, 0)])
-
-
-def _pair_dist(x, y):
-    """pair_dist(i, j): distances between points i and j, index arrays broadcast.
-
-    Columns are summed one at a time, in order, so that a pair gets the same
-    bits in the k-d search and in the block scan.
-    """
-    cols = np.ascontiguousarray(np.column_stack([x, y]).T)
-
-    def pair_dist(i, j):
-        sq = sum((c[j] - c[i]) ** 2 for c in cols)
-        return hgeom.stable_arccosh1p(sq / (2.0 * y[j] * y[i]))
-
-    return pair_dist
 
 
 def build_dsf(points) -> HalfForest:
@@ -199,28 +181,6 @@ class RegionSpec:
             raise GeometryError("A must be > 0")
         if not (self.a >= 0 and self.h >= 0):
             raise GeometryError("a and h must be >= 0")
-
-
-def region_contains(spec: RegionSpec, z: HalfPoint) -> bool:
-    """Membership per the displayed set definitions.
-
-    All three Vois cones have apex O(h); the apertures are A e^-h, A e^-h and
-    A e^-(h+a). Cyl kinds test their cyl_box; a y_lo of 0 is no bound, as
-    every HalfPoint has y > 0.
-    """
-    xnorm = float(np.linalg.norm(z.x))
-    y = z.y
-    if spec.kind in CYL_KINDS:
-        xr, lo, hi = cyl_box(spec)
-        return xnorm < xr and lo <= y <= hi
-    ang = float(hgeom.apex_angle_arrays(spec.h, xnorm, y))
-    dist = float(origin_distances(spec.h, z.x[None, :], np.array([y]))[0])
-    if spec.kind == "Vois":
-        return ang <= spec.A * math.exp(-spec.h) and dist >= spec.h
-    if spec.kind == "Vois'":
-        return ang <= spec.A * math.exp(-spec.h) and spec.h <= dist < spec.h + spec.a
-    # Vois''
-    return ang <= spec.A * math.exp(-spec.h - spec.a) and dist >= spec.h + spec.a
 
 
 def cyl_box(spec: RegionSpec):

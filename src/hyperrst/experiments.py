@@ -644,6 +644,10 @@ def _check(cfg: ExperimentConfig, names):
                 f"the coupling window would hold about {count:.3g} points per replica, "
                 f"above the cap of {COUPLING_MAX_POINTS:.3g}; lower lam, d, A or a"
             )
+    # these four fit a log-slope over r0_grid, which one value cannot give
+    fitted = [name for name in names if name in ("straightness", "mbd_moment", "annulus", "level_counts")]
+    if fitted and len(set(cfg.r0_grid)) < 2:
+        raise GeometryError(f"r0_grid needs two distinct values to fit a slope for {', '.join(fitted)}")
 
 
 def _replica_rows(cfg: ExperimentConfig, kernels: tuple, replica: int) -> list:

@@ -1,13 +1,17 @@
 """Exact hyperbolic geometry in curvature -1.
 
-Three coordinate models of (d+1)-dimensional hyperbolic space are supported:
+Three coordinate models of (d+1)-dimensional hyperbolic space appear:
 
 * polar: a point is (r; u) with r the distance to a fixed origin and
-  u a unit vector in R^(d+1),
+  u a unit vector in R^(d+1); the radial trees' metric is polar_pair_dist,
 * open ball (Poincare): Euclidean coordinates strictly inside the unit ball,
-  metric 4 |dx|^2 / (1 - |x|^2)^2,
-* half space: (x, y) with x in R^d and y > 0, metric (|dx|^2 + dy^2) / y^2.
+  metric 4 |dx|^2 / (1 - |x|^2)^2; the chart of the radial trees' search
+  and of render,
+* half space: (x, y) with x in R^d and y > 0, metric (|dx|^2 + dy^2) / y^2;
+  the DSF's and RST(h)'s metric is half_pair_dist.
 
+Each model's metric is written once, here; tests/oracles.py holds the
+isometries between the models and the ball distance that check them.
 All distances are in absolute hyperbolic units, all angles in radians.
 """
 
@@ -46,9 +50,6 @@ class Direction:
     def __post_init__(self):
         object.__setattr__(self, "components", _as_unit(self.components))
 
-    def angle_to(self, other: "Direction") -> float:
-        return angle_between(self.components, other.components)
-
 
 def basis_direction(ambient_dim: int, axis: int = 0) -> Direction:
     v = np.zeros(ambient_dim)
@@ -75,49 +76,6 @@ def polar(r: float, components) -> PolarPoint:
 def origin_point(ambient_dim: int) -> PolarPoint:
     # radius-0 direction is a convention only; never used in angle terms
     return PolarPoint(0.0, basis_direction(ambient_dim))
-
-
-@dataclass(frozen=True, eq=False)
-class BallPoint:
-    """Point of the open unit ball model."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if np.linalg.norm(c) >= 1.0:
-            raise GeometryError("ball point must lie strictly inside the unit ball")
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True, eq=False)
-class HalfPoint:
-    """Point (x, y) of the half-space model; x is the abscissa, y > 0 the ordinate."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        if not self.y > 0:
-            raise GeometryError(f"ordinate {self.y} must be > 0")
-
-
-@dataclass(frozen=True, eq=False)
-class Cone:
-    """Cone of apex at the origin: directions within `aperture` of `apex_direction`."""
-
-    apex_direction: Direction
-    aperture: float
-
-    def __post_init__(self):
-        if not self.aperture >= 0:
-            raise GeometryError("aperture must be >= 0")
-
-    def contains(self, z: PolarPoint) -> bool:
-        if self.aperture >= math.pi:
-            return True
-        return self.apex_direction.angle_to(z.u) <= self.aperture
 
 
 # ---------------------------------------------------------------------------
@@ -186,34 +144,44 @@ def angle_between_arrays(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.where(d2 <= 2.0, near, far)
 
 
-def dist_polar(z1: PolarPoint, z2: PolarPoint) -> float:
-    """Hyperbolic distance from the law of cosines in polar coordinates.
+def polar_pair_dist(radii, dirs):
+    """pair_dist(i, j): distances between polar points (radii[i]; dirs[i])
+    and (radii[j]; dirs[j]), index arrays broadcast.
 
-    Takes cosh d - 1 = 2 sinh^2((r1-r2)/2) + (1 - <u1,u2>) sinh r1 sinh r2,
-    without cancellation, with 1 - <u1,u2> = |u1-u2|^2 / 2 for unit vectors.
+    Law of cosines without cancellation: cosh d - 1 = 2 sinh^2((r1-r2)/2)
+    + (1 - <u1,u2>) sinh r1 sinh r2, with 1 - <u1,u2> = |u1-u2|^2 / 2 for
+    unit vectors. Columns are summed one at a time, in order, so that a pair
+    gets the same bits in the k-d search, in `rst.validate` and in the test
+    oracles.
     """
-    du2 = np.sum((z1.u.components - z2.u.components) ** 2, axis=-1)
-    excess = 2.0 * np.sinh((z1.r - z2.r) / 2.0) ** 2 + 0.5 * du2 * np.sinh(z1.r) * np.sinh(z2.r)
-    return float(stable_arccosh1p(excess))
+    cols = np.ascontiguousarray(dirs.T)
+    sh = np.sinh(radii)
+
+    def pair_dist(i, j):
+        # direction term from the difference vector: 2 - 2<u,u'> cancels badly
+        du2 = sum((c[j] - c[i]) ** 2 for c in cols)
+        s = 2.0 * np.sinh((radii[i] - radii[j]) / 2.0) ** 2 + 0.5 * du2 * sh[i] * sh[j]
+        return stable_arccosh1p(s)
+
+    return pair_dist
 
 
-def dist_half(z1: HalfPoint, z2: HalfPoint) -> float:
-    """Half-space distance 2 atanh sqrt((k^2+(v-1)^2)/(k^2+(v+1)^2)).
+def half_pair_dist(x, y):
+    """pair_dist(i, j): distances between half-space points (x[i], y[i]) and
+    (x[j], y[j]), index arrays broadcast.
 
-    Evaluated through the equivalent cosh form, cosh d - 1 =
-    (|x1-x2|^2 + (y1-y2)^2) / (2 y1 y2), which is exact for identical points
-    and keeps precision when k, v-1 are tiny.
+    The cosh form of 2 atanh sqrt((k^2+(v-1)^2)/(k^2+(v+1)^2)):
+    cosh d - 1 = (|x1-x2|^2 + (y1-y2)^2) / (2 y1 y2), exact for identical
+    points. Columns are summed one at a time, in order, so that a pair gets
+    the same bits in the k-d search and in the block scan.
     """
-    dx2 = np.sum((z1.x - z2.x) ** 2, axis=-1)
-    return float(stable_arccosh1p((dx2 + (z1.y - z2.y) ** 2) / (2.0 * z1.y * z2.y)))
+    cols = np.ascontiguousarray(np.column_stack([x, y]).T)
 
+    def pair_dist(i, j):
+        sq = sum((c[j] - c[i]) ** 2 for c in cols)
+        return stable_arccosh1p(sq / (2.0 * y[j] * y[i]))
 
-def dist_ball(b1: BallPoint, b2: BallPoint) -> float:
-    c1, c2 = b1.coords, b2.coords
-    n1 = np.sum(c1**2, axis=-1)
-    n2 = np.sum(c2**2, axis=-1)
-    d2 = np.sum((c1 - c2) ** 2, axis=-1)
-    return float(stable_arccosh1p(2.0 * d2 / ((1.0 - n1) * (1.0 - n2))))
+    return pair_dist
 
 
 def apex_angle_arrays(h: float, xnorm, y):
@@ -226,56 +194,13 @@ def apex_angle_arrays(h: float, xnorm, y):
     return np.arctan2(2.0 * np.abs(xnorm) * eh, eh * eh - np.asarray(xnorm) ** 2 - np.asarray(y) ** 2)
 
 
-def angle_from_apex(h: float, z: HalfPoint) -> float:
-    """Angle between z and the ideal point I_inf as seen from O(h) = (0, e^h).
-
-    Requires y <= e^h with z distinct from the apex; the formula is singular
-    only at O(h) itself. For d > 1 the computation happens in the totally
-    geodesic plane through I_inf, z, O(h), i.e. with x replaced by |x|.
-    """
-    xnorm = float(np.linalg.norm(z.x))
-    if z.y > math.exp(h) or (z.y == math.exp(h) and xnorm == 0.0):
-        raise GeometryError(f"angle formula requires y <= e^h away from the apex (y={z.y})")
-    return float(apex_angle_arrays(h, xnorm, z.y))
-
-
 # ---------------------------------------------------------------------------
 # model conversions
 
 
-def half_to_ball(z: HalfPoint, h: float = 0.0) -> BallPoint:
-    """Isometry H -> I sending O(h) = (0, e^h) to the ball center.
-
-    Componentwise generalization of
-    (x, y) -> (x^2 + y^2 - e^2h, -2 x e^h) / (|x|^2 + (y + e^h)^2).
-    """
-    eh = math.exp(h)
-    xn2 = float(np.dot(z.x, z.x))
-    denom = xn2 + (z.y + eh) ** 2
-    first = (xn2 + z.y * z.y - eh * eh) / denom
-    rest = (-2.0 * eh / denom) * z.x
-    return BallPoint(np.concatenate(([first], rest)))
-
-
-def polar_to_ball(z: PolarPoint) -> BallPoint:
-    """Radial map: Euclidean radius tanh(r/2), same direction."""
-    return BallPoint(math.tanh(z.r / 2.0) * z.u.components)
-
-
-def ball_to_polar(b: BallPoint) -> PolarPoint:
-    # scale by the largest coordinate first: squared tiny coordinates, and the
-    # norm of subnormal ones, lose the digits that fix the direction
-    m = float(np.max(np.abs(b.coords)))
-    if m == 0.0:
-        return origin_point(b.coords.shape[0])
-    s = b.coords / m
-    n = math.hypot(*s)
-    return PolarPoint(2.0 * math.atanh(m * n), Direction(s / n))
-
-
-def half_to_polar(z: HalfPoint, h: float = 0.0) -> PolarPoint:
-    """Polar coordinates around O(h) through the ball model."""
-    return ball_to_polar(half_to_ball(z, h))
+def polar_to_ball(z: PolarPoint) -> np.ndarray:
+    """Radial map to the open unit ball: Euclidean radius tanh(r/2), same direction."""
+    return math.tanh(z.r / 2.0) * z.u.components
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +265,6 @@ def star_eval(p: StarPath, t: float) -> PolarPoint:
         return PolarPoint(rho, base.u)
     psi = float(star_psi_arrays(r1, r2, p.theta, t))
     return PolarPoint(rho, Direction(slerp(p.z1.u.components, p.z2.u.components, p.theta, psi / p.theta)))
-
-
-def star_sphere_crossing(p: StarPath, r: float) -> float:
-    """Parameter t with radius((1-t)r1 + t r2) = r; the radius law is affine."""
-    r1, r2 = p.z1.r, p.z2.r
-    lo, hi = min(r1, r2), max(r1, r2)
-    if not lo <= r <= hi:
-        raise GeometryError(f"radius {r} outside edge range [{lo}, {hi}]")
-    if r1 == r2:
-        return 0.0
-    return (r - r1) / (r2 - r1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +423,7 @@ def cone_shell_volume(d: int, theta: float, r_lo: float, r_hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# regions and isometries
-
-
-def bplus_region_test(z: PolarPoint, rho: float, q: PolarPoint) -> bool:
-    """Membership in B+(z, rho) = B(z, rho) intersect B(0, d(0,z))."""
-    if not rho >= 0:
-        raise GeometryError("rho must be >= 0")
-    return q.r < z.r and dist_polar(z, q) <= rho
+# isometries
 
 
 def boost_from_origin(r: float, u: np.ndarray, radii, dirs):

@@ -139,5 +139,5 @@ def _star_polyline(tree: rst.RadialTree, i: int) -> list:
     out = []
     for t in np.linspace(0.0, 1.0, POLYLINE_SEGMENTS + 1):
         z = hgeom.star_eval(path, float(t))
-        out.append(hgeom.polar_to_ball(z).coords)
+        out.append(hgeom.polar_to_ball(z))
     return out

@@ -158,24 +158,6 @@ class ValidationReport:
 # construction
 
 
-def _pair_dist(radii, dirs):
-    """pair_dist(i, j): distances between points i and j, index arrays broadcast.
-
-    Columns are summed one at a time, in order, so that a pair gets the same
-    bits in the k-d search, in `validate` and in the test oracles.
-    """
-    cols = np.ascontiguousarray(dirs.T)
-    sh = np.sinh(radii)
-
-    def pair_dist(i, j):
-        # direction term from the difference vector: 2 - 2<u,u'> cancels badly
-        du2 = sum((c[j] - c[i]) ** 2 for c in cols)
-        s = 2.0 * np.sinh((radii[i] - radii[j]) / 2.0) ** 2 + 0.5 * du2 * sh[i] * sh[j]
-        return hgeom.stable_arccosh1p(s)
-
-    return pair_dist
-
-
 def _chart_index(radii, dirs) -> search.ChartIndex:
     """The k-d search index of a cloud in the Poincare chart tanh(r/2) u,
     with the exact chart image of B(z, rho) as its cover (see build)."""
@@ -186,7 +168,7 @@ def _chart_index(radii, dirs) -> search.ChartIndex:
         den = ch[pts] + np.cosh(rho)
         return (sh[pts] / den)[:, None] * dirs[pts], np.sinh(rho) / den
 
-    return search.ChartIndex(chart, _pair_dist(radii, dirs), cover)
+    return search.ChartIndex(chart, hgeom.polar_pair_dist(radii, dirs), cover)
 
 
 def build(cloud: PointCloud) -> RadialTree:
@@ -634,7 +616,7 @@ def validate(tree: RadialTree) -> ValidationReport:
         for w in path:
             state[w] = 1
     # defining property: no cloud point strictly closer than the parent
-    pair_dist = _pair_dist(radii, dirs)
+    pair_dist = hgeom.polar_pair_dist(radii, dirs)
     true_dist = np.array(radii, dtype=float)
     has_parent = np.flatnonzero(parent >= 0)
     true_dist[has_parent] = pair_dist(has_parent, parent[has_parent])

@@ -90,10 +90,6 @@ class PointCloud:
     def point(self, i: int) -> PolarPoint:
         return PolarPoint(float(self.radii[i]), hgeom.Direction(self.dirs[i]))
 
-    @property
-    def points(self) -> list[PolarPoint]:
-        return [self.point(i) for i in range(len(self))]
-
 
 # Gauss-Legendre nodes/weights on [0, 1], order 5: exact to machine precision
 # for the sub-knot CDF increments of the smooth sinh^d density
@@ -292,15 +288,6 @@ def cloud_to_json(cloud: PointCloud) -> str:
         },
         sort_keys=True,
     )
-
-
-def cloud_from_json(text: str) -> PointCloud:
-    obj = json.loads(text)
-    cfg = CloudConfig(d=obj["d"], lam=obj["lambda"], R=obj["R"], seed=obj["seed"])
-    n = len(obj["points"])
-    radii = np.array([p["r"] for p in obj["points"]], dtype=float)
-    dirs = np.array([p["u"] for p in obj["points"]], dtype=float).reshape(n, cfg.d + 1)
-    return PointCloud(cfg, radii, dirs)
 
 
 def cloud_to_csv(cloud: PointCloud) -> str:

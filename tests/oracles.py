@@ -1,4 +1,11 @@
-"""Slow references that the fast code is checked against."""
+"""Slow references that the fast code is checked against.
+
+Besides the O(n^2) builders and scans, the geometry references live here:
+the isometry from the half space through the ball to polar coordinates
+(half_to_ball, ball_to_polar, half_to_polar), the ball-model distance
+(ball_dist), which check hgeom's two metrics against each other, and the
+pointwise region membership of the coupling's K (region_contains).
+"""
 
 import math
 
@@ -135,8 +142,6 @@ def build_rst_h_brute(points, h: float) -> dsf.HalfForest:
 def validate_reference(tree):
     """`rst.validate` as a per-node cycle walk plus the block scan: the
     violation messages, the per-class counts and the largest degree."""
-    from hyperrst import rst
-
     violations = []
     n = len(tree)
     radii, parent = tree.radii, tree.parent
@@ -163,7 +168,7 @@ def validate_reference(tree):
                 break
         for w in path:
             state[w] = 1
-    pair_dist = rst._pair_dist(radii, tree.dirs)
+    pair_dist = hgeom.polar_pair_dist(radii, tree.dirs)
     true_dist = np.array(radii, dtype=float)
     has_parent = np.flatnonzero(parent >= 0)
     true_dist[has_parent] = pair_dist(has_parent, parent[has_parent])
@@ -175,6 +180,65 @@ def validate_reference(tree):
     max_degree = int(degrees.max()) if n else 0
     counts = {"radius": len(bad), "frontier": frontier, "cycle": cycles, "bplus": len(worse)}
     return violations, counts, max_degree
+
+
+def half_to_ball(x: np.ndarray, y: np.ndarray, h: float = 0.0) -> np.ndarray:
+    """Isometry H -> I sending O(h) = (0, e^h) to the ball centre, row by row:
+    (x, y) -> (|x|^2 + y^2 - e^2h, -2 e^h x) / (|x|^2 + (y + e^h)^2)."""
+    eh = math.exp(h)
+    xn2 = np.sum(x * x, axis=1)
+    denom = xn2 + (y + eh) ** 2
+    return np.column_stack([(xn2 + y * y - eh * eh) / denom, (-2.0 * eh / denom)[:, None] * x])
+
+
+def ball_to_polar(b: np.ndarray):
+    """(radii, dirs) of the ball points b (n, d+1); the centre gets the
+    first basis direction."""
+    # scale each row by its largest coordinate first: squared tiny
+    # coordinates, and the norm of subnormal ones, lose the digits that fix
+    # the direction
+    m = np.max(np.abs(b), axis=1)
+    zero = m == 0.0
+    s = b / np.where(zero, 1.0, m)[:, None]
+    n = np.sqrt(np.sum(s * s, axis=1))
+    dirs = s / np.where(zero, 1.0, n)[:, None]
+    dirs[zero, 0] = 1.0
+    return 2.0 * np.arctanh(m * n), dirs
+
+
+def half_to_polar(x: np.ndarray, y: np.ndarray, h: float = 0.0):
+    """(radii, dirs) of half-space points around O(h), through the ball."""
+    return ball_to_polar(half_to_ball(x, y, h))
+
+
+def ball_dist(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """Row-wise ball-model distance: arccosh(1 + 2 |b1-b2|^2 / ((1-|b1|^2)(1-|b2|^2)))."""
+    n1 = np.sum(b1 * b1, axis=-1)
+    n2 = np.sum(b2 * b2, axis=-1)
+    d2 = np.sum((b1 - b2) ** 2, axis=-1)
+    return hgeom.stable_arccosh1p(2.0 * d2 / ((1.0 - n1) * (1.0 - n2)))
+
+
+def region_contains(spec: dsf.RegionSpec, x: np.ndarray, y: float) -> bool:
+    """Whether the half-space point (x, y), x of shape (d,), lies in spec,
+    per the displayed set definitions.
+
+    All three Vois cones have apex O(h); the apertures are A e^-h, A e^-h and
+    A e^-(h+a). Cyl kinds test their cyl_box; a y_lo of 0 is no bound, as
+    every point has y > 0.
+    """
+    xnorm = float(np.linalg.norm(x))
+    if spec.kind in dsf.CYL_KINDS:
+        xr, lo, hi = dsf.cyl_box(spec)
+        return xnorm < xr and lo <= y <= hi
+    ang = float(hgeom.apex_angle_arrays(spec.h, xnorm, y))
+    dist = float(dsf.origin_distances(spec.h, x[None, :], np.array([y]))[0])
+    if spec.kind == "Vois":
+        return ang <= spec.A * math.exp(-spec.h) and dist >= spec.h
+    if spec.kind == "Vois'":
+        return ang <= spec.A * math.exp(-spec.h) and spec.h <= dist < spec.h + spec.a
+    # Vois''
+    return ang <= spec.A * math.exp(-spec.h - spec.a) and dist >= spec.h + spec.a
 
 
 def ball_volume_quad(d: int, r: float) -> float:

@@ -13,9 +13,9 @@ import pytest
 
 from hyperrst import dsf, experiments, hgeom, rst, sampler
 from hyperrst.experiments import ExperimentConfig, default_config
-from hyperrst.hgeom import Direction, HalfPoint, PolarPoint
+from hyperrst.hgeom import Direction, PolarPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
-from oracles import brute_force_parents, build_dsf_brute
+from oracles import ball_dist, ball_to_polar, brute_force_parents, build_dsf_brute, half_to_ball
 
 ACCEPT_SEED = 424242
 
@@ -27,36 +27,41 @@ def _report(name, ok, detail, elapsed):
 
 
 def test_criterion_1_geometry_oracles():
-    """Cross-model distances 1e-10 on 1e4 pairs; apex angle vs triangle
-    oracle 1e-9; star-path exactness 1e-12; < 10 s."""
+    """The builders' metrics, hgeom.half_pair_dist against
+    hgeom.polar_pair_dist through the oracle isometry and polar_pair_dist
+    against the oracle ball distance, within 1e-10 on 1e4 pairs;
+    apex_angle_arrays against the triangle oracle 1e-9; star-path
+    exactness 1e-12; < 10 s."""
     t0 = time.time()
     rng = np.random.default_rng(ACCEPT_SEED)
 
     n = 10_000
     x = rng.uniform(-3, 3, size=(n, 2))
     y = rng.uniform(0.05, 5.0, size=(n, 2))
-    worst_pair = 0.0
-    for k in range(n):
-        z1 = HalfPoint(x[k, :1], float(y[k, 0]))
-        z2 = HalfPoint(x[k, 1:], float(y[k, 1]))
-        d_half = hgeom.dist_half(z1, z2)
-        p1, p2 = hgeom.half_to_polar(z1), hgeom.half_to_polar(z2)
-        d_polar = hgeom.dist_polar(p1, p2)
-        d_ball = hgeom.dist_ball(hgeom.polar_to_ball(p1), hgeom.polar_to_ball(p2))
-        worst_pair = max(worst_pair, abs(d_half - d_polar), abs(d_polar - d_ball))
+    # pair k joins point k and point n + k
+    xs, ys = x.T.reshape(2 * n, 1), y.T.ravel()
+    i, j = np.arange(n), np.arange(n, 2 * n)
+    ball = half_to_ball(xs, ys)
+    radii, dirs = ball_to_polar(ball)
+    d_half = hgeom.half_pair_dist(xs, ys)(i, j)
+    d_polar = hgeom.polar_pair_dist(radii, dirs)(i, j)
+    d_ball = ball_dist(ball[i], ball[j])
+    worst_pair = float(max(np.max(np.abs(d_half - d_polar)), np.max(np.abs(d_polar - d_ball))))
 
-    worst_angle = 0.0
-    near_ideal = HalfPoint(np.zeros(1), 1e-9)
+    # the triangle apex O(h), z and the ideal point approximated far down the
+    # axis, one of each per draw: rows k, n + k and 2n + k
+    h, zx, zy, angle = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     for k in range(n):
-        h = float(rng.uniform(0.0, 2.0))
-        z = HalfPoint(rng.uniform(-3, 3, size=1), float(rng.uniform(0.05, 0.98 * math.exp(h))))
-        apex = HalfPoint(np.zeros(1), math.exp(h))
-        a = hgeom.dist_half(apex, z)
-        b = hgeom.dist_half(apex, near_ideal)
-        c = hgeom.dist_half(z, near_ideal)
-        cosang = (math.cosh(a) * math.cosh(b) - math.cosh(c)) / (math.sinh(a) * math.sinh(b))
-        oracle = math.acos(max(-1.0, min(1.0, cosang)))
-        worst_angle = max(worst_angle, abs(hgeom.angle_from_apex(h, z) - oracle))
+        h[k] = rng.uniform(0.0, 2.0)
+        zx[k] = rng.uniform(-3, 3, size=1)[0]
+        zy[k] = rng.uniform(0.05, 0.98 * math.exp(h[k]))
+        angle[k] = hgeom.apex_angle_arrays(h[k], zx[k], zy[k])
+    tri = hgeom.half_pair_dist(np.concatenate([np.zeros(n), zx, np.zeros(n)])[:, None],
+                               np.concatenate([np.exp(h), zy, np.full(n, 1e-9)]))
+    apex, z, ideal = i, j, np.arange(2 * n, 3 * n)
+    a, b, c = tri(apex, z), tri(apex, ideal), tri(z, ideal)
+    oracle = np.arccos(np.clip((np.cosh(a) * np.cosh(b) - np.cosh(c)) / (np.sinh(a) * np.sinh(b)), -1.0, 1.0))
+    worst_angle = float(np.max(np.abs(angle - oracle)))
 
     worst_star = 0.0
     for _ in range(2000):

@@ -8,14 +8,16 @@ import pytest
 
 from hyperrst import dsf, experiments, hgeom, rst, sampler, search
 from hyperrst.dsf import FRONTIER, MarginError, RegionSpec
-from hyperrst.hgeom import GeometryError, HalfPoint
+from hyperrst.hgeom import GeometryError
 from hyperrst.sampler import CloudConfig, HalfWindow
 from oracles import (
     brute_force_parents,
     build_dsf_brute,
     build_rst_h_brute,
+    half_to_ball,
     nearest_lower_brute,
     nearest_lower_scan,
+    region_contains,
 )
 
 WINDOW = HalfWindow(half_width=4.0, y_min=0.05, y_max=4.0)
@@ -27,7 +29,7 @@ def half_cloud(seed, lam=5.0, d=1, w=WINDOW, replica=0):
 
 def scan_parents(forest, keys, root_dist=None):
     """Parents and parent distances from the block scan, in the forest's order."""
-    pair_dist = dsf._pair_dist(forest.x, forest.y)
+    pair_dist = hgeom.half_pair_dist(forest.x, forest.y)
     return nearest_lower_scan(keys, pair_dist, root_dist)
 
 
@@ -77,7 +79,7 @@ class TestBuildDsf:
                 assert np.array_equal(a.parent, b.parent)
                 assert np.array_equal(a.parent_dist, b.parent_dist)
         # only a HalfCloud or an (x, y) pair of arrays is a point set
-        for points in ([], [HalfPoint(x[0], 1.0), HalfPoint(x[1], 2.0)], (x, y, y)):
+        for points in ([], [(x[0], 1.0), (x[1], 2.0)], (x, y, y)):
             with pytest.raises(GeometryError):
                 dsf.build_dsf(points)
             with pytest.raises(GeometryError):
@@ -132,16 +134,12 @@ class TestBuildDsf:
     def test_empty_region_property(self):
         x, y = half_cloud(2)
         forest = dsf.build_dsf((x, y))
-        n = len(forest)
-        for i in range(0, n, 11):
+        pair_dist = hgeom.half_pair_dist(forest.x, forest.y)
+        for i in range(0, len(forest), 11):
             if forest.parent[i] < 0:
                 continue
-            zi = forest.point(i)
-            rho = float(forest.parent_dist[i])
-            for j in range(n):
-                if j == i or forest.y[j] <= forest.y[i]:
-                    continue
-                assert hgeom.dist_half(zi, forest.point(j)) >= rho - 1e-12
+            higher = np.flatnonzero(forest.y > forest.y[i])
+            assert np.all(pair_dist(i, higher) >= forest.parent_dist[i] - 1e-12)
 
     def test_parent_ordinate_larger(self):
         x, y = half_cloud(3)
@@ -184,9 +182,7 @@ class TestBuildRstH:
         x, y = half_cloud(9, lam=4.0)
         h = 1.2
         tree_half = dsf.build_rst_h((x, y), h)
-        balls = np.array(
-            [hgeom.half_to_ball(HalfPoint(x[i], float(y[i])), h).coords for i in range(len(y))]
-        )
+        balls = half_to_ball(x, y, h)
         norms = np.linalg.norm(balls, axis=1)
         radii = 2.0 * np.arctanh(norms)
         dirs = balls / norms[:, None]
@@ -333,7 +329,7 @@ class TestPointFacts:
             for order in orders:
                 # the search's rows are key-order positions: row r is point order[r]
                 row = np.argsort(order)
-                pair_dist = dsf._pair_dist(x[order], y[order])
+                pair_dist = hgeom.half_pair_dist(x[order], y[order])
                 rows = np.arange(n)
                 some = rows[::7]
                 for sel, wide in ((rows, False), (some, True), (rows, True)):
@@ -344,7 +340,7 @@ class TestPointFacts:
     def test_table_distances_of_a_ball_tree(self):
         for d, lam, R in ((1, 10.0, 3.5), (2, 1.0, 3.5)):
             cloud = sampler.sample_ball(CloudConfig(d=d, lam=lam, R=R, seed=2))
-            pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+            pair_dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)
             index = rst._chart_index(cloud.radii, cloud.dirs)
             rows = np.arange(len(cloud))
             for wide in (False, True):
@@ -421,7 +417,7 @@ def check_forests(x, y, hs=(0.0, 2.0, 10.0)):
             forest, brute = dsf.build_rst_h(cloud, h), build_rst_h_brute((x, y), h)
             keys = root_dist = dsf.origin_distances(h, forest.x, forest.y)
         assert np.array_equal(forest.parent, brute.parent), h
-        parent, pdist = brute_over(keys, dsf._pair_dist(forest.x, forest.y), root_dist)
+        parent, pdist = brute_over(keys, hgeom.half_pair_dist(forest.x, forest.y), root_dist)
         assert np.array_equal(forest.parent, parent), h
         assert forest.parent_dist.tobytes() == pdist.tobytes(), h
 
@@ -431,7 +427,7 @@ def check_tree(cloud):
     own pair distances bit for bit."""
     tree = rst.build(cloud)
     assert np.array_equal(tree.parent, brute_force_parents(cloud))
-    parent, pdist = brute_over(cloud.radii, rst._pair_dist(cloud.radii, cloud.dirs), cloud.radii)
+    parent, pdist = brute_over(cloud.radii, hgeom.polar_pair_dist(cloud.radii, cloud.dirs), cloud.radii)
     assert np.array_equal(tree.parent, parent)
     assert tree.parent_dist.tobytes() == pdist.tobytes()
 
@@ -553,7 +549,8 @@ def test_oracles_independent_of_the_search(monkeypatch):
                 out.append((f.parent, f.parent_dist, f.order))
         for cloud in balls:
             out.append((brute_force_parents(cloud),))
-            dist = rst._pair_dist(cloud.radii, cloud.dirs)(np.arange(len(cloud))[:, None], np.arange(len(cloud)))
+            idx = np.arange(len(cloud))
+            dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(idx[:, None], idx)
             out.append(nearest_lower_brute(cloud.radii, dist, cloud.radii))
         return [b"".join(a.tobytes() for a in arrays) for arrays in out]
 
@@ -603,17 +600,16 @@ def test_parents_pinned_d2(pinned_d2_cloud, h, parent_digest, dist_digest):
 
 class TestRegions:
     def test_cyl_contains_unit_point(self):
-        z = HalfPoint(np.zeros(1), 1.0)
         for A in (0.5, 2.0, 10.0):
-            assert dsf.region_contains(RegionSpec("Cyl", A=A), z)
+            assert region_contains(RegionSpec("Cyl", A=A), np.zeros(1), 1.0)
 
     def test_cyl_double_prime_subset(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
-            z = HalfPoint(rng.uniform(-3, 3, size=1), float(rng.uniform(0.01, 2.0)))
+            z = rng.uniform(-3, 3, size=1), float(rng.uniform(0.01, 2.0))
             A, a = float(rng.uniform(0.5, 3)), float(rng.uniform(0, 2))
-            if dsf.region_contains(RegionSpec("Cyl''", A=A, a=a), z):
-                assert dsf.region_contains(RegionSpec("Cyl", A=A), z)
+            if region_contains(RegionSpec("Cyl''", A=A, a=a), *z):
+                assert region_contains(RegionSpec("Cyl", A=A), *z)
 
     def test_vois_subset_cyl_for_large_h(self):
         # the geometric inclusion Vois(A, h) in Cyl(A) holds once h is large
@@ -621,20 +617,20 @@ class TestRegions:
         for A in (1.0, 2.0, 4.0):
             h = 4.0 + 2.0 * math.log(1.0 + A)
             for _ in range(2000):
-                z = HalfPoint(rng.uniform(-2 * A, 2 * A, size=1), float(rng.uniform(0.01, 3.0)))
-                if dsf.region_contains(RegionSpec("Vois", A=A, h=h), z):
-                    assert dsf.region_contains(RegionSpec("Cyl", A=A), z)
+                z = rng.uniform(-2 * A, 2 * A, size=1), float(rng.uniform(0.01, 3.0))
+                if region_contains(RegionSpec("Vois", A=A, h=h), *z):
+                    assert region_contains(RegionSpec("Cyl", A=A), *z)
 
     def test_vois_primes_subset(self):
         rng = np.random.default_rng(2)
         A, a = 2.0, 0.8
         h = 7.0
         for _ in range(2000):
-            z = HalfPoint(rng.uniform(-4, 4, size=1), float(rng.uniform(0.005, 3.0)))
-            if dsf.region_contains(RegionSpec("Vois'", A=A, a=a, h=h), z):
-                assert dsf.region_contains(RegionSpec("Cyl'", A=A, a=a), z)
-            if dsf.region_contains(RegionSpec("Vois''", A=A, a=a, h=h), z):
-                assert dsf.region_contains(RegionSpec("Cyl''", A=A, a=a), z)
+            z = rng.uniform(-4, 4, size=1), float(rng.uniform(0.005, 3.0))
+            if region_contains(RegionSpec("Vois'", A=A, a=a, h=h), *z):
+                assert region_contains(RegionSpec("Cyl'", A=A, a=a), *z)
+            if region_contains(RegionSpec("Vois''", A=A, a=a, h=h), *z):
+                assert region_contains(RegionSpec("Cyl''", A=A, a=a), *z)
 
     def test_inclusion_threshold_finite(self):
         # numeric threshold scan: smallest h (on a grid) where the inclusion
@@ -642,16 +638,16 @@ class TestRegions:
         rng = np.random.default_rng(3)
         for A in (1.0, 3.0):
             zs = [
-                HalfPoint(rng.uniform(-3 * A, 3 * A, size=1), float(rng.uniform(0.01, 4.0)))
+                (rng.uniform(-3 * A, 3 * A, size=1), float(rng.uniform(0.01, 4.0)))
                 for _ in range(1500)
             ]
             found = None
             for h in np.arange(1.0, 12.0, 0.5):
                 spec = RegionSpec("Vois", A=A, h=float(h))
                 ok = all(
-                    dsf.region_contains(RegionSpec("Cyl", A=A), z)
+                    region_contains(RegionSpec("Cyl", A=A), *z)
                     for z in zs
-                    if dsf.region_contains(spec, z)
+                    if region_contains(spec, *z)
                 )
                 if ok:
                     found = h
@@ -666,7 +662,7 @@ class TestRegions:
 def brute_fractions(x, y, K, hs):
     """Per h, the agreement fraction over K from the O(n^2) oracle parents,
     with K membership from region_contains; and the size of K."""
-    idx = [i for i in range(len(y)) if dsf.region_contains(K, HalfPoint(x[i], float(y[i])))]
+    idx = [i for i in range(len(y)) if region_contains(K, x[i], float(y[i]))]
     dsf_parent = build_dsf_brute((x, y)).parent_in_input_order()[idx]
     fractions = []
     for h in hs:
@@ -746,25 +742,18 @@ class TestCoupling:
         pd = forest.parent_in_input_order()
         pr = tree_h.parent_in_input_order()
         c_all = dsf.origin_distances(h, x, y)
+        pair_dist = hgeom.half_pair_dist(x, y)
+        points = np.arange(len(y))
         checked = 0
         for i in range(len(y)):
             if pd[i] < 0 or pr[i] < 0 or pd[i] == pr[i]:
                 continue
-            zi = HalfPoint(x[i], float(y[i]))
             d_dsf = float(forest.parent_dist[forest.rank[i]])
             d_rst = float(tree_h.parent_dist[tree_h.rank[i]])
             ball = max(d_dsf, d_rst)
-            hit = False
-            for j in range(len(y)):
-                if j == i:
-                    continue
-                dij = hgeom.dist_half(zi, HalfPoint(x[j], float(y[j])))
-                if dij <= ball + 1e-12:
-                    in_dsf_cand = y[j] > y[i]
-                    in_rst_cand = c_all[j] < c_all[i]
-                    if in_dsf_cand != in_rst_cand:
-                        hit = True
-                        break
-            assert hit
+            near = points[(points != i) & (pair_dist(i, points) <= ball + 1e-12)]
+            in_dsf_cand = y[near] > y[i]
+            in_rst_cand = c_all[near] < c_all[i]
+            assert np.any(in_dsf_cand != in_rst_cand)
             checked += 1
         assert checked > 0

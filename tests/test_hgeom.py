@@ -12,30 +12,21 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ball_volume_quad, sphere_cap_quad
+from oracles import ball_dist, ball_to_polar, ball_volume_quad, half_to_ball, half_to_polar, sphere_cap_quad
 
 from hyperrst import dsf, hgeom, search
 from hyperrst.hgeom import (
-    BallPoint,
-    Cone,
     Direction,
     GeometryError,
-    HalfPoint,
     PolarPoint,
     StarPath,
-    angle_from_apex,
-    ball_to_polar,
+    apex_angle_arrays,
     ball_volume,
-    bplus_region_test,
-    dist_ball,
-    dist_half,
-    dist_polar,
-    half_to_ball,
-    half_to_polar,
+    half_pair_dist,
     polar,
+    polar_pair_dist,
     polar_to_ball,
     star_eval,
-    star_sphere_crossing,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -53,94 +44,96 @@ def random_polar(d=1, rmax=6.0, rng=RNG):
     return PolarPoint(float(rng.uniform(0.01, rmax)), Direction(g / np.linalg.norm(g)))
 
 
-def random_half(d=1, rng=RNG):
-    return HalfPoint(rng.uniform(-3, 3, size=d), float(rng.uniform(0.05, 5.0)))
+def random_polar_arrays(n, d=1, rmax=6.0, rng=RNG):
+    """(radii, dirs) of n points drawn as random_polar draws them."""
+    radii, dirs = np.empty(n), np.empty((n, d + 1))
+    for k in range(n):
+        g = rng.normal(size=d + 1)
+        dirs[k] = g / np.linalg.norm(g)
+        radii[k] = rng.uniform(0.01, rmax)
+    return radii, dirs
+
+
+def random_half_arrays(n, d=1, rng=RNG):
+    """(x, y) of n half-space points, x uniform in [-3, 3]^d, y in [0.05, 5]."""
+    x, y = np.empty((n, d)), np.empty(n)
+    for k in range(n):
+        x[k] = rng.uniform(-3, 3, size=d)
+        y[k] = rng.uniform(0.05, 5.0)
+    return x, y
 
 
 class TestDistPolar:
     def test_identity(self):
-        z = random_polar()
-        assert dist_polar(z, z) == 0.0
+        radii, dirs = random_polar_arrays(1)
+        assert polar_pair_dist(radii, dirs)(0, 0) == 0.0
 
     def test_antipodal_diameter(self):
-        u = np.array([1.0, 0.0])
-        z1 = PolarPoint(1.3, Direction(u))
-        z2 = PolarPoint(1.3, Direction(-u))
-        assert dist_polar(z1, z2) == pytest.approx(2.6, abs=1e-12)
+        dist = polar_pair_dist(np.array([1.3, 1.3]), np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert dist(0, 1) == pytest.approx(2.6, abs=1e-12)
 
     def test_orthogonal_unit_radii(self):
-        z1 = polar(1.0, [1.0, 0.0])
-        z2 = polar(1.0, [0.0, 1.0])
-        assert dist_polar(z1, z2) == pytest.approx(ACOSH_COSH2_1, abs=1e-12)
+        dist = polar_pair_dist(np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert dist(0, 1) == pytest.approx(ACOSH_COSH2_1, abs=1e-12)
 
     def test_symmetry_and_triangle(self):
-        for _ in range(300):
-            a, b, c = (random_polar() for _ in range(3))
-            dab = dist_polar(a, b)
-            assert dab == pytest.approx(dist_polar(b, a), abs=1e-12)
-            assert dab <= dist_polar(a, c) + dist_polar(c, b) + 1e-10
+        # 300 triples: points 3k, 3k + 1 and 3k + 2
+        dist = polar_pair_dist(*random_polar_arrays(900))
+        a, b, c = np.arange(0, 900, 3), np.arange(1, 900, 3), np.arange(2, 900, 3)
+        dab = dist(a, b)
+        assert np.all(np.abs(dab - dist(b, a)) <= 1e-12)
+        assert np.all(dab <= dist(a, c) + dist(c, b) + 1e-10)
 
     def test_nearby_points_keep_precision(self):
-        u = np.array([1.0, 0.0])
         eps = 1e-9
-        z1 = PolarPoint(3.0, Direction(u))
-        z2 = PolarPoint(3.0 + eps, Direction(u))
-        assert dist_polar(z1, z2) == pytest.approx(eps, rel=1e-6)
+        dist = polar_pair_dist(np.array([3.0, 3.0 + eps]), np.array([[1.0, 0.0], [1.0, 0.0]]))
+        assert dist(0, 1) == pytest.approx(eps, rel=1e-6)
 
 
 class TestDistHalf:
     def test_identity(self):
-        z = random_half()
-        assert dist_half(z, z) == 0.0
+        x, y = random_half_arrays(1)
+        assert half_pair_dist(x, y)(0, 0) == 0.0
 
     def test_vertical_closed_form(self):
-        z1 = HalfPoint(np.zeros(1), 1.0)
-        z2 = HalfPoint(np.zeros(1), math.e)
-        assert dist_half(z1, z2) == pytest.approx(1.0, abs=1e-12)
+        dist = half_pair_dist(np.zeros((2, 1)), np.array([1.0, math.e]))
+        assert dist(0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_paper_atanh_form(self):
-        for _ in range(200):
-            z1, z2 = random_half(), random_half()
-            kappa = np.linalg.norm(z1.x - z2.x) / z1.y
-            v = z2.y / z1.y
-            expected = 2 * math.atanh(
-                math.sqrt((kappa**2 + (v - 1) ** 2) / (kappa**2 + (v + 1) ** 2))
-            )
-            assert dist_half(z1, z2) == pytest.approx(expected, abs=1e-12)
+        # 200 pairs: points 2k and 2k + 1
+        x, y = random_half_arrays(400)
+        i, j = np.arange(0, 400, 2), np.arange(1, 400, 2)
+        kappa = np.abs(x[i, 0] - x[j, 0]) / y[i]
+        v = y[j] / y[i]
+        expected = 2 * np.arctanh(np.sqrt((kappa**2 + (v - 1) ** 2) / (kappa**2 + (v + 1) ** 2)))
+        assert np.all(np.abs(half_pair_dist(x, y)(i, j) - expected) <= 1e-12)
 
     def test_cross_model_oracle(self):
-        # dist_half == dist_polar after conversion, 1e4 random pairs
+        # half_pair_dist == polar_pair_dist after conversion, every 250th of
+        # 1e4 random pairs: points k and 40 + k
         rng = np.random.default_rng(4)
         x = rng.uniform(-3, 3, size=(10_000, 2, 1))
         y = rng.uniform(0.05, 5.0, size=(10_000, 2))
-        worst = 0.0
-        for k in range(0, 10_000, 250):
-            z1 = HalfPoint(x[k, 0], float(y[k, 0]))
-            z2 = HalfPoint(x[k, 1], float(y[k, 1]))
-            d1 = dist_half(z1, z2)
-            d2 = dist_polar(half_to_polar(z1), half_to_polar(z2))
-            worst = max(worst, abs(d1 - d2))
-        assert worst < 1e-10
+        xs = np.concatenate([x[::250, 0], x[::250, 1]])
+        ys = np.concatenate([y[::250, 0], y[::250, 1]])
+        i, j = np.arange(40), np.arange(40, 80)
+        d1 = half_pair_dist(xs, ys)(i, j)
+        d2 = polar_pair_dist(*half_to_polar(xs, ys))(i, j)
+        assert np.max(np.abs(d1 - d2)) < 1e-10
 
 
 class TestAngleFromApex:
     def test_on_axis(self):
-        assert angle_from_apex(1.0, HalfPoint(np.zeros(1), 0.5)) == 0.0
+        assert apex_angle_arrays(1.0, 0.0, 0.5) == 0.0
 
     def test_branch_example(self):
         # h=0, z=(1,1): denominator negative, angle = pi - arctan 2
-        got = angle_from_apex(0.0, HalfPoint(np.array([1.0]), 1.0))
-        assert got == pytest.approx(ANGLE_BRANCH_EXAMPLE, abs=1e-12)
+        assert apex_angle_arrays(0.0, 1.0, 1.0) == pytest.approx(ANGLE_BRANCH_EXAMPLE, abs=1e-12)
 
     def test_vanishing_denominator(self):
         h = 0.3
         x = math.exp(h) / math.sqrt(2.0)
-        z = HalfPoint(np.array([x]), x)
-        assert angle_from_apex(h, z) == pytest.approx(math.pi / 2, abs=1e-12)
-
-    def test_rejects_high_points(self):
-        with pytest.raises(GeometryError):
-            angle_from_apex(0.0, HalfPoint(np.zeros(1), 2.0))
+        assert apex_angle_arrays(h, x, x) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_against_triangle_oracle(self):
         # law of cosines for angles using three pairwise distances,
@@ -149,63 +142,60 @@ class TestAngleFromApex:
         worst = 0.0
         for _ in range(10_000 // 20):
             h = float(rng.uniform(0.0, 2.0))
-            z = HalfPoint(rng.uniform(-3, 3, size=1), float(rng.uniform(0.05, 0.98 * math.exp(h))))
-            apex = HalfPoint(np.zeros(1), math.exp(h))
-            near_ideal = HalfPoint(np.zeros(1), 1e-9)
-            a = dist_half(apex, z)
-            b = dist_half(apex, near_ideal)
-            c = dist_half(z, near_ideal)
+            zx = float(rng.uniform(-3, 3, size=1)[0])
+            zy = float(rng.uniform(0.05, 0.98 * math.exp(h)))
+            # the apex O(h), z and the near-ideal point
+            dist = half_pair_dist(np.array([[0.0], [zx], [0.0]]), np.array([math.exp(h), zy, 1e-9]))
+            a, b, c = (float(dist(p, q)) for p, q in ((0, 1), (0, 2), (1, 2)))
             cosang = (math.cosh(a) * math.cosh(b) - math.cosh(c)) / (
                 math.sinh(a) * math.sinh(b)
             )
             oracle = math.acos(max(-1.0, min(1.0, cosang)))
-            worst = max(worst, abs(angle_from_apex(h, z) - oracle))
+            worst = max(worst, abs(float(apex_angle_arrays(h, zx, zy)) - oracle))
         assert worst < 1e-9
 
 
 class TestConversions:
     def test_half_to_ball_sends_origin(self):
         for h in (0.0, 0.7, 2.0):
-            b = half_to_ball(HalfPoint(np.zeros(1), math.exp(h)), h)
-            assert np.linalg.norm(b.coords) < 1e-14
+            b = half_to_ball(np.zeros((1, 1)), np.array([math.exp(h)]), h)
+            assert np.linalg.norm(b[0]) < 1e-14
 
     def test_ideal_point_limit(self):
-        b = half_to_ball(HalfPoint(np.zeros(1), 1e-12), 0.0)
-        assert b.coords[0] == pytest.approx(-1.0, abs=1e-11)
-        assert abs(b.coords[1]) < 1e-11
+        b = half_to_ball(np.zeros((1, 1)), np.array([1e-12]), 0.0)[0]
+        assert b[0] == pytest.approx(-1.0, abs=1e-11)
+        assert abs(b[1]) < 1e-11
 
     def test_half_to_ball_isometry(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             h = float(rng.uniform(0, 1.5))
-            pts = [HalfPoint(rng.uniform(-3, 3, size=1), float(rng.uniform(0.05, 5))) for _ in range(3)]
-            balls = [half_to_ball(z, h) for z in pts]
+            x, y = random_half_arrays(3, rng=rng)
+            balls = half_to_ball(x, y, h)
+            dist = half_pair_dist(x, y)
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert dist_ball(balls[i], balls[j]) == pytest.approx(
-                        dist_half(pts[i], pts[j]), abs=1e-10
-                    )
+                    assert ball_dist(balls[i], balls[j]) == pytest.approx(dist(i, j), abs=1e-10)
 
     def test_polar_ball_example(self):
         b = polar_to_ball(polar(2.0, [1.0, 0.0]))
-        assert b.coords[0] == pytest.approx(TANH_1, abs=1e-12)
-        assert b.coords[1] == 0.0
+        assert b[0] == pytest.approx(TANH_1, abs=1e-12)
+        assert b[1] == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         for _ in range(10_000 // 10):
             z = random_polar(rng=rng)
-            back = ball_to_polar(polar_to_ball(z))
-            assert back.r == pytest.approx(z.r, abs=1e-12)
-            assert np.allclose(back.u.components, z.u.components, atol=1e-12)
+            r, u = ball_to_polar(polar_to_ball(z)[None, :])
+            assert r[0] == pytest.approx(z.r, abs=1e-12)
+            assert np.allclose(u[0], z.u.components, atol=1e-12)
 
     def test_ball_distance_matches_polar(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            assert dist_ball(polar_to_ball(z1), polar_to_ball(z2)) == pytest.approx(
-                dist_polar(z1, z2), abs=1e-10
-            )
+            dist = polar_pair_dist(np.array([z1.r, z2.r]), np.array([z1.u.components, z2.u.components]))
+            assert ball_dist(polar_to_ball(z1), polar_to_ball(z2)) == pytest.approx(dist(0, 1), abs=1e-10)
 
 
 class TestStarPath:
@@ -241,8 +231,10 @@ class TestStarPath:
         for _ in range(40):
             z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
             p = StarPath(z1, z2)
-            ts = np.linspace(0, 1, 1000)
-            d = np.array([dist_polar(z1, star_eval(p, float(t))) for t in ts])
+            # row 0 is z1, rows 1.. the path at 1000 parameters
+            path = [z1] + [star_eval(p, float(t)) for t in np.linspace(0, 1, 1000)]
+            dist = polar_pair_dist(np.array([z.r for z in path]), np.array([z.u.components for z in path]))
+            d = dist(0, np.arange(1, len(path)))
             assert np.all(np.diff(d) >= -1e-9)
 
     def test_distance_to_origin_monotone(self):
@@ -267,27 +259,6 @@ class TestStarPath:
         mid = star_eval(p, 0.5)
         assert mid.r == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(mid.u.components, [1, 0])
-
-
-class TestSphereCrossing:
-    def test_endpoints_and_midpoint(self):
-        p = StarPath(polar(1.0, [1, 0]), polar(3.0, [0, 1]))
-        assert star_sphere_crossing(p, 1.0) == 0.0
-        assert star_sphere_crossing(p, 2.0) == pytest.approx(0.5)
-
-    def test_outside_rejected(self):
-        p = StarPath(polar(1.0, [1, 0]), polar(3.0, [0, 1]))
-        with pytest.raises(GeometryError):
-            star_sphere_crossing(p, 0.5)
-
-    def test_self_consistency(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            p = StarPath(z1, z2)
-            r = float(rng.uniform(min(z1.r, z2.r), max(z1.r, z2.r)))
-            t = star_sphere_crossing(p, r)
-            assert star_eval(p, t).r == pytest.approx(r, abs=1e-12)
 
 
 class TestVolumes:
@@ -392,35 +363,6 @@ class TestVolumeQuadBits:
         assert proc.stdout.strip() == "[]"
 
 
-class TestBPlus:
-    def test_center_excluded(self):
-        z = random_polar()
-        assert not bplus_region_test(z, 1.0, z)
-
-    def test_origin_inside_for_large_rho(self):
-        z = polar(2.0, [1, 0])
-        assert bplus_region_test(z, 2.5, hgeom.origin_point(2))
-
-    def test_agreement_with_definition(self):
-        rng = np.random.default_rng(15)
-        for _ in range(10_000 // 10):
-            z, q = random_polar(rng=rng), random_polar(rng=rng)
-            rho = float(rng.uniform(0, 4))
-            expected = dist_polar(z, q) <= rho and q.r < z.r
-            assert bplus_region_test(z, rho, q) == expected
-
-
-class TestCone:
-    def test_whole_space(self):
-        cone = Cone(Direction(np.array([1.0, 0.0])), math.pi)
-        assert cone.contains(polar(1.0, [-1.0, 0.0]))
-
-    def test_basic_membership(self):
-        cone = Cone(Direction(np.array([1.0, 0.0])), 0.5)
-        assert cone.contains(polar(2.0, [math.cos(0.4), math.sin(0.4)]))
-        assert not cone.contains(polar(2.0, [math.cos(0.6), math.sin(0.6)]))
-
-
 class TestBoost:
     def test_boost_preserves_distance_to_image(self):
         rng = np.random.default_rng(16)
@@ -430,10 +372,9 @@ class TestBoost:
         ang = rng.uniform(0, 2 * math.pi, size=64)
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         new_r, new_dirs = hgeom.boost_from_origin(r, u, rad, dirs)
-        target = polar(r, u)
-        for k in range(64):
-            moved = PolarPoint(float(new_r[k]), Direction(new_dirs[k]))
-            assert dist_polar(moved, target) == pytest.approx(rad[k], abs=1e-10)
+        # row 0 is the image (r; u) of the origin
+        dist = polar_pair_dist(np.concatenate([[r], new_r]), np.vstack([u, new_dirs]))
+        assert np.all(np.abs(dist(0, np.arange(1, 65)) - rad) <= 1e-10)
 
 
 @given(
@@ -455,9 +396,10 @@ def test_star_radius_affine_property(r1, r2, ang, t):
 @example(rho=1e-320, ang=0.5)  # subnormal coordinates
 @settings(max_examples=200, deadline=None)
 def test_ball_polar_inverse_property(rho, ang):
-    b = BallPoint(rho * np.array([math.cos(ang), math.sin(ang)]))
-    back = polar_to_ball(ball_to_polar(b))
-    assert np.allclose(back.coords, b.coords, atol=1e-12)
+    b = rho * np.array([math.cos(ang), math.sin(ang)])
+    r, u = ball_to_polar(b[None, :])
+    back = polar_to_ball(polar(r[0], u[0]))
+    assert np.allclose(back, b, atol=1e-12)
 
 
 def test_direction_norm_enforced():
@@ -476,14 +418,9 @@ def test_direction_keeps_linalg_norm_bits():
 def test_invalid_inputs():
     with pytest.raises(GeometryError):
         PolarPoint(-0.5, Direction(np.array([1.0, 0.0])))
-    with pytest.raises(GeometryError):
-        HalfPoint(np.zeros(1), 0.0)
-    with pytest.raises(GeometryError):
-        BallPoint(np.array([1.0, 0.2]))
 
 
 _U = Direction(np.array([1.0, 0.0]))
-_Z = PolarPoint(1.0, _U)
 
 
 @pytest.mark.parametrize(
@@ -497,8 +434,6 @@ _Z = PolarPoint(1.0, _U)
         lambda: dsf.RegionSpec("Cyl'", A=1.0, a=math.nan),
         lambda: dsf.RegionSpec("Cyl'", A=1.0, h=math.nan),
         lambda: PolarPoint(math.nan, _U),
-        lambda: Cone(_U, math.nan),
-        lambda: bplus_region_test(_Z, math.nan, _Z),
     ],
     ids=[
         "build_rst_h_nan",
@@ -509,8 +444,6 @@ _Z = PolarPoint(1.0, _U)
         "region_a",
         "region_h",
         "polar_point",
-        "cone",
-        "bplus_region_test",
     ],
 )
 def test_nan_rejected(call):

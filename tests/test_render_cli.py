@@ -234,6 +234,17 @@ class TestCli:
             assert cli.main(["analyze", name, "--config", str(p), "--out", str(tmp_path)]) == 2, name
         assert not any(tmp_path.glob("*_*.*"))
 
+    @pytest.mark.parametrize("grid", [[2.0], [2.0, 2.0]], ids=["one_value", "repeated_value"])
+    def test_one_value_grid_refused_for_fits(self, tmp_path, capsys, grid):
+        # a log-slope over one r0 is NaN, which a report cannot hold as JSON
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"lambda": 3.0, "R": 4.0, "replicas": 2, "r0_grid": grid}))
+        out = tmp_path / "out"
+        for name in ("straightness", "mbd_moment", "annulus", "level_counts", "all"):
+            assert cli.main(["analyze", name, "--config", str(p), "--out", str(out)]) == 2, name
+            assert "r0_grid needs two distinct values" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("disc_px", [-5, 0])
     def test_disc_px_not_positive_exit_2(self, tmp_path, capsys, disc_px):
         p = tmp_path / "cfg.json"

@@ -66,7 +66,7 @@ COVER_MISSES_D1 = [
 def cover_holds(radii, dirs):
     """Whether the chart ball nearest_lower searches for B(z, rho), rho one
     ulp above d(z, w), holds w; z and w are rows 0 and 1 of (radii, dirs)."""
-    rho = np.nextafter(rst._pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
+    rho = np.nextafter(hgeom.polar_pair_dist(radii, dirs)(np.array([0]), np.array([1])), np.inf)
     index = rst._chart_index(radii, dirs)
     centre, radius = search.padded_cover(index, np.array([0]), rho)
     return 1 in index.ball(centre, radius)[1]
@@ -80,7 +80,7 @@ MBD_CLOUDS = pytest.mark.parametrize(
 
 def scan_parents(cloud):
     """Parents and parent distances from the block scan oracle."""
-    pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+    pair_dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)
     return nearest_lower_scan(cloud.radii, pair_dist, root_dist=cloud.radii)
 
 
@@ -127,7 +127,7 @@ class TestBuild:
         for outer_angle, expect_inner in ((0.25, True), (3.0, False)):
             cloud = make_cloud([1.0, 2.0], [inner_angle, outer_angle])
             tree = rst.build(cloud)
-            d_oi = hgeom.dist_polar(cloud.point(0), cloud.point(1))
+            d_oi = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(0, 1)
             assert (d_oi < 2.0) == expect_inner
             assert (tree.parent[1] == 0) == expect_inner
 
@@ -837,7 +837,7 @@ def cloud_at_root_distance(below=()):
 
         def dist(cloud):
             z = len(cloud) - 1
-            return rst._pair_dist(cloud.radii, cloud.dirs)(np.array([z]), np.array([z - 1]))[0]
+            return hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(np.array([z]), np.array([z - 1]))[0]
 
         lo, hi = 0.0, math.pi
         for _ in range(100):
@@ -920,16 +920,12 @@ class TestValidate:
     def test_bplus_empty_brute_scan(self):
         cloud = sampler.sample_ball(CloudConfig(d=1, lam=14.0, R=3.5, seed=16))
         tree = rst.build(cloud)
-        n = len(tree)
-        for i in range(0, n, 7):
-            z = cloud.point(i)
-            rho = float(tree.parent_dist[i])
-            inside = [
-                j
-                for j in range(n)
-                if j != i and hgeom.bplus_region_test(z, rho - 1e-12, cloud.point(j))
-            ]
-            assert inside == []
+        pair_dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)
+        for i in range(0, len(tree), 7):
+            # B+(z, rho) = B(z, rho) intersect B(0, d(0, z)), z itself excluded
+            lower = np.flatnonzero(cloud.radii < cloud.radii[i])
+            inside = lower[pair_dist(i, lower) <= tree.parent_dist[i] - 1e-12]
+            assert inside.size == 0
 
     @pytest.mark.parametrize(
         "make",
@@ -948,7 +944,7 @@ class TestValidate:
         trees = [tree, scrambled(tree, seed=1)]
         for t in trees:
             radii, dirs, parent = t.radii, t.dirs, t.parent
-            pair_dist = rst._pair_dist(radii, dirs)
+            pair_dist = hgeom.polar_pair_dist(radii, dirs)
             true_dist = np.array(radii, dtype=float)
             has = np.flatnonzero(parent >= 0)
             true_dist[has] = pair_dist(has, parent[has])
@@ -987,7 +983,7 @@ class TestValidate:
         monkeypatch.setattr(rst, "_PAIRS", 2**12)
         cloud = sampler.sample_ball(CloudConfig(d=3, lam=0.3, R=2.6, seed=2))
         radii, dirs = cloud.radii, cloud.dirs
-        pair_dist = rst._pair_dist(radii, dirs)
+        pair_dist = hgeom.polar_pair_dist(radii, dirs)
         sizes = []
         band_ranges = rst._band_ranges
 
@@ -1007,7 +1003,7 @@ class TestValidate:
     def test_second_nearest_parent_caught(self, d, lam, R):
         tree = sample_tree(5, lam=lam, R=R, d=d)
         radii = tree.radii
-        pair_dist = rst._pair_dist(radii, tree.dirs)
+        pair_dist = hgeom.polar_pair_dist(radii, tree.dirs)
         n = len(tree)
         moved = 0
         for i in range(n - 1, 0, -max(1, n // 12)):
@@ -1035,7 +1031,7 @@ class TestValidate:
         found = 0
         for _ in range(20000):
             cloud = place(rng)
-            pair_dist = rst._pair_dist(cloud.radii, cloud.dirs)
+            pair_dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)
             d = pair_dist(np.array([1]), np.array([0]))[0]
             rho = np.nextafter(d, np.inf)
             if not precondition(cloud, rho):
@@ -1159,7 +1155,7 @@ class TestValidate:
         clouds = [make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0]), cloud_at_root_distance()]
         for cloud in clouds:
             radii = cloud.radii
-            pair_dist = rst._pair_dist(radii, cloud.dirs)
+            pair_dist = hgeom.polar_pair_dist(radii, cloud.dirs)
             want_parent, want_dist = nearest_lower_scan(radii, pair_dist, root_dist=radii)
             assert want_parent[-1] == 0
             got_dist = rst._nearest_lower_in_balls(radii, cloud.dirs, pair_dist, radii.copy())
@@ -1168,7 +1164,7 @@ class TestValidate:
     def test_message_names_lower_index_among_equidistant(self):
         # the mirror pair ties for the axis point, which claims the root
         cloud = make_cloud([1.0, 1.0, 1.5], [0.3, -0.3, 0.0])
-        d = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([2, 2]), np.array([0, 1]))
+        d = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(np.array([2, 2]), np.array([0, 1]))
         assert d[0] == d[1] < 1.5
         tree = rst.build(cloud)
         assert tree.parent[2] == 0
@@ -1188,7 +1184,7 @@ class TestValidate:
         parent = tree.parent.copy()
         parent[2] = 0
         edited = rst.RadialTree(cloud, parent, tree.parent_dist)
-        far = rst._pair_dist(cloud.radii, cloud.dirs)(np.array([2]), np.array([0]))[0]
+        far = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(np.array([2]), np.array([0]))[0]
         want = [f"node 2: point 1 at {rz} inside B+(z, {far})"]
         assert rst.validate(edited).violations == validate_reference(edited)[0] == want
 
