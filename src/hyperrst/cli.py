@@ -153,11 +153,13 @@ def _cmd_render(cfg: dict, out_dir: str) -> int:
     scene = render.SvgScene(
         disc_px=float(cfg["disc_px"]), edge_style=cfg["edge_style"], colors=bool(cfg["colors"])
     )
-    tree = rst.build(sampler.sample_ball(cloud_config(cfg)))
+    config = cloud_config(cfg)
+    render.require_disc(config.d)
+    svg = render.render_svg(rst.build(sampler.sample_ball(config)), scene)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"rst_{cfg['seed']}.svg")
     with open(path, "w") as fh:
-        fh.write(render.render_svg(tree, scene))
+        fh.write(svg)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

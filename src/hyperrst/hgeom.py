@@ -12,70 +12,23 @@ Three coordinate models of (d+1)-dimensional hyperbolic space appear:
 
 Each model's metric is written once, here; tests/oracles.py holds the
 isometries between the models and the ball distance that check them.
-All distances are in absolute hyperbolic units, all angles in radians.
+The star paths [z1, z2]* of the radial trees' edges are evaluated here too,
+on arrays of rows only (star_path_arrays): the level crossings and the
+rendered polylines are rows of it. All distances are in absolute hyperbolic
+units, all angles in radians.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-UNIT_TOL = 1e-9  # how far from 1 a direction's norm may be (Direction, sampler.PointCloud)
+UNIT_TOL = 1e-9  # how far from 1 a direction's norm may be (sampler.PointCloud)
 
 
 class GeometryError(ValueError):
     pass
-
-
-def _as_unit(components) -> np.ndarray:
-    v = np.asarray(components, dtype=float)
-    if v.ndim != 1:
-        raise GeometryError("direction must be a 1-d vector")
-    # the bits of np.linalg.norm, which is sqrt(dot(v, v)) for a 1-d float vector
-    n = math.sqrt(float(v @ v))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise GeometryError(f"direction norm {n} is not 1")
-    # renormalize the last few ulps so stored directions are unit to 1e-12
-    return v / n
-
-
-@dataclass(frozen=True, eq=False)
-class Direction:
-    """Unit vector in R^(d+1); the direction part of polar coordinates."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", _as_unit(self.components))
-
-
-def basis_direction(ambient_dim: int, axis: int = 0) -> Direction:
-    v = np.zeros(ambient_dim)
-    v[axis] = 1.0
-    return Direction(v)
-
-
-@dataclass(frozen=True, eq=False)
-class PolarPoint:
-    """Point (r; u): hyperbolic distance r >= 0 from the origin, direction u."""
-
-    r: float
-    u: Direction
-
-    def __post_init__(self):
-        if not self.r >= 0:
-            raise GeometryError(f"radius {self.r} must be >= 0")
-
-
-def polar(r: float, components) -> PolarPoint:
-    return PolarPoint(float(r), Direction(components))
-
-
-def origin_point(ambient_dim: int) -> PolarPoint:
-    # radius-0 direction is a convention only; never used in angle terms
-    return PolarPoint(0.0, basis_direction(ambient_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +79,9 @@ def argsort_distinct(key: np.ndarray, *ties: np.ndarray) -> np.ndarray:
     return np.lexsort(ties[::-1] + (key,))
 
 
-def angle_between(u1: np.ndarray, u2: np.ndarray) -> float:
-    """Angle in [0, pi] between unit vectors, stable near 0 and pi."""
-    d2 = float(np.dot(u1 - u2, u1 - u2))
-    if d2 <= 2.0:
-        return 2.0 * math.asin(0.5 * math.sqrt(d2))
-    s2 = float(np.dot(u1 + u2, u1 + u2))
-    return math.pi - 2.0 * math.asin(0.5 * math.sqrt(s2))
-
-
 def angle_between_arrays(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Rowwise angle_between for (n, k) arrays of unit vectors."""
+    """Angle in [0, pi] between the rows of (n, k) arrays of unit vectors,
+    stable near 0 and pi."""
     d2 = np.sum((u1 - u2) ** 2, axis=-1)
     near = 2.0 * np.arcsin(0.5 * np.sqrt(np.minimum(d2, 4.0)))
     s2 = np.sum((u1 + u2) ** 2, axis=-1)
@@ -195,76 +140,47 @@ def apex_angle_arrays(h: float, xnorm, y):
 
 
 # ---------------------------------------------------------------------------
-# model conversions
-
-
-def polar_to_ball(z: PolarPoint) -> np.ndarray:
-    """Radial map to the open unit ball: Euclidean radius tanh(r/2), same direction."""
-    return math.tanh(z.r / 2.0) * z.u.components
-
-
-# ---------------------------------------------------------------------------
 # star paths
 
 
-def slerp(u1: np.ndarray, u2: np.ndarray, theta: float, frac: float) -> np.ndarray:
-    """Point at angle frac*theta from u1 on the great circle toward u2."""
-    if theta < 1e-14:
-        return np.asarray(u1, dtype=float)
-    st = math.sin(theta)
-    return (math.sin((1.0 - frac) * theta) * np.asarray(u1) + math.sin(frac * theta) * np.asarray(u2)) / st
-
-
 def star_psi_arrays(r1, r2, theta, t):
-    """Angle from u1 of the star-path point at parameter t.
+    """Angle from u1 of the star-path points at parameters t, row by row.
 
     psi = arccos(((1-t) sinh r1 + t cos(theta) sinh r2) / sinh((1-t) r1 + t r2)),
     with the argument clamped to [-1, 1]: rounding can push it past 1, and the
-    clamped region is exactly where the path runs radially.
+    clamped region is exactly where the path runs radially. A row with
+    theta <= 1e-14, an edge to the origin among them, runs radially: psi 0.
     """
-    rho = (1.0 - np.asarray(t)) * r1 + np.asarray(t) * r2
+    psi = np.zeros(t.shape)
+    pos = theta > 1e-14
+    r1, r2, theta, t = r1[pos], r2[pos], theta[pos], t[pos]
+    rho = (1.0 - t) * r1 + t * r2
     sr = np.sinh(rho)
-    num = (1.0 - np.asarray(t)) * np.sinh(r1) + np.asarray(t) * np.cos(theta) * np.sinh(r2)
+    num = (1.0 - t) * np.sinh(r1) + t * np.cos(theta) * np.sinh(r2)
     with np.errstate(divide="ignore", invalid="ignore"):
         a = np.where(sr > 0, num / np.where(sr > 0, sr, 1.0), 1.0)
-    return np.arccos(np.clip(a, -1.0, 1.0))
+    psi[pos] = np.arccos(np.clip(a, -1.0, 1.0))
+    return psi
 
 
-@dataclass(frozen=True, eq=False)
-class StarPath:
-    """The edge curve [z1, z2]*: radius affine in t, direction slerped through phi.
+def star_path_arrays(r1, r2, theta, u1, u2, t):
+    """(rho, psi, dirs): the points at parameters t on the star paths
+    [(r1; u1), (r2; u2)]*, row by row, with theta the angle between u1 and u2.
 
-    Monotone both in distance to the origin and in distance to z1. When one
-    endpoint is the origin (r = 0) or theta = 0 the path degenerates to the
-    radial segment with the direction of z1.
+    The radius rho is affine in t. The direction lies at the angle psi
+    (star_psi_arrays) from u1 on the great circle toward u2; a row that
+    runs radially keeps u1, and its row of u2 is not used.
     """
-
-    z1: PolarPoint
-    z2: PolarPoint
-    theta: float = field(init=False)
-
-    def __post_init__(self):
-        if self.z1.r == 0.0 or self.z2.r == 0.0:
-            th = 0.0
-        else:
-            th = angle_between(self.z1.u.components, self.z2.u.components)
-        if th >= math.pi - 1e-12:
-            raise GeometryError("antipodal endpoints: origin lies on the segment")
-        object.__setattr__(self, "theta", th)
-
-
-def star_eval(p: StarPath, t: float) -> PolarPoint:
-    if not 0.0 <= t <= 1.0:
-        raise GeometryError(f"parameter t={t} outside [0, 1]")
-    r1, r2 = p.z1.r, p.z2.r
     rho = (1.0 - t) * r1 + t * r2
-    if rho == 0.0:
-        return origin_point(p.z1.u.components.shape[0])
-    if p.theta < 1e-14:
-        base = p.z1 if p.z1.r > 0 else p.z2
-        return PolarPoint(rho, base.u)
-    psi = float(star_psi_arrays(r1, r2, p.theta, t))
-    return PolarPoint(rho, Direction(slerp(p.z1.u.components, p.z2.u.components, p.theta, psi / p.theta)))
+    psi = star_psi_arrays(r1, r2, theta, t)
+    dirs = np.array(u1, dtype=float)
+    pos = theta > 1e-14
+    th = theta[pos]
+    frac = psi[pos] / th
+    dirs[pos] = (
+        np.sin((1.0 - frac) * th)[:, None] * dirs[pos] + np.sin(frac * th)[:, None] * u2[pos]
+    ) / np.sin(th)[:, None]
+    return rho, psi, dirs
 
 
 # ---------------------------------------------------------------------------

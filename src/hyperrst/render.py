@@ -13,7 +13,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import hgeom, rst
+from . import rst
 from .hgeom import GeometryError
 
 COLLINEAR_TOL = 1e-9
@@ -96,13 +96,38 @@ def _component_hues(tree: rst.RadialTree) -> tuple:
     return comp, hue
 
 
+def _star_polylines(tree: rst.RadialTree) -> list:
+    """The d attribute of every edge's star-path polyline: POLYLINE_SEGMENTS + 1
+    points per edge, from the child to the parent, all edges in one pass."""
+    n = len(tree)
+    k = POLYLINE_SEGMENTS + 1
+    t = np.tile(np.linspace(0.0, 1.0, k), n)
+    rho, _, dirs = rst.star_points(tree, np.repeat(np.arange(n), k), t)
+    pts = np.tanh(rho / 2.0)[:, None] * dirs
+    # the origin, the end of a root edge, is (0, 0) and not a signed zero
+    pts[rho == 0.0] = 0.0
+    x, y = _svg_coords(pts.T)
+    coords = [f"{a:.6f} {b:.6f}" for a, b in zip(x.tolist(), y.tolist())]
+    return ["M " + " L ".join(coords[i * k : (i + 1) * k]) for i in range(n)]
+
+
+def require_disc(d: int) -> None:
+    """Refuse any dimension but d = 1, the one the Poincare disc draws."""
+    if d != 1:
+        raise GeometryError("SVG rendering is defined for d = 1 only")
+
+
 def render_svg(tree: rst.RadialTree, scene: SvgScene) -> str:
     """Figure-style Poincare disc rendering; pure function of (tree, scene)."""
-    if tree.cloud.config.d != 1:
-        raise GeometryError("SVG rendering is defined for d = 1 only")
+    require_disc(tree.cloud.config.d)
     n = len(tree)
     ball = np.tanh(tree.radii / 2.0)[:, None] * tree.dirs
     comp, hue = _component_hues(tree) if n else (np.empty(0, dtype=np.int64), {})
+    if scene.edge_style == "star-path-polyline":
+        paths = _star_polylines(tree)
+    else:
+        ends = [ball[p] if p != rst.ROOT else np.zeros(2) for p in tree.parent]
+        paths = [_arc_path(geodesic_arc(b, e)) for b, e in zip(ball, ends)]
     half = 1.05
     size = scene.disc_px
     parts = [
@@ -112,32 +137,10 @@ def render_svg(tree: rst.RadialTree, scene: SvgScene) -> str:
     ]
     for i in range(n):
         color = f"hsl({hue[int(comp[i])]:.1f},70%,40%)" if scene.colors else "black"
-        p1 = ball[i]
-        p2 = ball[tree.parent[i]] if tree.parent[i] != rst.ROOT else np.zeros(2)
-        if scene.edge_style == "geodesic-arc":
-            d_attr = _arc_path(geodesic_arc(p1, p2))
-        else:
-            pts = _star_polyline(tree, i)
-            coords = " L ".join(f"{x:.6f} {y:.6f}" for x, y in (_svg_coords(p) for p in pts))
-            d_attr = "M " + coords
-        parts.append(
-            f'<path d="{escape(d_attr)}" fill="none" stroke="{color}" stroke-width="0.0025"/>'
-        )
+        parts.append(f'<path d="{escape(paths[i])}" fill="none" stroke="{color}" stroke-width="0.0025"/>')
     for i in range(n):
         x, y = _svg_coords(ball[i])
         parts.append(f'<circle cx="{x:.6f}" cy="{y:.6f}" r="0.003" fill="black"/>')
     parts.append('<circle cx="0" cy="0" r="0.006" fill="red"/>')
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def _star_polyline(tree: rst.RadialTree, i: int) -> list:
-    child = tree.cloud.point(i)
-    p = tree.parent[i]
-    par = tree.cloud.point(int(p)) if p != rst.ROOT else hgeom.origin_point(2)
-    path = hgeom.StarPath(child, par)
-    out = []
-    for t in np.linspace(0.0, 1.0, POLYLINE_SEGMENTS + 1):
-        z = hgeom.star_eval(path, float(t))
-        out.append(hgeom.polar_to_ball(z))
-    return out

@@ -210,16 +210,18 @@ def _straddling(tree: RadialTree, r: float) -> np.ndarray:
     return above[tree.parent_radii[above] <= r]
 
 
-def _crossing_psi(tree: RadialTree, children: np.ndarray, r: float):
-    """(t, psi) of the edges' crossings with S(r): the crossing parameter and
-    the angle of the crossing from the child direction."""
+def star_points(tree: RadialTree, children: np.ndarray, t: np.ndarray):
+    """(rho, psi, dirs) of the points at parameters t on the star paths of
+    the edges (children[k], parent): hgeom.star_path_arrays on the tree's
+    rows, with psi the angle from the child direction."""
+    rc, rp, theta = tree.radii[children], tree.parent_radii[children], tree.edge_thetas[children]
+    return hgeom.star_path_arrays(rc, rp, theta, tree.dirs[children], tree.dirs[tree.parent[children]], t)
+
+
+def _crossing_t(tree: RadialTree, children: np.ndarray, r: float) -> np.ndarray:
+    """The parameter at which each edge of children crosses S(r)."""
     rc, rp = tree.radii[children], tree.parent_radii[children]
-    t = (r - rc) / (rp - rc)
-    theta = tree.edge_thetas[children]
-    psi = np.zeros(children.shape[0])
-    pos = theta > 1e-14
-    psi[pos] = hgeom.star_psi_arrays(rc[pos], rp[pos], theta[pos], t[pos])
-    return t, psi
+    return (r - rc) / (rp - rc)
 
 
 def level_geometry(tree: RadialTree, r: float):
@@ -229,16 +231,8 @@ def level_geometry(tree: RadialTree, r: float):
     if not r > 0:
         raise GeometryError("level radius must be > 0")
     children = _straddling(tree, r)
-    t, psi = _crossing_psi(tree, children, r)
-    theta = tree.edge_thetas[children]
-    dirs = tree.dirs[children]
-    pos = theta > 1e-14
-    th = theta[pos]
-    frac = psi[pos] / th
-    u2 = tree.dirs[tree.parent[children[pos]]]
-    dirs[pos] = (
-        np.sin((1.0 - frac) * th)[:, None] * dirs[pos] + np.sin(frac * th)[:, None] * u2
-    ) / np.sin(th)[:, None]
+    t = _crossing_t(tree, children, r)
+    _, psi, dirs = star_points(tree, children, t)
     return children, t, psi, dirs
 
 
@@ -415,7 +409,7 @@ def deviation_sweep(tree: RadialTree, r0: float, r1: float) -> LevelSweep:
     # is its own crossing
     cut = _straddling(tree, r1)
     cut_row = crossid[cut]
-    _, psi1 = _crossing_psi(tree, cut, r1)
+    psi1 = hgeom.star_psi_arrays(radii[cut], rp[cut], theta[cut], _crossing_t(tree, cut, r1))
     cfd1 = np.where(
         rp[cut] <= r0,
         np.abs(psi1 - psi0[cut_row]),

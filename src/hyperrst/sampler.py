@@ -19,7 +19,7 @@ from itertools import repeat
 import numpy as np
 
 from . import hgeom
-from .hgeom import GeometryError, PolarPoint
+from .hgeom import GeometryError
 
 RADIAL_KNOTS = 4096
 # Newton stops once no draw of the batch moves by this much
@@ -86,9 +86,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.radii.shape[0]
-
-    def point(self, i: int) -> PolarPoint:
-        return PolarPoint(float(self.radii[i]), hgeom.Direction(self.dirs[i]))
 
 
 # Gauss-Legendre nodes/weights on [0, 1], order 5: exact to machine precision

@@ -3,8 +3,10 @@
 Besides the O(n^2) builders and scans, the geometry references live here:
 the isometry from the half space through the ball to polar coordinates
 (half_to_ball, ball_to_polar, half_to_polar), the ball-model distance
-(ball_dist), which check hgeom's two metrics against each other, and the
-pointwise region membership of the coupling's K (region_contains).
+(ball_dist), which check hgeom's two metrics against each other, the
+pointwise region membership of the coupling's K (region_contains), and one
+star-path point at a time in math (star_psi, angle_between, star_point),
+which checks the array star paths of hgeom and rst.
 """
 
 import math
@@ -96,9 +98,10 @@ def brute_force_parents(cloud: sampler.PointCloud) -> np.ndarray:
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         du2 = np.sum((dirs[lo:hi, None, :] - dirs[None, :, :]) ** 2, axis=2)
+        # the products left to right, ((0.5 du2) sh_i) sh_j, as polar_pair_dist rounds them
         s = (
             2.0 * np.sinh((radii[lo:hi, None] - radii[None, :]) / 2.0) ** 2
-            + 0.5 * du2 * np.outer(sh[lo:hi], sh)
+            + 0.5 * du2 * sh[lo:hi, None] * sh[None, :]
         )
         dist[lo:hi] = hgeom.stable_arccosh1p(s)
     parent, _ = nearest_lower_brute(radii, dist, root_dist=radii)
@@ -275,6 +278,28 @@ def star_psi(r1: float, r2: float, theta: float, t: float) -> float:
         return 0.0
     a = ((1.0 - t) * math.sinh(r1) + t * math.cos(theta) * math.sinh(r2)) / sr
     return math.acos(min(max(a, -1.0), 1.0))
+
+
+def angle_between(u1: np.ndarray, u2: np.ndarray) -> float:
+    """Angle in [0, pi] between two unit vectors, stable near 0 and pi."""
+    d2 = float(np.dot(u1 - u2, u1 - u2))
+    if d2 <= 2.0:
+        return 2.0 * math.asin(0.5 * math.sqrt(d2))
+    s2 = float(np.dot(u1 + u2, u1 + u2))
+    return math.pi - 2.0 * math.asin(0.5 * math.sqrt(s2))
+
+
+def star_point(r1: float, u1: np.ndarray, r2: float, u2: np.ndarray, t: float):
+    """(rho, u): the point at parameter t on the star path [(r1; u1), (r2; u2)]*,
+    one point in math: radius (1-t) r1 + t r2, direction at the angle star_psi
+    from u1 on the great circle toward u2. An edge to the origin (r2 = 0) or
+    an angle theta < 1e-14 runs radially along u1."""
+    rho = (1.0 - t) * r1 + t * r2
+    theta = angle_between(u1, u2) if r2 > 0.0 else 0.0
+    if theta < 1e-14:
+        return rho, np.array(u1, dtype=float)
+    psi = star_psi(r1, r2, theta, t)
+    return rho, (math.sin(theta - psi) * u1 + math.sin(psi) * u2) / math.sin(theta)
 
 
 def cfd_reference(tree, r: float, c) -> float:

@@ -13,7 +13,6 @@ import pytest
 
 from hyperrst import dsf, experiments, hgeom, rst, sampler
 from hyperrst.experiments import ExperimentConfig, default_config
-from hyperrst.hgeom import Direction, PolarPoint
 from hyperrst.sampler import CloudConfig, HalfWindow
 from oracles import ball_dist, ball_to_polar, brute_force_parents, build_dsf_brute, half_to_ball
 
@@ -31,7 +30,8 @@ def test_criterion_1_geometry_oracles():
     hgeom.polar_pair_dist through the oracle isometry and polar_pair_dist
     against the oracle ball distance, within 1e-10 on 1e4 pairs;
     apex_angle_arrays against the triangle oracle 1e-9; star-path
-    exactness 1e-12; < 10 s."""
+    exactness of hgeom.star_path_arrays (endpoints, affine radius, the
+    direction at the angle psi) 1e-12; < 10 s."""
     t0 = time.time()
     rng = np.random.default_rng(ACCEPT_SEED)
 
@@ -63,22 +63,32 @@ def test_criterion_1_geometry_oracles():
     oracle = np.arccos(np.clip((np.cosh(a) * np.cosh(b) - np.cosh(c)) / (np.sinh(a) * np.sinh(b)), -1.0, 1.0))
     worst_angle = float(np.max(np.abs(angle - oracle)))
 
-    worst_star = 0.0
-    for _ in range(2000):
+    # 2000 star paths [z1, z2]*, one row each at t = 0, at t = 1 and at a
+    # random t, through the array star path that the level crossings and
+    # the rendered polylines use
+    m = 2000
+    r1, r2, tr = np.empty(m), np.empty(m), np.empty(m)
+    u1, u2 = np.empty((m, 2)), np.empty((m, 2))
+    for k in range(m):
         g1, g2 = rng.normal(size=2), rng.normal(size=2)
-        z1 = PolarPoint(float(rng.uniform(0.05, 5)), Direction(g1 / np.linalg.norm(g1)))
-        z2 = PolarPoint(float(rng.uniform(0.05, 5)), Direction(g2 / np.linalg.norm(g2)))
-        p = hgeom.StarPath(z1, z2)
-        e0, e1 = hgeom.star_eval(p, 0.0), hgeom.star_eval(p, 1.0)
-        worst_star = max(
-            worst_star,
-            abs(e0.r - z1.r),
-            abs(e1.r - z2.r),
-            float(np.max(np.abs(e0.u.components - z1.u.components))),
-            float(np.max(np.abs(e1.u.components - z2.u.components))),
-        )
-        t = float(rng.uniform(0, 1))
-        worst_star = max(worst_star, abs(hgeom.star_eval(p, t).r - ((1 - t) * z1.r + t * z2.r)))
+        u1[k], u2[k] = g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
+        r1[k], r2[k] = rng.uniform(0.05, 5), rng.uniform(0.05, 5)
+        tr[k] = rng.uniform(0, 1)
+    theta = hgeom.angle_between_arrays(u1, u2)
+    t = np.concatenate([np.zeros(m), np.ones(m), tr])
+    rho, psi, sdirs = hgeom.star_path_arrays(
+        np.tile(r1, 3), np.tile(r2, 3), np.tile(theta, 3), np.tile(u1, (3, 1)), np.tile(u2, (3, 1)), t
+    )
+    start, end, mid = slice(0, m), slice(m, 2 * m), slice(2 * m, 3 * m)
+    worst_star = float(max(
+        np.max(np.abs(rho[start] - r1)),
+        np.max(np.abs(rho[end] - r2)),
+        np.max(np.abs(sdirs[start] - u1)),
+        np.max(np.abs(sdirs[end] - u2)),
+        np.max(np.abs(rho[mid] - ((1 - tr) * r1 + tr * r2))),
+        # the direction lies psi from u1 on the great circle
+        np.max(np.abs(hgeom.angle_between_arrays(u1, sdirs[mid]) - psi[mid])),
+    ))
 
     elapsed = time.time() - t0
     ok = worst_pair < 1e-10 and worst_angle < 1e-9 and worst_star < 1e-12 and elapsed < 10

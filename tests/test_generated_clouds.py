@@ -8,33 +8,30 @@ number of examples, so every run tries the same clouds.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_parents, build_dsf_brute, build_rst_h_brute
 
-from hyperrst import dsf, rst
+from hyperrst import dsf, hgeom, rst
 from hyperrst.sampler import CloudConfig, PointCloud
 
-EXAMPLES = settings(max_examples=150, derandomize=True, deadline=None)
+# no shrinking: a failing cloud is reported as found, in seconds, not minutes
+EXAMPLES = settings(max_examples=150, derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
 
 
 @st.composite
 def ball_clouds(draw):
     """A PointCloud at d = 1-3 and R up to 30: radii on a grid of R / steps,
-    directions the normalized integer vectors of {-3, ..., 3}^(d+1).
-
-    Each vector is divided by the gcd of its entries before it is
-    normalized, so that one direction always has the same bits: (1, 1) and
-    (3, 3) normalized apart differ by an ulp, a near tie that the builder's
-    and the oracle's roundings of one distance may break differently."""
+    directions the normalized integer vectors of {-3, ..., 3}^(d+1). Parallel
+    vectors such as (1, 1) and (3, 3) normalize to directions an ulp apart,
+    near ties that the builder and the oracle must break alike."""
     d = draw(st.integers(1, 3))
     R = draw(st.sampled_from([1.0, 4.0, 12.0, 30.0]))
     n = draw(st.integers(1, 80))
     steps = draw(st.integers(1, 12))
     radii = R * np.array(draw(st.lists(st.integers(1, steps), min_size=n, max_size=n))) / steps
     vector = st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any)
-    g = np.array(draw(st.lists(vector, min_size=n, max_size=n)))
-    g = (g // np.gcd.reduce(g, axis=1)[:, None]).astype(float)
+    g = np.array(draw(st.lists(vector, min_size=n, max_size=n)), dtype=float)
     order = np.argsort(radii, kind="stable")
     dirs = (g / np.linalg.norm(g, axis=1)[:, None])[order]
     return PointCloud(CloudConfig(d=d, lam=1.0, R=R, seed=0), radii[order], dirs)
@@ -58,6 +55,26 @@ def test_rst_equals_oracle_on_generated_clouds(cloud):
     tree = rst.build(cloud)
     assert np.array_equal(tree.parent, brute_force_parents(cloud))
     assert rst.validate(tree).ok
+
+
+@EXAMPLES
+@given(cloud=ball_clouds(), data=st.data())
+def test_validate_flags_a_moved_parent(cloud, data):
+    # one point re-parented to a lower point farther than its true parent by
+    # more than validate's 1e-12 leaves a nearer point in its B+
+    tree = rst.build(cloud)
+    n = len(cloud)
+    dist = hgeom.polar_pair_dist(cloud.radii, cloud.dirs)(np.arange(n)[:, None], np.arange(n))
+    lower = cloud.radii[None, :] < cloud.radii[:, None]
+    i, j = np.nonzero(lower & (dist > tree.parent_dist[:, None] + 1e-12))
+    if not i.size:
+        return
+    k = data.draw(st.integers(0, i.size - 1))
+    parent = tree.parent.copy()
+    parent[i[k]] = j[k]
+    report = rst.validate(rst.RadialTree(cloud, parent, tree.parent_dist))
+    assert not report.ok
+    assert report.counts["bplus"] >= 1
 
 
 @EXAMPLES

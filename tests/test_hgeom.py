@@ -14,19 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import ball_dist, ball_to_polar, ball_volume_quad, half_to_ball, half_to_polar, sphere_cap_quad
 
-from hyperrst import dsf, hgeom, search
+from hyperrst import dsf, hgeom, rst, search
 from hyperrst.hgeom import (
-    Direction,
     GeometryError,
-    PolarPoint,
-    StarPath,
     apex_angle_arrays,
+    angle_between_arrays,
     ball_volume,
     half_pair_dist,
-    polar,
     polar_pair_dist,
-    polar_to_ball,
-    star_eval,
+    star_path_arrays,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -39,19 +35,34 @@ ANGLE_BRANCH_EXAMPLE = 2.0344439357957027354
 VOL_D2_R3 = 614.85101740533232053
 
 
-def random_polar(d=1, rmax=6.0, rng=RNG):
-    g = rng.normal(size=d + 1)
-    return PolarPoint(float(rng.uniform(0.01, rmax)), Direction(g / np.linalg.norm(g)))
-
-
 def random_polar_arrays(n, d=1, rmax=6.0, rng=RNG):
-    """(radii, dirs) of n points drawn as random_polar draws them."""
+    """(radii, dirs) of n points: per point a Gaussian direction, then a
+    radius uniform in [0.01, rmax]."""
     radii, dirs = np.empty(n), np.empty((n, d + 1))
     for k in range(n):
         g = rng.normal(size=d + 1)
         dirs[k] = g / np.linalg.norm(g)
         radii[k] = rng.uniform(0.01, rmax)
     return radii, dirs
+
+
+def to_ball(radii, dirs):
+    """The Poincare chart tanh(r/2) u of polar points, as rst's search builds it."""
+    return rst._chart_index(np.asarray(radii, dtype=float), np.asarray(dirs, dtype=float)).coords
+
+
+def star_pairs(rng, pairs, ts):
+    """hgeom.star_path_arrays on random star paths: the endpoints of pair k
+    are points 2k and 2k + 1 of random_polar_arrays, evaluated at each t of
+    ts (one row of ts for every pair, or one per pair). Returns the rows
+    (r1, u1, r2, u2, theta, t) and the result (rho, psi, dirs)."""
+    radii, dirs = random_polar_arrays(2 * pairs, rng=rng)
+    reps = np.shape(ts)[-1]
+    rows = np.repeat(np.arange(pairs), reps)
+    r1, u1, r2, u2 = radii[0::2][rows], dirs[0::2][rows], radii[1::2][rows], dirs[1::2][rows]
+    theta = angle_between_arrays(u1, u2)
+    t = np.broadcast_to(np.asarray(ts, dtype=float), (pairs, reps)).ravel()
+    return (r1, u1, r2, u2, theta, t), star_path_arrays(r1, r2, theta, u1, u2, t)
 
 
 def random_half_arrays(n, d=1, rng=RNG):
@@ -178,87 +189,71 @@ class TestConversions:
                     assert ball_dist(balls[i], balls[j]) == pytest.approx(dist(i, j), abs=1e-10)
 
     def test_polar_ball_example(self):
-        b = polar_to_ball(polar(2.0, [1.0, 0.0]))
+        b = to_ball([2.0], [[1.0, 0.0]])[0]
         assert b[0] == pytest.approx(TANH_1, abs=1e-12)
         assert b[1] == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(6)
-        for _ in range(10_000 // 10):
-            z = random_polar(rng=rng)
-            r, u = ball_to_polar(polar_to_ball(z)[None, :])
-            assert r[0] == pytest.approx(z.r, abs=1e-12)
-            assert np.allclose(u[0], z.u.components, atol=1e-12)
+        radii, dirs = random_polar_arrays(1000, rng=rng)
+        r, u = ball_to_polar(to_ball(radii, dirs))
+        assert r == pytest.approx(radii, abs=1e-12)
+        assert np.allclose(u, dirs, atol=1e-12)
 
     def test_ball_distance_matches_polar(self):
+        # 200 pairs: points 2k and 2k + 1
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            dist = polar_pair_dist(np.array([z1.r, z2.r]), np.array([z1.u.components, z2.u.components]))
-            assert ball_dist(polar_to_ball(z1), polar_to_ball(z2)) == pytest.approx(dist(0, 1), abs=1e-10)
+        radii, dirs = random_polar_arrays(400, rng=rng)
+        i, j = np.arange(0, 400, 2), np.arange(1, 400, 2)
+        ball = to_ball(radii, dirs)
+        assert ball_dist(ball[i], ball[j]) == pytest.approx(polar_pair_dist(radii, dirs)(i, j), abs=1e-10)
 
 
 class TestStarPath:
     def test_endpoints_exact(self):
         rng = np.random.default_rng(8)
-        for _ in range(100):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            p = StarPath(z1, z2)
-            for t, z in ((0.0, z1), (1.0, z2)):
-                got = star_eval(p, t)
-                assert got.r == pytest.approx(z.r, abs=1e-12)
-                assert np.allclose(got.u.components, z.u.components, atol=1e-12)
+        (r1, u1, r2, u2, theta, _), (rho, psi, dirs) = star_pairs(rng, 100, [0.0, 1.0])
+        # even rows are t = 0, odd rows t = 1
+        assert rho[0::2] == pytest.approx(r1[0::2], abs=1e-12)
+        assert np.allclose(dirs[0::2], u1[0::2], atol=1e-12)
+        assert np.all(np.abs(psi[0::2]) <= 1e-12)
+        assert rho[1::2] == pytest.approx(r2[1::2], abs=1e-12)
+        assert np.allclose(dirs[1::2], u2[1::2], atol=1e-12)
+        assert np.all(np.abs(psi[1::2] - theta[1::2]) <= 1e-12)
 
     def test_affine_radius_law(self):
         rng = np.random.default_rng(9)
-        for _ in range(50):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            p = StarPath(z1, z2)
-            for t in rng.uniform(0, 1, size=8):
-                assert star_eval(p, float(t)).r == pytest.approx(
-                    (1 - t) * z1.r + t * z2.r, abs=1e-12
-                )
+        (r1, _, r2, _, _, t), (rho, _, _) = star_pairs(rng, 50, rng.uniform(0, 1, size=(50, 8)))
+        assert rho == pytest.approx((1 - t) * r1 + t * r2, abs=1e-12)
 
     def test_equal_radii_constant_radius(self):
-        z1 = polar(2.0, [1.0, 0.0])
-        z2 = polar(2.0, [0.0, 1.0])
-        p = StarPath(z1, z2)
-        for t in np.linspace(0, 1, 17):
-            assert star_eval(p, float(t)).r == pytest.approx(2.0, abs=1e-12)
+        t = np.linspace(0, 1, 17)
+        u1, u2 = np.tile([1.0, 0.0], (17, 1)), np.tile([0.0, 1.0], (17, 1))
+        rho, _, dirs = star_path_arrays(np.full(17, 2.0), np.full(17, 2.0), np.full(17, math.pi / 2), u1, u2, t)
+        assert rho == pytest.approx(np.full(17, 2.0), abs=1e-12)
+        assert np.allclose(np.sum(dirs * dirs, axis=1), 1.0, atol=1e-12)
 
     def test_distance_to_z1_monotone(self):
         rng = np.random.default_rng(10)
-        for _ in range(40):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            p = StarPath(z1, z2)
-            # row 0 is z1, rows 1.. the path at 1000 parameters
-            path = [z1] + [star_eval(p, float(t)) for t in np.linspace(0, 1, 1000)]
-            dist = polar_pair_dist(np.array([z.r for z in path]), np.array([z.u.components for z in path]))
-            d = dist(0, np.arange(1, len(path)))
-            assert np.all(np.diff(d) >= -1e-9)
+        (r1, u1, _, _, _, _), (rho, _, dirs) = star_pairs(rng, 40, np.linspace(0, 1, 1000))
+        # rows 0-39 are the z1 of each pair, then each pair's path at 1000 parameters
+        z1 = np.arange(0, 40_000, 1000)
+        dist = polar_pair_dist(np.concatenate([r1[z1], rho]), np.vstack([u1[z1], dirs]))
+        d = dist(np.repeat(np.arange(40), 1000), np.arange(40, 40_040)).reshape(40, 1000)
+        assert np.all(np.diff(d, axis=1) >= -1e-9)
 
     def test_distance_to_origin_monotone(self):
         rng = np.random.default_rng(12)
-        for _ in range(40):
-            z1, z2 = random_polar(rng=rng), random_polar(rng=rng)
-            p = StarPath(z1, z2)
-            ts = np.linspace(0, 1, 200)
-            radii = np.array([star_eval(p, float(t)).r for t in ts])
-            diffs = np.diff(radii)
-            assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
-
-    def test_rejects_t_outside(self):
-        p = StarPath(polar(1.0, [1, 0]), polar(2.0, [0, 1]))
-        with pytest.raises(GeometryError):
-            star_eval(p, 1.5)
+        _, (rho, _, _) = star_pairs(rng, 40, np.linspace(0, 1, 200))
+        diffs = np.diff(rho.reshape(40, 200), axis=1)
+        assert np.all((diffs >= -1e-12).all(axis=1) | (diffs <= 1e-12).all(axis=1))
 
     def test_radial_degenerate(self):
-        z1 = polar(1.0, [1.0, 0.0])
-        z2 = polar(3.0, [1.0, 0.0])
-        p = StarPath(z1, z2)
-        mid = star_eval(p, 0.5)
-        assert mid.r == pytest.approx(2.0, abs=1e-12)
-        assert np.allclose(mid.u.components, [1, 0])
+        u = np.array([[1.0, 0.0]])
+        rho, psi, dirs = star_path_arrays(np.array([1.0]), np.array([3.0]), np.zeros(1), u, u, np.array([0.5]))
+        assert rho[0] == pytest.approx(2.0, abs=1e-12)
+        assert psi[0] == 0.0
+        assert np.allclose(dirs[0], [1, 0])
 
 
 class TestVolumes:
@@ -385,10 +380,15 @@ class TestBoost:
 )
 @settings(max_examples=200, deadline=None)
 def test_star_radius_affine_property(r1, r2, ang, t):
-    z1 = polar(r1, [1.0, 0.0])
-    z2 = polar(r2, [math.cos(ang), math.sin(ang)])
-    p = StarPath(z1, z2)
-    assert star_eval(p, t).r == pytest.approx((1 - t) * r1 + t * r2, abs=1e-12)
+    # the radius is affine in t, and the direction lies on the great circle
+    # through u1 and u2, psi from u1 and |theta - psi| from u2
+    u1, u2 = np.array([[1.0, 0.0]]), np.array([[math.cos(ang), math.sin(ang)]])
+    theta = angle_between_arrays(u1, u2)
+    rho, psi, dirs = star_path_arrays(np.array([r1]), np.array([r2]), theta, u1, u2, np.array([t]))
+    assert rho[0] == pytest.approx((1 - t) * r1 + t * r2, abs=1e-12)
+    assert float(np.sum(dirs * dirs)) == pytest.approx(1.0, abs=1e-12)
+    assert angle_between_arrays(u1, dirs)[0] == pytest.approx(psi[0], abs=1e-12)
+    assert angle_between_arrays(dirs, u2)[0] == pytest.approx(abs(theta[0] - psi[0]), abs=1e-12)
 
 
 @given(rho=st.floats(0.0, 0.999), ang=st.floats(0.0, 2 * math.pi))
@@ -398,29 +398,7 @@ def test_star_radius_affine_property(r1, r2, ang, t):
 def test_ball_polar_inverse_property(rho, ang):
     b = rho * np.array([math.cos(ang), math.sin(ang)])
     r, u = ball_to_polar(b[None, :])
-    back = polar_to_ball(polar(r[0], u[0]))
-    assert np.allclose(back, b, atol=1e-12)
-
-
-def test_direction_norm_enforced():
-    with pytest.raises(GeometryError):
-        Direction(np.array([1.0, 1.0]))
-
-
-def test_direction_keeps_linalg_norm_bits():
-    rng = np.random.default_rng(23)
-    for _ in range(2000):
-        g = rng.normal(size=int(rng.integers(2, 5)))
-        v = g / np.linalg.norm(g) * (1.0 + rng.uniform(-1e-10, 1e-10))
-        assert np.array_equal(Direction(v).components, v / np.linalg.norm(v))
-
-
-def test_invalid_inputs():
-    with pytest.raises(GeometryError):
-        PolarPoint(-0.5, Direction(np.array([1.0, 0.0])))
-
-
-_U = Direction(np.array([1.0, 0.0]))
+    assert np.allclose(to_ball(r, u)[0], b, atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -433,7 +411,6 @@ _U = Direction(np.array([1.0, 0.0]))
         lambda: hgeom.sphere_cap(1, math.nan),
         lambda: dsf.RegionSpec("Cyl'", A=1.0, a=math.nan),
         lambda: dsf.RegionSpec("Cyl'", A=1.0, h=math.nan),
-        lambda: PolarPoint(math.nan, _U),
     ],
     ids=[
         "build_rst_h_nan",
@@ -443,7 +420,6 @@ _U = Direction(np.array([1.0, 0.0]))
         "sphere_cap_d1",
         "region_a",
         "region_h",
-        "polar_point",
     ],
 )
 def test_nan_rejected(call):

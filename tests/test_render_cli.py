@@ -254,6 +254,20 @@ class TestCli:
         assert "disc_px must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_render_refuses_d2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        # a disc drawing needs d = 1: any other d is refused before a point is
+        # drawn, and no file is left behind
+        def sample_ball(config):
+            raise AssertionError("render sampled a cloud it cannot draw")
+
+        monkeypatch.setattr(sampler, "sample_ball", sample_ball)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"d": 2, "lambda": 1.0, "R": 5.0}))
+        out = tmp_path / "out"
+        assert cli.main(["render", "--config", str(p), "--out", str(out)]) == 2
+        assert "SVG rendering is defined for d = 1 only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_coupling_window_over_cap_exit_2(self, tmp_path, capsys):
         # d=3, lambda=0.3 puts about 3.4M points in the coupling window
         p = tmp_path / "cfg.json"

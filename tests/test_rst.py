@@ -15,12 +15,14 @@ from hyperrst.hgeom import GeometryError
 from hyperrst.rst import ROOT
 from hyperrst.sampler import CloudConfig, PointCloud
 from oracles import (
+    angle_between,
     brute_force_parents,
     cfd_reference,
     nearest_lower_brute,
     nearest_lower_scan,
     planarity_pairs_reference,
     planarity_reference,
+    star_point,
     star_psi,
     validate_reference,
 )
@@ -328,20 +330,19 @@ class TestLevelCrossings:
         "d, lam, R", [(1, 10.0, 3.5), (2, 1.5, 3.0), (3, 0.3, 2.6)], ids=["d1", "d2", "d3"]
     )
     def test_crossing_point_consistency(self, d, lam, R):
-        # level_geometry's t and directions against the star path evaluated
-        # one point at a time
+        # level_geometry's t and directions against the oracles' star path,
+        # evaluated one point at a time
         tree = sample_tree(4, lam=lam, R=R, d=d)
         r = 1.7
         children, t, _, dirs = rst.level_geometry(tree, r)
         assert children.size
         assert [c.edge_child for c in rst.level_crossings(tree, r)] == children.tolist()
         for k, i in enumerate(children.tolist()):
-            p = tree.parent[i]
-            par = tree.cloud.point(int(p)) if p != ROOT else hgeom.origin_point(d + 1)
-            path = hgeom.StarPath(tree.cloud.point(i), par)
-            z = hgeom.star_eval(path, float(t[k]))
-            assert z.r == pytest.approx(r, abs=1e-12)
-            assert np.max(np.abs(z.u.components - dirs[k])) <= 1e-9
+            p = int(tree.parent[i])
+            r2, u2 = (float(tree.radii[p]), tree.dirs[p]) if p != ROOT else (0.0, tree.dirs[i])
+            rho, u = star_point(float(tree.radii[i]), tree.dirs[i], r2, u2, float(t[k]))
+            assert rho == pytest.approx(r, abs=1e-12)
+            assert np.max(np.abs(u - dirs[k])) <= 1e-9
 
 
 class TestAncestors:
@@ -453,7 +454,7 @@ class TestCfd:
             anc = rst.ancestor_at_level(tree, c, 2.1)
             if anc.edge_child == c.edge_child:
                 got = rst.cfd(tree, 2.1, c)
-                expected = hgeom.angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
+                expected = angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
                 assert got == pytest.approx(expected, abs=1e-9)
                 break
 
@@ -492,7 +493,7 @@ class TestCfd:
         dirs, anc_dirs = crossing_dirs(tree, 2.6), crossing_dirs(tree, 1.3)
         for c in rst.level_crossings(tree, 2.6)[:20]:
             anc = rst.ancestor_at_level(tree, c, 1.3)
-            direct = hgeom.angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
+            direct = angle_between(dirs[c.edge_child], anc_dirs[anc.edge_child])
             assert rst.cfd(tree, 1.3, c) >= direct - 1e-10
 
 
@@ -754,7 +755,7 @@ class TestScalarPath:
         ]
         for args, exact in edges:
             got = star_psi(*args)
-            assert abs(got - float(hgeom.star_psi_arrays(*args))) <= 1e-12
+            assert abs(got - float(hgeom.star_psi_arrays(*map(np.atleast_1d, args))[0])) <= 1e-12
             if exact is not None:
                 assert got == exact
 

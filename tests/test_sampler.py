@@ -237,7 +237,7 @@ def test_non_finite_cloud_rejected(make):
 
 
 def test_direction_within_tolerance_accepted():
-    # one part in 1e10 off unit passes, as hgeom.Direction lets it
+    # one part in 1e10 off unit passes: the tolerance is hgeom.UNIT_TOL, 1e-9
     assert len(_cloud(dirs=((1.0, 0.0), (0.0, 1.0 + 1e-10), (-1.0, 0.0)))) == 3
 
 
